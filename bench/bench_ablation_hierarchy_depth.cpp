@@ -19,13 +19,67 @@
 /// RMA ops); from 32 nodes on it wins the acquire latency by an order of
 /// magnitude, the same way sharding did — the tree is the composable form
 /// of that fix, and the two compose (a sharded middle level).
+///
+/// Every row above is a traced simulation, so the bench also reports what
+/// tracing costs: the trace_overhead section times the same FAC2+SS
+/// simulation at 64x16 workers with and without tracing (CI gates the
+/// ratio).
 
+#include <algorithm>
+#include <chrono>
 #include <iostream>
+#include <limits>
 
 #include "common/json_report.hpp"
 #include "common/workloads.hpp"
 #include "trace/trace.hpp"
 #include "util/table.hpp"
+
+namespace {
+
+/// Fastest-of-`reps` wall time of one simulate() call, in seconds.
+double fastest_simulate_s(const hdls::sim::ClusterSpec& cluster,
+                          const hdls::sim::SimConfig& cfg,
+                          const hdls::sim::WorkloadTrace& trace, int reps) {
+    double best = std::numeric_limits<double>::infinity();
+    for (int i = 0; i < reps; ++i) {
+        const auto t0 = std::chrono::steady_clock::now();
+        const auto r = simulate(hdls::sim::ExecModel::MpiMpi, cluster, cfg, trace);
+        const auto t1 = std::chrono::steady_clock::now();
+        best = std::min(best, std::chrono::duration<double>(t1 - t0).count());
+    }
+    return best;
+}
+
+/// Traced vs untraced wall time of one 64x16-worker FAC2+SS simulation of
+/// a 4k-point PSIA trace (fixed sizes, independent of --scale): tracing
+/// must stay cheap enough to leave on for sim-only studies.
+void run_trace_overhead_section(hdls::bench::JsonReport& json, std::ostream& os) {
+    using namespace hdls;
+    const sim::WorkloadTrace trace = bench::psia_paper_trace(4096);
+    sim::ClusterSpec cluster;
+    cluster.nodes = 64;
+    cluster.workers_per_node = 16;
+    sim::SimConfig cfg;
+    cfg.inter = dls::Technique::FAC2;
+    cfg.intra = dls::Technique::SS;
+    constexpr int kReps = 5;
+    const double untraced_s = fastest_simulate_s(cluster, cfg, trace, kReps);
+    cfg.trace = true;
+    const double traced_s = fastest_simulate_s(cluster, cfg, trace, kReps);
+    const double ratio = traced_s / untraced_s;
+    os << "\ntrace overhead (64x16 workers, PSIA 4k points, FAC2+SS, fastest of " << kReps
+       << "):\n  untraced " << util::format_double(untraced_s * 1e3, 3) << " ms  traced "
+       << util::format_double(traced_s * 1e3, 3) << " ms  ratio "
+       << util::format_double(ratio, 2) << "x\n";
+    json.point()
+        .label("section", "trace_overhead")
+        .sample("untraced_ms", untraced_s * 1e3)
+        .sample("traced_ms", traced_s * 1e3)
+        .sample("trace_overhead_x", ratio);
+}
+
+}  // namespace
 
 int main(int argc, char** argv) {
     using namespace hdls;
@@ -119,6 +173,7 @@ int main(int argc, char** argv) {
                  "relay servers and only rack-sized FAC2 batches reach rank 0, so the\n"
                  "three-level acquire latency stays nearly flat while the two-level\n"
                  "centralized latency climbs with the node count.\n";
+    run_trace_overhead_section(json, std::cout);
     try {
         bench::maybe_write_json(cli, json);
     } catch (const std::exception& e) {

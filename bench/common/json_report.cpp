@@ -70,7 +70,11 @@ void append_string_object(std::string& out,
         if (i > 0) {
             out += ",";
         }
-        out += "\"" + json_escape(kv[i].first) + "\":\"" + json_escape(kv[i].second) + "\"";
+        out += '"';
+        out += json_escape(kv[i].first);
+        out += "\":\"";
+        out += json_escape(kv[i].second);
+        out += '"';
     }
     out += "}";
 }
@@ -156,8 +160,11 @@ std::string JsonReport::render() const {
             }
             first = false;
             const util::Summary s = util::summarize(values);
-            out += "\"" + json_escape(metric) + "\":{\"count\":" + std::to_string(s.count) +
-                   ",\"median\":" + number(s.median) + ",\"mean\":" + number(s.mean) +
+            out += '"';
+            out += json_escape(metric);
+            out += "\":{\"count\":";
+            out += std::to_string(s.count) + ",\"median\":" + number(s.median) +
+                   ",\"mean\":" + number(s.mean) +
                    ",\"stddev\":" + number(s.stddev) + ",\"min\":" + number(s.min) +
                    ",\"max\":" + number(s.max) + ",\"values\":[";
             for (std::size_t i = 0; i < values.size(); ++i) {

@@ -5,8 +5,8 @@
 /// ASCII Gantt straight to the terminal — plus the derived per-worker
 /// overhead/compute breakdown.
 ///
-///   $ ./trace_explorer --schedule GSS+SS --approach MPI+MPI \
-///         --nodes 2 --wpn 4 --workload gaussian --iterations 2000 \
+///   $ ./trace_explorer --schedule GSS+SS --approach MPI+MPI
+///         --nodes 2 --wpn 4 --workload gaussian --iterations 2000
 ///         --format chrome --out trace.json
 ///
 /// The loop body busy-spins each iteration for its synthetic cost, so the
@@ -53,7 +53,7 @@ int main(int argc, char** argv) {
                                   "(default: HDLS_INTER_BACKEND or centralized)");
     cli.add_string("format", "chrome", "chrome | csv | gantt");
     cli.add_string("out", "", "output file (default: stdout)");
-    cli.add_int("capacity", 1 << 14, "trace ring-buffer capacity per worker");
+    cli.add_int("capacity", 1 << 14, "trace event cap per worker");
     try {
         if (!cli.parse(argc, argv)) {
             return 0;

@@ -85,7 +85,7 @@ void ExecutionReport::print(std::ostream& os) const {
     if (trace) {
         os << "  trace: " << trace->events.size() << " events";
         if (trace->dropped() > 0) {
-            os << " (" << trace->dropped() << " dropped on ring-buffer overflow)";
+            os << " (" << trace->dropped() << " dropped past the per-worker cap)";
         }
         os << "\n";
     }

@@ -225,7 +225,7 @@ ExecutionReport run_hierarchical(const ClusterShape& shape, Approach approach,
 
     std::mutex merge_mutex;
 
-    // Opt-in event tracing: one ring buffer per worker, merged after the
+    // Opt-in event tracing: one event log per worker, merged after the
     // run. A null session means every executor carries a disabled recorder.
     // Service runs pass a job id so every event is born job-stamped.
     std::unique_ptr<trace::TraceSession> session;

@@ -93,8 +93,9 @@ struct HierConfig {
     /// the run pays nothing; when true ExecutionReport::trace holds the
     /// merged events.
     bool trace = false;
-    /// Per-worker trace ring-buffer capacity in events (rounded up to a
-    /// power of two). Overflow drops events and counts the drops.
+    /// Per-worker cap on recorded trace events (exact). A worker's log
+    /// grows on demand up to it; overflow drops events and counts the
+    /// drops.
     std::size_t trace_capacity = 1 << 14;
     /// Static per-node speeds for WF at the inter-node level (empty = all
     /// equal). When non-empty the size must equal the node count; only

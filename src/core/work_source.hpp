@@ -198,7 +198,7 @@ private:
         for (;;) {
             // Termination-spin coalescing: while the parent is exhausted
             // but peers are mid-refill, the rank polls; recording every
-            // poll would flood the ring buffer, so the whole wait becomes
+            // poll would flood the worker's event log, so the whole wait becomes
             // one BarrierWait event — and the per-poll LocalPop /
             // GlobalAcquire probes are muted.
             const bool record_probe = tracing_ && wait_start_ < 0.0;

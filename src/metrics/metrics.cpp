@@ -288,7 +288,7 @@ RuntimeMetrics make_runtime_metrics() {
                                   "Nanoseconds ompsim threads spent waiting at barriers");
 
     m.trace_ring_dropped = &reg.counter("hdls_trace_ring_dropped_total",
-                                        "Trace events dropped by full ring buffers");
+                                        "Trace events dropped by full per-worker event logs");
 
     m.watchdog_stalls = &reg.counter("hdls_watchdog_stalls_total",
                                      "Stalls reported by the stall watchdog");

@@ -3,7 +3,7 @@
 /// Always-on runtime metrics: sharded lock-free counters, gauges and
 /// log2-bucketed latency histograms behind a process-wide registry.
 ///
-/// Unlike the opt-in trace subsystem (src/trace/ — per-event ring buffers,
+/// Unlike the opt-in trace subsystem (src/trace/ — per-worker event logs,
 /// merged post-run), metrics are *always on*: every layer of the runtime
 /// increments them unconditionally, at production traffic, and pays only a
 /// relaxed fetch_add on a cache-line-padded per-thread shard. The hot-path
@@ -306,7 +306,7 @@ struct RuntimeMetrics {
     Counter* team_chunks;
     Counter* team_idle_ns;
 
-    // trace — ring-buffer overflow (previously only visible via analyze()).
+    // trace — events dropped past a worker's cap (previously only visible via analyze()).
     Counter* trace_ring_dropped;
 
     // watchdog.

@@ -2,8 +2,7 @@
 /// \file engine_trace.hpp
 /// Internal: shared virtual-time tracing scaffolding of the simulation
 /// engines. The single simulation thread is the sole producer for every
-/// per-worker buffer (trivially satisfying the SPSC discipline) and
-/// timestamps are the simulator's virtual clock.
+/// per-worker event log and timestamps are the simulator's virtual clock.
 
 #include <memory>
 #include <string_view>

@@ -44,9 +44,10 @@ struct SimReport {
     std::vector<SimWorker> workers;
     /// Virtual-time chunk-lifecycle events; null unless SimConfig::trace.
     std::shared_ptr<const trace::Trace> trace;
-    /// Runtime-metrics delta for this simulation (the simulator mirrors its
-    /// virtual-time accounting into the process-wide registry so sim and
-    /// real runs export through the same Prometheus/JSON pipeline).
+    /// This simulation's metrics (executed chunks and iterations, level-0
+    /// acquires and refills) under the executors' family names, so sim and
+    /// real runs export through the same Prometheus/JSON pipeline. Built
+    /// per report: a simulation never touches the process-wide registry.
     metrics::Snapshot metrics;
 
     [[nodiscard]] std::int64_t executed_iterations() const noexcept;

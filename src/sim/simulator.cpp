@@ -4,12 +4,49 @@
 #include <cctype>
 #include <stdexcept>
 #include <string>
+#include <utility>
 
 #include "metrics/metrics.hpp"
 #include "sim/engines.hpp"
 #include "sim/inter_source.hpp"
 
 namespace hdls::sim {
+
+namespace {
+
+/// A simulation's own metrics, under the executors' family names so a
+/// SimReport exports through the same Prometheus/JSON pipeline. Built
+/// locally: simulated work never lands in the process-wide registry,
+/// whose hdls_exec_* families count executed work only.
+metrics::Snapshot simulated_metrics(const SimReport& report) {
+    const auto counter = [](std::string name, std::string help, metrics::Labels labels,
+                            std::int64_t value) {
+        metrics::SnapshotEntry e;
+        e.name = std::move(name);
+        e.help = std::move(help);
+        e.type = metrics::MetricType::Counter;
+        e.labels = std::move(labels);
+        e.value = static_cast<std::uint64_t>(value);
+        return e;
+    };
+    // Level 0 = the inter-node queue, the leaf = sub-chunk execution.
+    const metrics::Labels root{{"level", "0"}};
+    metrics::Snapshot snap;
+    snap.entries = {
+        counter("hdls_exec_chunks_total", "Chunks executed by workers", {},
+                report.sub_chunks()),
+        counter("hdls_exec_iterations_total", "Loop iterations executed by workers", {},
+                report.executed_iterations()),
+        counter("hdls_sched_acquires_total",
+                "Chunks acquired from the parent work source (own share)", root,
+                report.global_chunks()),
+        counter("hdls_sched_refills_total", "Refill transactions performed by a level", root,
+                report.global_chunks()),
+    };
+    return snap;
+}
+
+}  // namespace
 
 std::string_view exec_model_name(ExecModel m) noexcept {
     switch (m) {
@@ -87,7 +124,6 @@ SimReport simulate(ExecModel model, const ClusterSpec& cluster, const SimConfig&
             throw std::invalid_argument("simulate: failure.detect_delay_s must be >= 0");
         }
     }
-    const metrics::Snapshot before = metrics::registry().snapshot();
     SimReport report;
     switch (model) {
         case ExecModel::MpiMpi:
@@ -106,15 +142,7 @@ SimReport simulate(ExecModel model, const ClusterSpec& cluster, const SimConfig&
         default:
             throw std::invalid_argument("simulate: unknown execution model");
     }
-    // Mirror the simulated run into the process-wide registry so simulated
-    // and real executions export through the same Prometheus/JSON pipeline
-    // (level 0 = the inter-node queue, the leaf = sub-chunk execution).
-    const metrics::RuntimeMetrics& m = metrics::rt();
-    m.exec_chunks->inc(static_cast<std::uint64_t>(report.sub_chunks()));
-    m.exec_iterations->inc(static_cast<std::uint64_t>(report.executed_iterations()));
-    m.acquires[0]->inc(static_cast<std::uint64_t>(report.global_chunks()));
-    m.refills[0]->inc(static_cast<std::uint64_t>(report.global_chunks()));
-    report.metrics = metrics::registry().snapshot().delta_since(before);
+    report.metrics = simulated_metrics(report);
     return report;
 }
 

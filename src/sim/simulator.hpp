@@ -94,7 +94,9 @@ struct SimConfig {
     /// (same schema as the real executors' traces, so every exporter and
     /// analysis in src/trace/ applies).
     bool trace = false;
-    /// Per-worker trace ring-buffer capacity in events.
+    /// Per-worker cap on recorded trace events (exact). A worker's log
+    /// grows on demand up to it; overflow drops events and counts the
+    /// drops.
     std::size_t trace_capacity = 1 << 16;
     /// Fail-stop fault injection (disabled by default); prices the cost of
     /// losing a node mid-loop under each execution model.

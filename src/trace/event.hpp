@@ -83,7 +83,7 @@ inline constexpr int kEventKinds = 12;
 }
 
 /// One recorded event. Kept POD and small: it is the unit the per-worker
-/// ring buffers move on the executors' hot path (the `level` and `job`
+/// event logs store on the executors' hot path (the `level` and `job`
 /// tags fit the existing padding, so the struct stays 56 bytes).
 struct Event {
     double t0 = 0.0;        ///< seconds since trace origin (start of the span)

@@ -1,6 +1,6 @@
 #pragma once
 /// \file recorder.hpp
-/// Live recording: a TraceSession owns one SPSC ring buffer per worker and
+/// Live recording: a TraceSession owns one growable EventLog per worker and
 /// hands each worker a WorkerTracer — a trivially-copyable handle that is
 /// a complete no-op when default-constructed (the disabled state), so
 /// executors thread it through unconditionally at zero cost.
@@ -17,13 +17,13 @@
 #include <vector>
 
 #include "trace/event.hpp"
-#include "trace/ring_buffer.hpp"
+#include "trace/event_log.hpp"
 #include "trace/trace.hpp"
 
 namespace hdls::trace {
 
 /// Per-worker recording handle. Cheap to copy; safe to use from exactly
-/// one thread at a time (the SPSC producer side).
+/// one thread at a time (the log's single producer).
 class WorkerTracer {
 public:
     using Clock = std::chrono::steady_clock;
@@ -31,7 +31,7 @@ public:
     /// Disabled handle: every record call is a no-op, `enabled()` is false.
     WorkerTracer() = default;
 
-    [[nodiscard]] bool enabled() const noexcept { return buffer_ != nullptr; }
+    [[nodiscard]] bool enabled() const noexcept { return log_ != nullptr; }
 
     /// Seconds since the session epoch (0 when disabled — callers guard
     /// clock reads behind enabled() so disabled tracing costs nothing).
@@ -42,7 +42,7 @@ public:
         return std::chrono::duration<double>(Clock::now() - epoch_).count();
     }
 
-    /// Records an interval event [t0, t1] (drop-counted when full).
+    /// Records an interval event [t0, t1] (drop-counted past the cap).
     /// `level` tags the scheduling-hierarchy level (see Event::level).
     void record(EventKind kind, double t0, double t1, std::int64_t a = 0, std::int64_t b = 0,
                 double wait = 0.0, int level = 0) noexcept {
@@ -60,7 +60,7 @@ public:
         e.job = job_;
         e.kind = kind;
         e.level = static_cast<std::int8_t>(level);
-        (void)buffer_->try_push(e);
+        (void)log_->append(e);
     }
 
     /// Records an instant event at time t.
@@ -71,40 +71,42 @@ public:
 
 private:
     friend class TraceSession;
-    WorkerTracer(SpscRingBuffer<Event>* buffer, Clock::time_point epoch, std::int32_t worker,
-                 std::int32_t node, std::int32_t job) noexcept
-        : buffer_(buffer), epoch_(epoch), worker_(worker), node_(node), job_(job) {}
+    WorkerTracer(EventLog* log, Clock::time_point epoch, std::int32_t worker, std::int32_t node,
+                 std::int32_t job) noexcept
+        : log_(log), epoch_(epoch), worker_(worker), node_(node), job_(job) {}
 
-    SpscRingBuffer<Event>* buffer_ = nullptr;
+    EventLog* log_ = nullptr;
     Clock::time_point epoch_{};
     std::int32_t worker_ = -1;
     std::int32_t node_ = -1;
     std::int32_t job_ = -1;
 };
 
-/// Owns the per-worker buffers of one traced run.
+/// Owns the per-worker event logs of one traced run.
 ///
 ///   TraceSession session(shape.total_workers());
 ///   ... each worker records through session.tracer(w, node) ...
 ///   Trace trace = session.merge();   // after all workers finished
 class TraceSession {
 public:
-    static constexpr std::size_t kDefaultCapacity = 1 << 14;  ///< events per worker
+    static constexpr std::size_t kDefaultCapacity = 1 << 14;  ///< event cap per worker
 
-    /// `job` >= 0 makes this a per-job session: every recorded event is
-    /// stamped with the id, so merge_job_traces needs no rewriting pass
-    /// and partial traces stay attributable.
+    /// Each worker keeps at most `capacity_per_worker` events; its log
+    /// allocates nothing until the worker records. `job` >= 0 makes this
+    /// a per-job session: every recorded event is stamped with the id, so
+    /// merge_job_traces needs no rewriting pass and partial traces stay
+    /// attributable.
     explicit TraceSession(int workers, std::size_t capacity_per_worker = kDefaultCapacity,
                           std::int32_t job = -1);
 
-    [[nodiscard]] int workers() const noexcept { return static_cast<int>(buffers_.size()); }
+    [[nodiscard]] int workers() const noexcept { return static_cast<int>(logs_.size()); }
 
-    /// Handle for one worker. Thread-safe (buffers are preallocated); each
-    /// handle must then be used by a single thread.
+    /// Handle for one worker. Thread-safe (the logs exist from
+    /// construction on); each handle must then be used by a single thread.
     [[nodiscard]] WorkerTracer tracer(int worker, int node) noexcept;
 
-    /// Drains every buffer into a time-sorted, origin-normalized Trace.
-    /// Call only after all producers have stopped recording.
+    /// Moves every log's events into a time-sorted, origin-normalized
+    /// Trace. Call only after all producers have stopped recording.
     [[nodiscard]] Trace merge();
 
     /// merge() plus metadata, wrapped for a report: the one-liner every
@@ -112,7 +114,7 @@ public:
     [[nodiscard]] std::shared_ptr<const Trace> finish(TraceMeta meta);
 
 private:
-    std::vector<std::unique_ptr<SpscRingBuffer<Event>>> buffers_;
+    std::vector<std::unique_ptr<EventLog>> logs_;
     WorkerTracer::Clock::time_point epoch_;
     std::int32_t job_ = -1;
 };

@@ -36,13 +36,13 @@ class Trace {
 public:
     TraceMeta meta;
     std::vector<Event> events;                    ///< sorted by (t0, worker)
-    std::vector<std::int64_t> dropped_per_worker; ///< ring-buffer overflow counts
+    std::vector<std::int64_t> dropped_per_worker; ///< events dropped past the per-worker cap
 
     [[nodiscard]] int workers() const noexcept {
         return static_cast<int>(dropped_per_worker.size());
     }
 
-    /// Total events the ring buffers had to discard (0 = complete trace).
+    /// Total events the per-worker logs had to discard (0 = complete trace).
     [[nodiscard]] std::int64_t dropped() const noexcept;
 
     /// Number of events of one kind.

@@ -126,7 +126,9 @@ bool ArgParser::parse(const std::vector<std::string>& args) {
             if (has_value) {
                 throw std::invalid_argument("ArgParser: flag --" + name + " takes no value");
             }
-            it->second.value = "1";
+            // Not `= "1"`: GCC 12 at -O3 misreports that assignment's
+            // inlined memcpy under -Wrestrict.
+            it->second.value.assign(1, '1');
             it->second.provided = true;
             continue;
         }

@@ -21,7 +21,7 @@ using hdls::dls::Technique;
 // ----------------------------------------------------------- global queue
 
 TEST(GlobalQueueTest, StaticHandsOutExactlyOneChunkPerNode) {
-    minimpi::Runtime::run(4, minimpi::Topology{2}, [](minimpi::Context& ctx) {
+    minimpi::Runtime::run(4, minimpi::Topology{2, {}}, [](minimpi::Context& ctx) {
         GlobalWorkQueue q(ctx.world(), 1000, Technique::Static, ctx.nodes(), 1);
         // Drain cooperatively: every rank pulls until empty.
         std::int64_t mine = 0;

@@ -528,6 +528,37 @@ TEST(MetricsTest, SimulatedRunsCarryAMetricsDelta) {
     EXPECT_GT(report.metrics.counter_total("hdls_sched_acquires_total"), 0u);
 }
 
+TEST(MetricsTest, SimulationsLeaveTheExecutedWorkFamiliesUntouched) {
+    const sim::WorkloadTrace trace(std::vector<double>(1000, 1e-6));
+    sim::ClusterSpec cluster;
+    cluster.nodes = 2;
+    cluster.workers_per_node = 2;
+    sim::SimConfig cfg;
+    cfg.inter = dls::Technique::GSS;
+    cfg.intra = dls::Technique::GSS;
+    cfg.trace = true;
+    const Snapshot before = metrics::registry().snapshot();
+    for (const sim::ExecModel model :
+         {sim::ExecModel::MpiMpi, sim::ExecModel::MpiOpenMp, sim::ExecModel::MpiOpenMpNowait}) {
+        const auto report = sim::simulate(model, cluster, cfg, trace);
+        EXPECT_EQ(report.metrics.counter_total("hdls_exec_iterations_total"), 1000u);
+    }
+    const Snapshot after = metrics::registry().snapshot();
+    std::size_t exec_families = 0;
+    for (const auto& e : after.entries) {
+        if (e.name.rfind("hdls_exec_", 0) != 0) {
+            continue;
+        }
+        ++exec_families;
+        const metrics::SnapshotEntry* b = before.find(e.name, e.labels);
+        ASSERT_NE(b, nullptr) << e.name;
+        EXPECT_EQ(e.value, b->value) << e.name;
+        EXPECT_EQ(e.count, b->count) << e.name;
+        EXPECT_EQ(e.sum, b->sum) << e.name;
+    }
+    EXPECT_GE(exec_families, 2u);
+}
+
 // ---------------------------------------------------------- overlapping runs
 
 /// PR 6 installed the watchdog into a single global slot with save/restore

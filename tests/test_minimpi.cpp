@@ -22,7 +22,7 @@ void run(int world, const std::function<void(Context&)>& fn) { Runtime::run(worl
 
 /// Runs `fn` over `nodes * rpn` ranks with `rpn` ranks per simulated node.
 void run_cluster(int nodes, int rpn, const std::function<void(Context&)>& fn) {
-    Runtime::run(nodes * rpn, Topology{rpn}, fn);
+    Runtime::run(nodes * rpn, Topology{rpn, {}}, fn);
 }
 
 // ------------------------------------------------------------------ runtime
@@ -51,7 +51,7 @@ TEST(RuntimeTest, TopologyAssignsNodesBlockwise) {
 
 TEST(RuntimeTest, InvalidLaunchArgsThrow) {
     EXPECT_THROW(run(0, [](Context&) {}), Error);
-    EXPECT_THROW(Runtime::run(2, Topology{0}, [](Context&) {}), std::invalid_argument);
+    EXPECT_THROW(Runtime::run(2, Topology{0, {}}, [](Context&) {}), std::invalid_argument);
     EXPECT_THROW(Runtime::run(2, std::function<void(Context&)>{}), Error);
 }
 

@@ -285,7 +285,7 @@ TEST(CompatCommTest, SplitDupAndFree) {
 }
 
 TEST(CompatCommTest, SplitTypeSharedFollowsTopology) {
-    run(8, minimpi::Topology{4}, [] {
+    run(8, minimpi::Topology{4, {}}, [] {
         int rank = 0;
         MPI_Comm_rank(MPI_COMM_WORLD, &rank);
         MPI_Comm node = MPI_COMM_NULL;
@@ -395,7 +395,7 @@ TEST(CompatIntegrationTest, PaperProtocolInPureMpiStyle) {
     for (auto& e : executed) {
         e.store(0);
     }
-    run(kRanks, minimpi::Topology{4}, [] {
+    run(kRanks, minimpi::Topology{4, {}}, [] {
         int rank = 0;
         MPI_Comm_rank(MPI_COMM_WORLD, &rank);
 

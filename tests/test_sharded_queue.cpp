@@ -96,7 +96,7 @@ void sharded_tiling(Technique inter, int ranks, int ranks_per_node, std::int64_t
                     std::vector<double> weights = {}) {
     std::vector<std::atomic<int>> hits(static_cast<std::size_t>(n));
     std::atomic<std::int64_t> total{0};
-    minimpi::Runtime::run(ranks, minimpi::Topology{ranks_per_node},
+    minimpi::Runtime::run(ranks, minimpi::Topology{ranks_per_node, {}},
                           [&](minimpi::Context& ctx) {
         HierConfig cfg;
         cfg.inter = inter;
@@ -158,7 +158,7 @@ TEST(ShardedQueueTest, StealStormDrainsAWeightedSlowNode) {
     std::vector<std::atomic<int>> hits(kN);
     std::atomic<std::int64_t> total{0};
     std::atomic<std::int64_t> stolen_total{0};
-    minimpi::Runtime::run(8, minimpi::Topology{2}, [&](minimpi::Context& ctx) {
+    minimpi::Runtime::run(8, minimpi::Topology{2, {}}, [&](minimpi::Context& ctx) {
         ShardedInterQueue q(ctx.world(), kN, Technique::GSS, ctx.nodes(), ctx.node(), 1,
                             {4.0, 1.0, 1.0, 1.0} /* node 0: 4x the shard */);
         std::int64_t mine = 0;
@@ -192,7 +192,7 @@ TEST(ShardedQueueTest, TerminationWithAllButOneNodeIdle) {
     constexpr std::int64_t kN = 4000;
     std::vector<std::atomic<int>> hits(kN);
     std::atomic<std::int64_t> total{0};
-    minimpi::Runtime::run(8, minimpi::Topology{2}, [&](minimpi::Context& ctx) {
+    minimpi::Runtime::run(8, minimpi::Topology{2, {}}, [&](minimpi::Context& ctx) {
         ShardedInterQueue q(ctx.world(), kN, Technique::FAC2, ctx.nodes(), ctx.node(), 1,
                             {0.0, 0.0, 0.0, 1.0});
         EXPECT_EQ(q.shard_size(0), 0);
@@ -210,7 +210,7 @@ TEST(ShardedQueueTest, TerminationWithAllButOneNodeIdle) {
         ASSERT_EQ(hits[static_cast<std::size_t>(i)].load(), 1) << "iteration " << i;
     }
     // Degenerate loops terminate too (every rank sees nullopt immediately).
-    minimpi::Runtime::run(4, minimpi::Topology{1}, [](minimpi::Context& ctx) {
+    minimpi::Runtime::run(4, minimpi::Topology{1, {}}, [](minimpi::Context& ctx) {
         ShardedInterQueue empty(ctx.world(), 0, Technique::GSS, ctx.nodes(), ctx.node(), 1);
         EXPECT_FALSE(empty.try_acquire().has_value());
         empty.free();
@@ -240,7 +240,7 @@ TEST(ShardedQueueTest, ConstructorRejectsBadArguments) {
 // --------------------------------------------- backend selection plumbing
 
 TEST(ShardedBackendTest, FactoryFallsBackToCentralizedForAdaptive) {
-    minimpi::Runtime::run(2, minimpi::Topology{1}, [](minimpi::Context& ctx) {
+    minimpi::Runtime::run(2, minimpi::Topology{1, {}}, [](minimpi::Context& ctx) {
         HierConfig cfg;
         cfg.inter = Technique::AWFB;
         cfg.inter_backend = InterBackend::Sharded;
