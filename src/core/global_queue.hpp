@@ -2,16 +2,24 @@
 /// \file global_queue.hpp
 /// The *global work queue* of the paper's Figure 1.
 ///
-/// An RMA window hosted on rank 0 of a communicator holding the two values
-/// of the distributed chunk-calculation protocol (the paper's ref [15]):
-/// the latest scheduling step and the total scheduled iterations. Any rank
-/// obtains a chunk with two atomic fetch-and-ops and a purely local
-/// chunk-size computation — no master process:
+/// An RMA window hosted on rank 0 of a communicator holding the latest
+/// scheduling step of the distributed chunk-calculation protocol (the
+/// paper's ref [15]). Any rank obtains a chunk with one atomic fetch-and-op
+/// and a purely local computation — no master process:
 ///
 ///     step  <- fetch_and_op(+1, window[kStep])
 ///     hint  <- chunk_size_for_step(technique, params, step)
-///     start <- fetch_and_op(+hint, window[kScheduled])
+///     start <- sum of chunk_size_for_step(technique, params, s) for s < step
 ///     size  <- min(hint, N - start)        // size <= 0 => loop exhausted
+///
+/// Ref [15] also keeps a shared scheduled-iterations counter and claims
+/// `start` with a second fetch-and-op on it. Two ranks holding steps
+/// s < s' can then commit their starts in either order, so *where* each
+/// chunk lands depends on the interleaving. Deriving `start` from the step
+/// (a per-rank running prefix sum; steps only grow, so every rank sums
+/// each step at most once) yields the same chunks as the serial order,
+/// makes the executed chunk multiset a pure function of the configuration
+/// (replay parity), and saves one RMA op per chunk.
 ///
 /// The technique's "worker count" is the number of *level-1 schedulable
 /// entities* — compute nodes for the paper's inter-node level — which is
@@ -46,12 +54,10 @@ public:
                                  "GlobalWorkQueue: technique lacks a step-indexed form");
         }
         technique_ = technique;
-        window_ = minimpi::Window::allocate_shared(
-            comm, comm.rank() == 0 ? 2 * sizeof(std::int64_t) : 0);
+        window_ = minimpi::Window::allocate_shared(comm,
+                                                   comm.rank() == 0 ? sizeof(std::int64_t) : 0);
         if (comm.rank() == 0) {
-            auto cells = window_.shared_span<std::int64_t>(0);
-            cells[kStep] = 0;
-            cells[kScheduled] = 0;
+            window_.shared_span<std::int64_t>(0)[kStep] = 0;
         }
         window_.sync();
         comm_.barrier();
@@ -65,8 +71,7 @@ public:
         if (hint <= 0) {
             return std::nullopt;  // e.g. STATIC past its P chunks
         }
-        const std::int64_t start =
-            window_.fetch_and_op<std::int64_t>(hint, 0, kScheduled, minimpi::AccumulateOp::Sum);
+        const std::int64_t start = start_of(step);
         if (start >= total_) {
             return std::nullopt;
         }
@@ -87,7 +92,22 @@ public:
 
 private:
     static constexpr std::size_t kStep = 0;
-    static constexpr std::size_t kScheduled = 1;
+
+    /// First iteration of `step`'s chunk: advances the running prefix sum
+    /// of the step-indexed sizes. Returns total_ once the sizes cover the
+    /// loop (or run dry) before `step`.
+    [[nodiscard]] std::int64_t start_of(std::int64_t step) {
+        while (prefix_step_ < step && prefix_start_ < total_) {
+            const std::int64_t hint = dls::chunk_size_for_step(technique_, params_, prefix_step_);
+            if (hint <= 0) {
+                prefix_start_ = total_;
+                break;
+            }
+            prefix_start_ += hint;
+            ++prefix_step_;
+        }
+        return std::min(prefix_start_, total_);
+    }
 
     minimpi::Comm comm_;
     minimpi::Window window_;
@@ -95,6 +115,8 @@ private:
     dls::Technique technique_{};
     std::int64_t total_ = 0;
     std::int64_t acquired_ = 0;
+    std::int64_t prefix_step_ = 0;   // steps summed into prefix_start_
+    std::int64_t prefix_start_ = 0;  // start of step prefix_step_
 };
 
 }  // namespace hdls::core

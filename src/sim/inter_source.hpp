@@ -13,7 +13,8 @@
 ///    step fetch-and-op / feedback read + size hint; commit = scheduled
 ///    fetch-and-op / remaining CAS), exactly the pricing the engines used
 ///    before the backends were pluggable. Wraps InterChunkSource for the
-///    chunk math.
+///    chunk math. (The real GlobalWorkQueue now derives the start from
+///    the step locally, one op; the model still prices ref [15]'s two.)
 ///
 ///  * ShardedInterSource — the per-node shard windows (ShardedInterQueue).
 ///    While a node's shard lasts, an acquisition is two atomics on the
