@@ -14,9 +14,10 @@
 /// latency (successful GlobalAcquire/Steal events at any level), the
 /// parallel time and the finish CoV.
 ///
-/// Expected: depth 3 helps a little even at one rack (a relay pop is one
-/// lock epoch where the root's distributed calculation is two serialized
-/// RMA ops); from 32 nodes on it wins the acquire latency by an order of
+/// Expected: depth 3 helps a little even at one rack (the simulator prices
+/// a relay pop as one lock epoch, the paper's protocol, and the root's
+/// distributed calculation as two serialized RMA ops); from 32 nodes on it
+/// wins the acquire latency by an order of
 /// magnitude, the same way sharding did — the tree is the composable form
 /// of that fix, and the two compose (a sharded middle level).
 ///

@@ -5,10 +5,12 @@
 /// the MPI+MPI : MPI+OpenMP time ratio for X+SS.
 ///
 /// A second, *real* (thread-backed) section measures the runtime's own
-/// lock-acquisition discipline on a contended GSS+SS run: naive
+/// lock-acquisition discipline on a contended SS+SS run: naive
 /// yield-polling vs. the exponential pause/yield/sleep backoff ladder vs.
 /// a blocking OS lock (minimpi::LockPolicy), reporting wall time and the
-/// traced lock-grant latency for each.
+/// traced lock-grant latency for each. Leaf pops are lock-free, so the
+/// epochs it contends for are the node-queue pushes: under SS+SS every
+/// root chunk is one iteration, and every iteration is one leaf refill.
 
 #include <chrono>
 #include <iostream>
@@ -83,13 +85,15 @@ int main(int argc, char** argv) {
                  "(poll=attempt=0) MPI+MPI matches the OpenMP atomic-dequeue baseline.\n";
 
     // ---- real-executor section: the lock-polling backoff ladder ---------
-    // GSS+SS on the thread-backed runtime takes one exclusive window epoch
-    // per iteration: the heaviest lock contention the library can produce.
-    // The backoff ladder should cut wall time (and traced lock-grant
-    // latency) against naive yield-polling under oversubscription.
+    // SS+SS on the thread-backed runtime refills the node queue once per
+    // iteration, and every refill pushes inside one exclusive window
+    // epoch (pops are lock-free compare-and-swaps): the heaviest lock
+    // contention the library can produce. The backoff ladder should cut
+    // wall time (and traced lock-grant latency) against naive
+    // yield-polling under oversubscription.
     constexpr std::int64_t kRealIterations = 4000;
     core::HierConfig real_cfg;
-    real_cfg.inter = dls::Technique::GSS;
+    real_cfg.inter = dls::Technique::SS;
     real_cfg.intra = dls::Technique::SS;
     real_cfg.trace = true;
     const auto body = [](std::int64_t begin, std::int64_t end) {
@@ -142,7 +146,7 @@ int main(int argc, char** argv) {
                             util::format_double(p99 * 1e6, 2)});
     }
     minimpi::set_lock_policy(original);
-    std::cout << "\nReal thread-backed run (GSS+SS, 2 nodes x 8 ranks, "
+    std::cout << "\nReal thread-backed run (SS+SS, 2 nodes x 8 ranks, "
               << kRealIterations << " iterations, best of 3):\n";
     if (cli.get_flag("csv")) {
         real_table.print_csv(std::cout);

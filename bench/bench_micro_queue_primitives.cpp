@@ -30,8 +30,9 @@ void BM_OmpStyleAtomicDequeue(benchmark::State& state) {
 BENCHMARK(BM_OmpStyleAtomicDequeue)->Threads(1)->Threads(4)->Threads(8)->UseRealTime();
 
 /// MPI_Win_lock-style access: exclusive lock epoch around a read-modify-
-/// write of the queue state (what NodeWorkQueue::try_pop does per
-/// sub-chunk under the MPI+MPI approach).
+/// write of the queue state (the paper's per-sub-chunk pop under the
+/// MPI+MPI approach; NodeWorkQueue opens such an epoch only per push, its
+/// pops being one compare-and-swap on the queue cursor).
 void BM_MpiStyleLockedQueueAccess(benchmark::State& state) {
     static std::shared_mutex window_lock;
     static std::int64_t queue_state[4] = {0, 0, 0, 0};
@@ -78,7 +79,7 @@ BENCHMARK(BM_MinimpiWindowFetchOp)->Arg(1)->Arg(4)->Arg(8)->UseManualTime()
     ->Unit(benchmark::kMillisecond);
 
 /// The real minimpi locked-epoch path (lock + update + unlock), as used by
-/// NodeWorkQueue, under rank contention.
+/// NodeWorkQueue's pushes and ShardedRelayQueue, under rank contention.
 void BM_MinimpiWindowLockEpoch(benchmark::State& state) {
     const int ranks = static_cast<int>(state.range(0));
     constexpr std::int64_t kOpsPerRank = 5000;

@@ -4,6 +4,7 @@
 /// GSS within nodes (the paper's MPI+MPI approach), then print the report.
 ///
 ///   $ ./quickstart
+///   $ HDLS_SCHEDULE=GSS+SS ./quickstart                    # other techniques
 ///   $ HDLS_TOPOLOGY=racks=2,nodes=2,cores=2 ./quickstart   # 3-level tree
 ///   $ HDLS_INTER_BACKEND=sharded ./quickstart              # stealing levels
 ///
@@ -31,6 +32,9 @@ int main() {
     core::HierConfig cfg;
     cfg.inter = dls::Technique::GSS;   // between level-0 groups (root queue)
     cfg.intra = dls::Technique::GSS;   // within a leaf group (shared local queue)
+    // HDLS_SCHEDULE=GSS+SS (or any "L0+L1[+L2...]" string) replaces the
+    // per-level techniques; a malformed value keeps GSS+GSS with a warning.
+    cfg = core::schedule_from_env(cfg);
     core::ChaosSpec chaos;
     try {
         // HDLS_INTER_BACKEND=sharded swaps every interior level for the

@@ -7,19 +7,18 @@
 /// paper's ref [15]). Any rank obtains a chunk with one atomic fetch-and-op
 /// and a purely local computation — no master process:
 ///
-///     step  <- fetch_and_op(+1, window[kStep])
-///     hint  <- chunk_size_for_step(technique, params, step)
-///     start <- sum of chunk_size_for_step(technique, params, s) for s < step
-///     size  <- min(hint, N - start)        // size <= 0 => loop exhausted
+///     step       <- fetch_and_op(+1, window[kStep])
+///     [start, e) <- dls::StepStarts::range(step)  // empty => loop exhausted
 ///
 /// Ref [15] also keeps a shared scheduled-iterations counter and claims
 /// `start` with a second fetch-and-op on it. Two ranks holding steps
 /// s < s' can then commit their starts in either order, so *where* each
 /// chunk lands depends on the interleaving. Deriving `start` from the step
-/// (a per-rank running prefix sum; steps only grow, so every rank sums
-/// each step at most once) yields the same chunks as the serial order,
-/// makes the executed chunk multiset a pure function of the configuration
-/// (replay parity), and saves one RMA op per chunk.
+/// (a closed form for SS, FSC and STATIC, else a per-rank running prefix
+/// sum; steps only grow, so every rank sums each step at most once) yields
+/// the same chunks as the serial order, makes the executed chunk multiset
+/// a pure function of the configuration (replay parity), and saves one RMA
+/// op per chunk.
 ///
 /// The technique's "worker count" is the number of *level-1 schedulable
 /// entities* — compute nodes for the paper's inter-node level — which is
@@ -44,16 +43,9 @@ public:
     /// the window; everyone leaves through a barrier.
     GlobalWorkQueue(const minimpi::Comm& comm, std::int64_t total_iterations,
                     dls::Technique technique, int level_workers, std::int64_t min_chunk)
-        : comm_(comm), total_(total_iterations) {
-        params_.total_iterations = total_iterations;
-        params_.workers = level_workers;
-        params_.min_chunk = min_chunk;
-        params_.validate();
-        if (!dls::supports_step_indexed(technique)) {
-            throw minimpi::Error(minimpi::ErrorCode::InvalidArgument,
-                                 "GlobalWorkQueue: technique lacks a step-indexed form");
-        }
-        technique_ = technique;
+        : comm_(comm), starts_(checked_starts(total_iterations, technique, level_workers,
+                                              min_chunk)),
+          technique_(technique) {
         window_ = minimpi::Window::allocate_shared(comm,
                                                    comm.rank() == 0 ? sizeof(std::int64_t) : 0);
         if (comm.rank() == 0) {
@@ -67,16 +59,12 @@ public:
     [[nodiscard]] std::optional<Chunk> try_acquire() override {
         const std::int64_t step =
             window_.fetch_and_op<std::int64_t>(1, 0, kStep, minimpi::AccumulateOp::Sum);
-        const std::int64_t hint = dls::chunk_size_for_step(technique_, params_, step);
-        if (hint <= 0) {
+        const auto range = starts_.range(step);
+        if (range.begin >= range.end) {
             return std::nullopt;  // e.g. STATIC past its P chunks
         }
-        const std::int64_t start = start_of(step);
-        if (start >= total_) {
-            return std::nullopt;
-        }
         ++acquired_;
-        return Chunk{start, std::min(hint, total_ - start), step};
+        return Chunk{range.begin, range.end - range.begin, step};
     }
 
     /// Chunks acquired through *this* handle (per-rank statistic).
@@ -93,30 +81,27 @@ public:
 private:
     static constexpr std::size_t kStep = 0;
 
-    /// First iteration of `step`'s chunk: advances the running prefix sum
-    /// of the step-indexed sizes. Returns total_ once the sizes cover the
-    /// loop (or run dry) before `step`.
-    [[nodiscard]] std::int64_t start_of(std::int64_t step) {
-        while (prefix_step_ < step && prefix_start_ < total_) {
-            const std::int64_t hint = dls::chunk_size_for_step(technique_, params_, prefix_step_);
-            if (hint <= 0) {
-                prefix_start_ = total_;
-                break;
-            }
-            prefix_start_ += hint;
-            ++prefix_step_;
+    [[nodiscard]] static dls::StepStarts checked_starts(std::int64_t total_iterations,
+                                                        dls::Technique technique,
+                                                        int level_workers,
+                                                        std::int64_t min_chunk) {
+        dls::LoopParams params;
+        params.total_iterations = total_iterations;
+        params.workers = level_workers;
+        params.min_chunk = min_chunk;
+        params.validate();
+        if (!dls::supports_step_indexed(technique)) {
+            throw minimpi::Error(minimpi::ErrorCode::InvalidArgument,
+                                 "GlobalWorkQueue: technique lacks a step-indexed form");
         }
-        return std::min(prefix_start_, total_);
+        return {technique, params};
     }
 
     minimpi::Comm comm_;
     minimpi::Window window_;
-    dls::LoopParams params_;
-    dls::Technique technique_{};
-    std::int64_t total_ = 0;
+    dls::StepStarts starts_;
+    dls::Technique technique_;
     std::int64_t acquired_ = 0;
-    std::int64_t prefix_step_ = 0;   // steps summed into prefix_start_
-    std::int64_t prefix_start_ = 0;  // start of step prefix_step_
 };
 
 }  // namespace hdls::core

@@ -5,12 +5,22 @@
 ///
 /// One MPI_Win_allocate_shared window per group (hosted by group rank 0,
 /// directly addressable by every rank of the group communicator) holding a
-/// small FIFO of parent-level chunks plus, per chunk, the distributed
-/// chunk-calculation state of this level (sub-step counter and scheduled
-/// count). All queue accesses happen inside an MPI_Win_lock /
-/// MPI_Win_unlock exclusive epoch on the host rank — the exact
-/// synchronization whose lock-polling cost the paper's evaluation
-/// dissects (and the reason intra-node SS performs poorly under MPI+MPI).
+/// small ring of parent-level chunks and one packed cursor word
+/// (seq << kStepBits | step): the head chunk's monotone index and this
+/// level's next scheduling step within it. The paper wraps every access
+/// in an exclusive MPI_Win_lock epoch, and its evaluation blames that
+/// lock polling for MPI+MPI's weak intra-node SS. Here only a push opens
+/// an epoch. A pop is lock-free: it derives the sub-chunk of `step` from
+/// the step index alone (dls::StepStarts, the distributed chunk
+/// calculation) and claims it with one MPI_Compare_and_swap on the
+/// cursor.
+///
+/// Why a compare-and-swap and not a fetch-and-add: a successful CAS
+/// proves that chunk `seq` was still the head when the step was claimed,
+/// so its ring slot had not been recycled (a push may reuse the slot of
+/// chunk seq only for seq + capacity, once the cursor is past seq). A
+/// fetch-and-add would claim the step before the claimant read the slot;
+/// a rank delayed in between could find the slot reused and lose the step.
 ///
 /// The refill protocol implements the paper's "the fastest MPI process
 /// always takes this responsibility": no designated refiller exists; a rank
@@ -49,9 +59,11 @@ public:
     virtual ~LevelQueue() = default;
 
     /// Grabs a sub-chunk already queued at this level, or std::nullopt
-    /// when no chunk currently holds unassigned work. When `lock_wait_s`
-    /// is non-null it receives the lock-grant latency of the access.
-    [[nodiscard]] virtual std::optional<SubChunk> try_pop(double* lock_wait_s) = 0;
+    /// when no chunk currently holds unassigned work. When `wait_s` is
+    /// non-null it receives the access's contention time: the lock-grant
+    /// latency of an epoch, or the time spent in failed claim attempts of
+    /// a lock-free pop (0 when the first attempt lands).
+    [[nodiscard]] virtual std::optional<SubChunk> try_pop(double* wait_s) = 0;
 
     /// Announce an in-flight refill *before* touching the parent level so
     /// peers do not terminate while a chunk is on its way.
@@ -72,12 +84,13 @@ public:
     /// Withdraw the announcement (the parent turned out to be empty).
     virtual void end_refill() = 0;
 
-    /// Append a fresh parent chunk and immediately pop the caller's first
-    /// sub-chunk from it (single lock epoch), then withdraw the in-flight
-    /// announcement (on every exit path, including throws).
+    /// Append a fresh parent chunk and immediately pop a sub-chunk for the
+    /// caller, then withdraw the in-flight announcement (on every exit
+    /// path, including throws). `wait_s` as for try_pop, summed over the
+    /// push epoch and the pop.
     [[nodiscard]] virtual std::optional<SubChunk> push_and_pop(std::int64_t start,
                                                                std::int64_t size,
-                                                               double* lock_wait_s) = 0;
+                                                               double* wait_s) = 0;
 
     /// True while any queued chunk still has unassigned iterations.
     [[nodiscard]] virtual bool has_pending() = 0;
@@ -123,20 +136,27 @@ public:
             for (auto& v : mem) {
                 v = 0;
             }
+            for (std::int64_t i = 0; i < capacity_; ++i) {
+                mem[slot_cell(i) + kTag] = -1;  // no chunk yet
+            }
         }
         window_.sync();
         comm_.barrier();
     }
 
-    /// Stage 2 of the paper's protocol: grab a sub-chunk from the queue.
-    /// Returns std::nullopt when no chunk currently holds unassigned work.
-    /// When `lock_wait_s` is non-null it receives the seconds between the
-    /// lock request and its grant (the contention quantity the tracing
-    /// subsystem reports); timing is only taken when requested.
-    [[nodiscard]] std::optional<SubChunk> try_pop(double* lock_wait_s = nullptr) override {
-        lock_timed(lock_wait_s);
-        const auto sub = pop_locked();
-        window_.unlock(kHost);
+    /// Stage 2 of the paper's protocol: grab a sub-chunk from the queue
+    /// with one compare-and-swap on the cursor (no epoch). Returns
+    /// std::nullopt when no chunk currently holds unassigned work. When
+    /// `wait_s` is non-null it receives the seconds spent in failed claim
+    /// attempts (0 when the first compare-and-swap lands).
+    [[nodiscard]] std::optional<SubChunk> try_pop(double* wait_s = nullptr) override {
+        if (wait_s == nullptr) {
+            return claim(nullptr);
+        }
+        const auto t0 = std::chrono::steady_clock::now();
+        auto failed_until = t0;
+        const auto sub = claim(&failed_until);
+        *wait_s = std::chrono::duration<double>(failed_until - t0).count();
         return sub;
     }
 
@@ -160,49 +180,69 @@ public:
                                                  minimpi::AccumulateOp::Sum);
     }
 
-    /// Stage 1+2 combined: append a fresh parent chunk and immediately pop
-    /// this rank's first sub-chunk from it (single lock epoch), then
-    /// withdraw the in-flight announcement. The announcement is released on
-    /// *every* exit path, including the capacity-exceeded throw — leaving
-    /// it raised would keep kInflight > 0 forever and spin every peer rank
-    /// in the termination protocol.
+    /// Stage 1+2 combined: append a fresh parent chunk inside one exclusive
+    /// epoch, pop a sub-chunk through the lock-free path, then withdraw the
+    /// in-flight announcement. The announcement is released on *every*
+    /// exit path, including the throws (a chunk whose step count does not
+    /// fit the cursor's step field, a full ring) — leaving it raised would
+    /// keep kInflight > 0 forever and spin every peer rank in the
+    /// termination protocol. `wait_s` receives the epoch's lock-grant
+    /// latency plus the pop's failed-claim time.
     [[nodiscard]] std::optional<SubChunk> push_and_pop(std::int64_t start, std::int64_t size,
-                                                       double* lock_wait_s = nullptr) override {
+                                                       double* wait_s = nullptr) override {
         const RefillAnnouncementGuard release(*this);
-        lock_timed(lock_wait_s);
-        auto mem = window_.shared_span<std::int64_t>(kHost);
-        const std::int64_t head = mem[kHead];
-        const std::int64_t tail = mem[kTail];
+        if (size > kStepMask && slicing(size).start(kStepMask) < size) {
+            throw minimpi::Error(minimpi::ErrorCode::InvalidArgument,
+                                 "NodeWorkQueue: chunk has more sub-chunks than the cursor's "
+                                 "step field can count");
+        }
+        const auto t0 = std::chrono::steady_clock::now();
+        window_.lock(minimpi::LockType::Exclusive, kHost);
+        const auto granted = std::chrono::steady_clock::now();
+        const std::int64_t tail = window_.atomic_read<std::int64_t>(kHost, kTail);
+        const std::int64_t head = window_.atomic_read<std::int64_t>(kHost, kCursor) >> kStepBits;
         if (tail - head >= capacity_) {
             window_.unlock(kHost);
             throw minimpi::Error(minimpi::ErrorCode::Internal,
                                  "NodeWorkQueue: queue capacity exceeded");
         }
-        std::int64_t* slot = slot_of(mem, tail);
-        slot[kChunkStart] = start;
-        slot[kChunkSize] = size;
-        slot[kSubStep] = 0;
-        slot[kSubScheduled] = 0;
-        mem[kTail] = tail + 1;
-        const auto sub = pop_locked();
+        if (tail >= kSeqLimit) {
+            window_.unlock(kHost);
+            throw minimpi::Error(minimpi::ErrorCode::InvalidArgument,
+                                 "NodeWorkQueue: more chunks than the cursor's seq field can "
+                                 "count");
+        }
+        // The tag goes invalid first and valid last, so a reader that sees
+        // the same tag before and after its field reads read this chunk.
+        const std::size_t slot = slot_cell(tail);
+        window_.atomic_write<std::int64_t>(-1, kHost, slot + kTag);
+        window_.atomic_write<std::int64_t>(start, kHost, slot + kChunkStart);
+        window_.atomic_write<std::int64_t>(size, kHost, slot + kChunkSize);
+        window_.atomic_write<std::int64_t>(tail, kHost, slot + kTag);
+        window_.atomic_write<std::int64_t>(tail + 1, kHost, kTail);
         window_.unlock(kHost);
+        known_tail_ = tail + 1;
+        double pop_wait = 0.0;
+        const auto sub = try_pop(wait_s != nullptr ? &pop_wait : nullptr);
+        if (wait_s != nullptr) {
+            *wait_s = std::chrono::duration<double>(granted - t0).count() + pop_wait;
+        }
         return sub;
     }
 
     /// True while any chunk in the queue still has unassigned iterations.
+    /// Reads the cursor, the tail and the head chunk without an epoch.
     [[nodiscard]] bool has_pending() override {
-        window_.lock(minimpi::LockType::Shared, kHost);
-        auto mem = window_.shared_span<std::int64_t>(kHost);
-        bool pending = false;
-        for (std::int64_t i = mem[kHead]; i < mem[kTail]; ++i) {
-            const std::int64_t* slot = slot_of(mem, i);
-            if (slot[kSubScheduled] < slot[kChunkSize]) {
-                pending = true;
-                break;
-            }
+        const std::int64_t cursor = window_.atomic_read<std::int64_t>(kHost, kCursor);
+        const std::int64_t seq = cursor >> kStepBits;
+        known_tail_ = window_.atomic_read<std::int64_t>(kHost, kTail);
+        if (seq >= known_tail_) {
+            return false;
         }
-        window_.unlock(kHost);
-        return pending;
+        if (seq + 1 < known_tail_ || !load_head(seq)) {
+            return true;  // a later chunk exists, or the cursor moved on: look again
+        }
+        return head_.steps.start(cursor & kStepMask) < head_.size;
     }
 
     /// True while some rank is between begin_refill() and its completion.
@@ -236,69 +276,108 @@ private:
         NodeWorkQueue& queue_;
     };
 
-    /// Exclusive lock on the host segment, optionally timing the grant.
-    void lock_timed(double* lock_wait_s) {
-        if (lock_wait_s == nullptr) {
-            window_.lock(minimpi::LockType::Exclusive, kHost);
-            return;
-        }
-        const auto t0 = std::chrono::steady_clock::now();
-        window_.lock(minimpi::LockType::Exclusive, kHost);
-        *lock_wait_s =
-            std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
-    }
+    /// The head chunk as this rank last read it: its immutable ring fields
+    /// and the slicing of its steps, cached per seq.
+    struct Head {
+        std::int64_t seq = -1;
+        std::int64_t start = 0;
+        std::int64_t size = 0;
+        dls::StepStarts steps{dls::Technique::SS, dls::LoopParams{}};
+    };
 
     static constexpr int kHost = 0;  // group rank hosting the queue memory
-    static constexpr std::size_t kHead = 0;
-    static constexpr std::size_t kTail = 1;
-    static constexpr std::size_t kInflight = 2;
-    static constexpr std::size_t kSlotBase = 4;  // one spare cell keeps slots aligned
-    static constexpr std::size_t kSlotFields = 4;
-    static constexpr std::size_t kChunkStart = 0;
-    static constexpr std::size_t kChunkSize = 1;
-    static constexpr std::size_t kSubStep = 2;
-    static constexpr std::size_t kSubScheduled = 3;
+    // The cursor is claimed on every pop; it has a cache line to itself.
+    static constexpr std::size_t kCursor = 0;
+    static constexpr std::size_t kTail = 8;
+    static constexpr std::size_t kInflight = 9;
+    static constexpr std::size_t kSlotBase = 16;
+    static constexpr std::size_t kSlotFields = 4;  // the fourth cell keeps slots aligned
+    static constexpr std::size_t kTag = 0;         // seq of the chunk held; -1 while written
+    static constexpr std::size_t kChunkStart = 1;
+    static constexpr std::size_t kChunkSize = 2;
+    static constexpr int kStepBits = 32;
+    static constexpr std::int64_t kStepMask = (std::int64_t{1} << kStepBits) - 1;
+    static constexpr std::int64_t kSeqLimit = std::int64_t{1} << (63 - kStepBits);
 
-    [[nodiscard]] std::int64_t* slot_of(std::span<std::int64_t> mem,
-                                        std::int64_t index) const noexcept {
-        const auto s = static_cast<std::size_t>(index % capacity_);
-        return mem.data() + kSlotBase + kSlotFields * s;
+    [[nodiscard]] std::size_t slot_cell(std::int64_t seq) const noexcept {
+        return kSlotBase + kSlotFields * static_cast<std::size_t>(seq % capacity_);
     }
 
-    /// Core allocation step; caller holds the exclusive lock.
-    [[nodiscard]] std::optional<SubChunk> pop_locked() {
-        auto mem = window_.shared_span<std::int64_t>(kHost);
-        while (mem[kHead] < mem[kTail]) {
-            std::int64_t* slot = slot_of(mem, mem[kHead]);
-            const std::int64_t size = slot[kChunkSize];
-            const std::int64_t scheduled = slot[kSubScheduled];
-            if (scheduled >= size) {
-                ++mem[kHead];  // chunk fully assigned; retire it
-                continue;
-            }
-            dls::LoopParams p;
-            p.total_iterations = size;
-            p.workers = level_workers_;
-            p.min_chunk = min_chunk_;
-            const std::int64_t hint = dls::chunk_size_for_step(technique_, p, slot[kSubStep]);
-            if (hint <= 0) {
-                // Defensive: a formula that runs dry before the chunk is
-                // fully assigned (cannot happen for the supported
-                // techniques) — hand out the remainder.
-                const std::int64_t begin = slot[kChunkStart] + scheduled;
-                slot[kSubScheduled] = size;
-                ++slot[kSubStep];
-                ++popped_;
-                return SubChunk{begin, slot[kChunkStart] + size, false};
-            }
-            const std::int64_t take = std::min(hint, size - scheduled);
-            slot[kSubScheduled] = scheduled + take;
-            ++slot[kSubStep];
-            ++popped_;
-            const std::int64_t begin = slot[kChunkStart] + scheduled;
-            return SubChunk{begin, begin + take, false};
+    /// This level's slicing of a parent chunk of `size` iterations.
+    [[nodiscard]] dls::StepStarts slicing(std::int64_t size) const {
+        dls::LoopParams p;
+        p.total_iterations = size;
+        p.workers = level_workers_;
+        p.min_chunk = min_chunk_;
+        return {technique_, p};
+    }
+
+    /// Makes head_ describe chunk `seq`. False when its slot no longer (or
+    /// not yet) holds it: the tag is checked before and after the field
+    /// reads, and a push invalidates the tag before rewriting the fields.
+    [[nodiscard]] bool load_head(std::int64_t seq) {
+        if (head_.seq == seq) {
+            return true;
         }
-        return std::nullopt;
+        const std::size_t slot = slot_cell(seq);
+        if (window_.atomic_read<std::int64_t>(kHost, slot + kTag) != seq) {
+            return false;
+        }
+        const std::int64_t start = window_.atomic_read<std::int64_t>(kHost, slot + kChunkStart);
+        const std::int64_t size = window_.atomic_read<std::int64_t>(kHost, slot + kChunkSize);
+        if (window_.atomic_read<std::int64_t>(kHost, slot + kTag) != seq) {
+            return false;
+        }
+        head_ = Head{seq, start, size, slicing(size)};
+        return true;
+    }
+
+    /// True when chunk `seq` has been published (refreshes the cached tail
+    /// only when the cached one does not already prove it).
+    [[nodiscard]] bool published(std::int64_t seq) {
+        if (seq < known_tail_) {
+            return true;
+        }
+        known_tail_ = window_.atomic_read<std::int64_t>(kHost, kTail);
+        return seq < known_tail_;
+    }
+
+    /// The pop: claims the cursor's step with one compare-and-swap, moving
+    /// the cursor to the next chunk first when the head is exhausted. Every
+    /// failed attempt counts a hdls_window_cas_retries_total, polls the
+    /// runtime abort flag (a pop never spins past a peer failure) and, when
+    /// `failed_until` is non-null, stamps the time it ended.
+    [[nodiscard]] std::optional<SubChunk> claim(
+        std::chrono::steady_clock::time_point* failed_until) {
+        for (;;) {
+            const std::int64_t cursor = window_.atomic_read<std::int64_t>(kHost, kCursor);
+            const std::int64_t seq = cursor >> kStepBits;
+            if (!published(seq)) {
+                return std::nullopt;  // nothing pushed yet
+            }
+            if (load_head(seq)) {
+                const auto range = head_.steps.range(cursor & kStepMask);
+                const bool exhausted = range.begin >= head_.size;
+                if (exhausted && !published(seq + 1)) {
+                    return std::nullopt;
+                }
+                const std::int64_t next = exhausted ? (seq + 1) << kStepBits : cursor + 1;
+                if (window_.compare_and_swap<std::int64_t>(cursor, next, kHost, kCursor) ==
+                    cursor) {
+                    if (exhausted) {
+                        continue;  // the next chunk is the head now
+                    }
+                    ++popped_;
+                    return SubChunk{head_.start + range.begin, head_.start + range.end, false};
+                }
+                metrics::rt().window_cas_retries->inc();
+            }
+            // Lost the race (or the cursor moved past seq meanwhile).
+            comm_.poll_abort();
+            if (failed_until != nullptr) {
+                *failed_until = std::chrono::steady_clock::now();
+            }
+        }
     }
 
     minimpi::Comm comm_;
@@ -308,6 +387,8 @@ private:
     int level_workers_ = 0;
     std::int64_t capacity_ = 0;
     std::int64_t popped_ = 0;
+    std::int64_t known_tail_ = 0;  // a tail this rank has seen; tails only grow
+    Head head_;
 };
 
 }  // namespace hdls::core

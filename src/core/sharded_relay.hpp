@@ -17,9 +17,11 @@
 /// interleave.
 ///
 /// The queue state lives in one group-hosted shared window accessed under
-/// the same exclusive-lock epochs as NodeWorkQueue (a relay is touched
-/// once per refill, not per iteration, so the lock is not the hotspot the
-/// leaf-level discussion of the paper revolves around); what the sharded
+/// an exclusive-lock epoch per pop and per push, as in the paper (a relay
+/// is touched once per refill, not per iteration, so the lock is not the
+/// hotspot the leaf-level discussion of the paper revolves around, and
+/// unlike NodeWorkQueue's lock-free pops a steal rewrites two segments at
+/// once, which one compare-and-swap cannot cover); what the sharded
 /// policy changes is *ownership*: children drain their own share first and
 /// cross-child transfers are explicit steals, visible as level-tagged
 /// Steal events in the trace.

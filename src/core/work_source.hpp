@@ -204,27 +204,28 @@ private:
             const bool record_probe = tracing_ && wait_start_ < 0.0;
             // Stage 2 first: the level queue may already hold sub-chunks.
             double pop_t0 = 0.0;
-            double lock_wait = 0.0;
+            double pop_wait = 0.0;
             if (tracing_) {
                 pop_t0 = tracer_.now();
             }
-            if (const auto sub = local_.try_pop(tracing_ ? &lock_wait : nullptr)) {
+            if (const auto sub = local_.try_pop(tracing_ ? &pop_wait : nullptr)) {
                 m_pops_->inc();
                 if (tracing_) {
                     close_wait(pop_t0);
-                    // Every pop epoch is a LocalPop at this level; a pop
+                    // Every pop is a LocalPop at this level, its wait the
+                    // access's contention (failed claims or lock grant); a pop
                     // that carved a sibling's shard (sharded relay) keeps
                     // its `stolen` flag on the returned chunk, and the
                     // *puller* one level down records it as the level's
                     // Steal — one acquire-side event per transfer.
                     tracer_.record(trace::EventKind::LocalPop, pop_t0, tracer_.now(),
-                                   sub->begin, sub->end, lock_wait, level_);
+                                   sub->begin, sub->end, pop_wait, level_);
                 }
                 return as_chunk(*sub);
             }
             if (record_probe) {
                 tracer_.record(trace::EventKind::LocalPop, pop_t0, tracer_.now(), -1, -1,
-                               lock_wait, level_);
+                               pop_wait, level_);
             }
             // Queue drained: this rank happens to be the fastest — refill.
             local_.begin_refill();
@@ -304,12 +305,12 @@ private:
     /// exactly the synchronous run's.
     void fill_slot() {
         const double fill_t0 = tracing_ ? tracer_.now() : 0.0;
-        double lock_wait = 0.0;
-        if (const auto sub = local_.try_pop(tracing_ ? &lock_wait : nullptr)) {
+        double pop_wait = 0.0;
+        if (const auto sub = local_.try_pop(tracing_ ? &pop_wait : nullptr)) {
             m_pops_->inc();
             if (tracing_) {
                 tracer_.record(trace::EventKind::LocalPop, fill_t0, tracer_.now(), sub->begin,
-                               sub->end, lock_wait, level_);
+                               sub->end, pop_wait, level_);
                 slot_fill_seconds_ = tracer_.now() - fill_t0;
             }
             slot_ = as_chunk(*sub);

@@ -179,4 +179,39 @@ std::int64_t chunk_size_for_step(Technique t, const LoopParams& p, std::int64_t 
                                 " has no step-indexed form (see supports_step_indexed)");
 }
 
+StepStarts::StepStarts(Technique t, const LoopParams& p) : technique_(t), params_(p) {
+    (void)chunk_size_for_step(t, p, 0);  // rejects techniques without a step-indexed form
+    if (p.total_iterations > 0 && (t == Technique::SS || t == Technique::FSC)) {
+        fixed_ = chunk_size_for_step(t, p, 0);
+    }
+}
+
+std::int64_t StepStarts::start(std::int64_t step) {
+    const std::int64_t n = params_.total_iterations;
+    if (n <= 0 || step <= 0) {
+        return 0;
+    }
+    if (fixed_ > 0) {
+        return step >= ceil_div(n, fixed_) ? n : step * fixed_;
+    }
+    if (technique_ == Technique::Static) {
+        const auto workers = static_cast<std::int64_t>(params_.workers);
+        return step >= workers ? n : step * (n / workers) + std::min(step, n % workers);
+    }
+    if (step < prefix_step_) {
+        prefix_step_ = 0;
+        prefix_start_ = 0;
+    }
+    while (prefix_step_ < step && prefix_start_ < n) {
+        const std::int64_t hint = chunk_size_for_step(technique_, params_, prefix_step_);
+        if (hint <= 0) {
+            prefix_start_ = n;
+            break;
+        }
+        prefix_start_ += hint;
+        ++prefix_step_;
+    }
+    return std::min(prefix_start_, n);
+}
+
 }  // namespace hdls::dls

@@ -9,14 +9,13 @@
 /// (Eleliemy & Ciorba, "Dynamic Loop Scheduling Using MPI Passive-Target
 /// Remote Memory Access", PDP 2019; the paper's ref [15]).
 ///
-/// The returned value is a *size hint*: because closed forms cannot track
-/// exact remaining-iteration counts under concurrent clamping, callers must
-/// clamp the hint against the shared `scheduled` counter:
+/// The returned value is a *size hint*: the last chunk is clamped to the
+/// loop's end. A step's chunk is [start(step), start(step + 1)), where
+/// start is the running prefix sum of the hints clamped to N (StepStarts
+/// below), so the claimant needs nothing beyond the step index:
 ///
 ///   step   = fetch_add(&queue.step, 1)
-///   hint   = chunk_size_for_step(tech, params, step)
-///   start  = fetch_add(&queue.scheduled, hint)   // then clamp:
-///   size   = min(hint, N - start)                // 0 or negative => done
+///   [b, e) = StepStarts(tech, params).range(step)   // b == e == N => done
 ///
 /// The invariant tested by the suite: for every technique and every (N, P),
 /// iterating steps 0,1,2,... with that clamping covers [0, N) exactly once.
@@ -35,6 +34,43 @@ namespace hdls::dls {
 /// Throws std::invalid_argument for techniques without a step-indexed form.
 [[nodiscard]] std::int64_t chunk_size_for_step(Technique t, const LoopParams& p,
                                                std::int64_t step, int worker = 0);
+
+/// Where each scheduling step's chunk lies in [0, N) under the serial
+/// slicing: the running prefix sum of chunk_size_for_step, clamped to N.
+/// The work queues claim a step with one atomic and derive the chunk from
+/// it here. SS, FSC and STATIC use O(1) closed forms; the other techniques
+/// advance a prefix sum kept in the object, which moves forward as long as
+/// the requested steps grow (a smaller step restarts it from step 0), so a
+/// caller whose steps only grow sums each step at most once.
+class StepStarts {
+public:
+    /// One step's chunk, [begin, end); empty (begin == end == N) once the
+    /// sizes cover the loop.
+    struct Range {
+        std::int64_t begin = 0;
+        std::int64_t end = 0;
+    };
+
+    /// Preconditions as chunk_size_for_step (throws std::invalid_argument
+    /// for a technique without a step-indexed form).
+    StepStarts(Technique t, const LoopParams& p);
+
+    /// First iteration of `step`'s chunk; N once the sizes cover the loop.
+    /// A hint <= 0 ends the slicing (STATIC past its P chunks).
+    [[nodiscard]] std::int64_t start(std::int64_t step);
+
+    /// [start(step), start(step + 1)). A step whose hint is <= 0 before
+    /// the loop is covered therefore receives the remainder (no
+    /// step-indexed technique produces one).
+    [[nodiscard]] Range range(std::int64_t step) { return {start(step), start(step + 1)}; }
+
+private:
+    Technique technique_;
+    LoopParams params_;
+    std::int64_t fixed_ = 0;        // SS / FSC chunk size; 0 = no fixed size
+    std::int64_t prefix_step_ = 0;  // steps summed into prefix_start_
+    std::int64_t prefix_start_ = 0;
+};
 
 // --- Individual closed forms (exposed for tests and documentation) ---------
 

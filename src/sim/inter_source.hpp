@@ -436,9 +436,11 @@ struct SimPlan {
 /// leaf: pop the level-(L-2) relay of the caller's group; on empty, refill
 /// it from the level above, recursively up to the root backend. Relay
 /// accesses are priced as one serialized op per lock epoch on the relay's
-/// group window (pop = one epoch, push+pop = one epoch — exactly the real
-/// queue's epoch structure) at that level's RMA latency
-/// (CostModel::level_rma_s). The classic depth-2 tree has no relays, so
+/// group window (pop = one epoch, push+pop = one epoch) at that level's
+/// RMA latency (CostModel::level_rma_s). That is the paper's lock-epoch
+/// protocol, priced on purpose: the real NodeWorkQueue pops lock-free
+/// (one compare-and-swap per pop, an epoch per push) and so runs cheaper
+/// than priced here. The classic depth-2 tree has no relays, so
 /// acquire() degenerates to the root InterSource with byte-identical
 /// pricing to the pre-hierarchy engines. Relay chunk math reuses the same
 /// dls functions as the real NodeWorkQueue / ShardedRelayQueue, so the
@@ -620,8 +622,10 @@ private:
 
         /// Allocates the next sub-chunk visible at `at` for `child`
         /// (ignored by the shared FIFO); sets *stolen when it carved a
-        /// sibling's shard. Mirrors NodeWorkQueue::pop_locked /
-        /// ShardedRelayQueue::pop_locked exactly.
+        /// sibling's shard. Carves the same sub-chunks as NodeWorkQueue's
+        /// step slicing (dls::StepStarts) and ShardedRelayQueue::pop_locked;
+        /// only the pricing (one lock epoch per pop, the paper's
+        /// protocol) differs from the lock-free real queue.
         [[nodiscard]] std::optional<std::pair<std::int64_t, std::int64_t>> pop(int child,
                                                                               double at,
                                                                               bool* stolen) {

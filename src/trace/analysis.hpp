@@ -22,7 +22,7 @@ struct WorkerBreakdown {
     int node = 0;
     double compute = 0.0;         ///< inside the loop body (ChunkExec pairs)
     double sched_overhead = 0.0;  ///< GlobalAcquire + LocalPop epochs
-    double lock_wait = 0.0;       ///< part of sched_overhead: lock request -> grant
+    double lock_wait = 0.0;       ///< part of sched_overhead: LocalPop contention (Event::wait)
     double barrier_wait = 0.0;    ///< BarrierWait spans (idle / sync)
     double finish = 0.0;          ///< end of the worker's last event
     std::int64_t chunks = 0;      ///< executed sub-chunks (ChunkExecEnd count)
@@ -41,7 +41,7 @@ struct LevelOverhead {
     std::int64_t steals = 0;        ///< the subset carved from a peer's share
     double pop_seconds = 0.0;       ///< LocalPop epochs on this level's queue
     std::int64_t pops = 0;          ///< successful pops (non-empty)
-    double lock_wait_seconds = 0.0; ///< lock-grant latency inside those pops
+    double lock_wait_seconds = 0.0; ///< contention inside those pops (Event::wait)
 
     /// Mean duration of one successful acquisition at this level.
     [[nodiscard]] double mean_acquire_seconds() const noexcept {

@@ -5,9 +5,11 @@
 /// A trace is a flat sequence of Events, each stamped with the recording
 /// worker and its node. Two shapes coexist:
 ///  * interval events (t0 < t1): GlobalAcquire (request -> return of the
-///    distributed chunk calculation), LocalPop (lock request -> epoch
-///    release on the node queue; `wait` isolates the lock-grant latency,
-///    the quantity the paper's lock-polling discussion revolves around)
+///    distributed chunk calculation), LocalPop (one access to a level
+///    queue; `wait` isolates its contention: the lock-grant latency of an
+///    epoch — a push, a sharded-relay access, a simulated pop — or the
+///    time a lock-free pop spent in failed claim attempts, the quantity
+///    the paper's lock-polling discussion revolves around)
 ///    and BarrierWait (entering -> leaving a wait for work or a barrier);
 ///  * instant events (t0 == t1): RefillBegin/RefillEnd bracketing a refill
 ///    announcement, ChunkExecBegin/ChunkExecEnd bracketing one sub-chunk's
@@ -88,7 +90,7 @@ inline constexpr int kEventKinds = 12;
 struct Event {
     double t0 = 0.0;        ///< seconds since trace origin (start of the span)
     double t1 = 0.0;        ///< end of the span (== t0 for instant events)
-    double wait = 0.0;      ///< lock-grant latency inside the span (LocalPop)
+    double wait = 0.0;      ///< contention inside the span (LocalPop; see above)
     std::int64_t a = 0;     ///< payload: iteration-range begin / chunk start
     std::int64_t b = 0;     ///< payload: iteration-range end / chunk size
     std::int32_t worker = 0;

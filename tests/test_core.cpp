@@ -6,9 +6,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <string>
 #include <thread>
+#include <utility>
+#include <vector>
 
 #include "apps/mandelbrot.hpp"
 #include "core/hdls.hpp"
@@ -212,6 +216,227 @@ TEST(LocalQueueTest, CapacityThrowReleasesRefillAnnouncement) {
         EXPECT_EQ(drained, 5 * 100 - 5);  // 5 chunks of 100, 1 popped each
         q.free();
     });
+}
+
+// ------------------------------------------------- lock-free pop path
+
+using Span = std::pair<std::int64_t, std::int64_t>;
+
+/// A parent chunk's sub-chunks under the serial slicing, computed the way
+/// the locked queue used to: hand out min(hint, rest), the rest when a
+/// hint runs dry.
+std::vector<Span> serial_slicing(Technique t, std::int64_t start, std::int64_t size,
+                                 int workers) {
+    hdls::dls::LoopParams p;
+    p.total_iterations = size;
+    p.workers = workers;
+    std::vector<Span> out;
+    std::int64_t scheduled = 0;
+    for (std::int64_t step = 0; scheduled < size; ++step) {
+        const std::int64_t hint = hdls::dls::chunk_size_for_step(t, p, step);
+        const std::int64_t take = hint > 0 ? std::min(hint, size - scheduled) : size - scheduled;
+        out.emplace_back(start + scheduled, start + scheduled + take);
+        scheduled += take;
+    }
+    return out;
+}
+
+struct RingWrapCase {
+    Technique technique;
+    int ranks;
+};
+
+class LocalQueueRingWrap : public ::testing::TestWithParam<RingWrapCase> {};
+
+TEST_P(LocalQueueRingWrap, ConcurrentPushersAndPoppersTileEveryParentChunk) {
+    // Every rank runs the executor's protocol (pop; on empty refill from a
+    // shared parent counter; terminate when the parent is dry, nothing is
+    // pending and no refill is in flight) over 24x the ring's capacity of
+    // parent chunks, so slots are recycled many times while peers pop.
+    const Technique technique = GetParam().technique;
+    const int ranks = GetParam().ranks;
+    const std::int64_t parents = 24 * (ranks + 4);
+    std::vector<std::int64_t> offsets{0};
+    for (std::int64_t k = 0; k < parents; ++k) {
+        offsets.push_back(offsets.back() + 1 + (k * 37) % 61);
+    }
+    const std::int64_t n = offsets.back();
+    std::atomic<std::int64_t> next_parent{0};
+    std::vector<std::atomic<int>> hits(static_cast<std::size_t>(n));
+    std::vector<std::vector<Span>> taken(static_cast<std::size_t>(ranks));
+    minimpi::Runtime::run(ranks, [&](minimpi::Context& ctx) {
+        const auto node = ctx.world().split_type(minimpi::SplitType::Shared, ctx.rank());
+        NodeWorkQueue q(node, technique, 1);
+        auto& mine = taken[static_cast<std::size_t>(ctx.rank())];
+        const auto execute = [&](const LevelQueue::SubChunk& sub) {
+            mine.emplace_back(sub.begin, sub.end);
+            for (std::int64_t i = sub.begin; i < sub.end; ++i) {
+                hits[static_cast<std::size_t>(i)].fetch_add(1, std::memory_order_relaxed);
+            }
+            if (mine.size() % 5 == 0) {
+                std::this_thread::yield();  // vary the interleaving
+            }
+        };
+        for (;;) {
+            if (const auto sub = q.try_pop()) {
+                execute(*sub);
+                continue;
+            }
+            q.begin_refill();
+            const std::int64_t k = next_parent.fetch_add(1);
+            if (k < parents) {
+                const auto ku = static_cast<std::size_t>(k);
+                if (const auto sub = q.push_and_pop(offsets[ku], offsets[ku + 1] - offsets[ku])) {
+                    execute(*sub);
+                }
+                continue;
+            }
+            q.end_refill();
+            if (!q.refills_in_flight() && !q.has_pending()) {
+                break;
+            }
+            std::this_thread::yield();
+        }
+        q.free();
+    });
+    for (std::int64_t i = 0; i < n; ++i) {
+        ASSERT_EQ(hits[static_cast<std::size_t>(i)].load(), 1) << "iteration " << i;
+    }
+    std::vector<Span> all;
+    for (const auto& mine : taken) {
+        all.insert(all.end(), mine.begin(), mine.end());
+    }
+    std::sort(all.begin(), all.end());
+    std::size_t next = 0;
+    for (std::int64_t k = 0; k < parents; ++k) {
+        const auto ku = static_cast<std::size_t>(k);
+        for (const Span& expected :
+             serial_slicing(technique, offsets[ku], offsets[ku + 1] - offsets[ku], ranks)) {
+            ASSERT_LT(next, all.size());
+            ASSERT_EQ(all[next], expected) << "parent chunk " << k;
+            ++next;
+        }
+    }
+    EXPECT_EQ(next, all.size());
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Techniques, LocalQueueRingWrap,
+    ::testing::Values(RingWrapCase{Technique::SS, 4}, RingWrapCase{Technique::SS, 8},
+                      RingWrapCase{Technique::GSS, 4}, RingWrapCase{Technique::GSS, 8},
+                      RingWrapCase{Technique::FAC2, 4}, RingWrapCase{Technique::FAC2, 8},
+                      RingWrapCase{Technique::TSS, 4}, RingWrapCase{Technique::TSS, 8},
+                      RingWrapCase{Technique::Static, 4}, RingWrapCase{Technique::Static, 8}),
+    [](const ::testing::TestParamInfo<RingWrapCase>& info) {
+        return std::string(hdls::dls::technique_name(info.param.technique)) + "_" +
+               std::to_string(info.param.ranks) + "ranks";
+    });
+
+TEST(LocalQueueTest, LeafPopsOpenNoLockEpoch) {
+    // GSS+SS, 2x2 MPI+MPI: every iteration is one leaf pop, and only the
+    // refills (one push each) may open a window lock epoch.
+    constexpr std::int64_t kN = 4000;
+    HierConfig cfg;
+    cfg.inter = Technique::GSS;
+    cfg.intra = Technique::SS;
+    const auto report = run_hierarchical(ClusterShape{2, 2}, Approach::MpiMpi, cfg, kN,
+                                         [](std::int64_t, std::int64_t) {});
+    EXPECT_EQ(report.executed_iterations(), kN);
+    const std::uint64_t refills = report.metrics.counter_total("hdls_sched_refills_total");
+    EXPECT_GT(refills, 0u);
+    EXPECT_EQ(report.metrics.counter_total("hdls_window_locks_total"), refills);
+    EXPECT_EQ(report.metrics.counter_total("hdls_sched_pops_total"),
+              static_cast<std::uint64_t>(kN));
+}
+
+TEST(LocalQueueTest, OverlongChunkThrowsAtPushAndReleasesTheAnnouncement) {
+    // The cursor packs the step into 32 bits; a chunk needing more steps
+    // must be refused, never wrap into the chunk index.
+    minimpi::Runtime::run(1, [](minimpi::Context& ctx) {
+        const auto node = ctx.world().split_type(minimpi::SplitType::Shared, 0);
+        constexpr std::int64_t kMaxSteps = (std::int64_t{1} << 32) - 1;
+        NodeWorkQueue q(node, Technique::SS, 1);
+        q.begin_refill();
+        try {
+            (void)q.push_and_pop(0, kMaxSteps + 1);
+            ADD_FAILURE() << "an over-long chunk was accepted";
+        } catch (const minimpi::Error& e) {
+            EXPECT_EQ(e.code(), minimpi::ErrorCode::InvalidArgument);
+        }
+        EXPECT_FALSE(q.refills_in_flight());
+        EXPECT_FALSE(q.has_pending());
+        // The longest chunk that fits is accepted and popped from.
+        q.begin_refill();
+        const auto first = q.push_and_pop(10, kMaxSteps);
+        ASSERT_TRUE(first);
+        EXPECT_EQ(first->begin, 10);
+        EXPECT_EQ(first->end, 11);
+        EXPECT_TRUE(q.has_pending());
+        EXPECT_FALSE(q.refills_in_flight());
+        q.free();
+
+        // The budget counts steps, not iterations: SS with min_chunk 2
+        // slices 2^32 iterations in 2^31 steps.
+        NodeWorkQueue pairs(node, Technique::SS, 2);
+        pairs.begin_refill();
+        const auto pair = pairs.push_and_pop(0, kMaxSteps + 1);
+        ASSERT_TRUE(pair);
+        EXPECT_EQ(pair->end - pair->begin, 2);
+        pairs.free();
+    });
+}
+
+TEST(StepStartsTest, MatchesTheSerialPrefixSumForEveryStepIndexedTechnique) {
+    using hdls::dls::StepStarts;
+    for (const Technique t : hdls::dls::all_techniques()) {
+        if (!hdls::dls::supports_step_indexed(t)) {
+            continue;
+        }
+        for (const std::int64_t n : {0, 1, 5, 64, 1000, 4097}) {
+            for (const int workers : {1, 2, 3, 8}) {
+                for (const std::int64_t min_chunk : {1, 3}) {
+                    for (const std::int64_t fsc : {0, 7}) {
+                        hdls::dls::LoopParams p;
+                        p.total_iterations = n;
+                        p.workers = workers;
+                        p.min_chunk = min_chunk;
+                        p.fsc_chunk = fsc;
+                        const std::string where = std::string(hdls::dls::technique_name(t)) +
+                                                  " N=" + std::to_string(n) +
+                                                  " P=" + std::to_string(workers) +
+                                                  " min=" + std::to_string(min_chunk) +
+                                                  " fsc=" + std::to_string(fsc);
+                        // Brute force: the running sum of every hint, clamped.
+                        std::vector<std::int64_t> starts;
+                        std::int64_t sum = 0;
+                        for (std::int64_t step = 0;; ++step) {
+                            starts.push_back(std::min(sum, n));
+                            if (starts.size() > 3 && starts[starts.size() - 4] == n) {
+                                break;  // three steps past the end of the loop
+                            }
+                            const std::int64_t hint =
+                                hdls::dls::chunk_size_for_step(t, p, step);
+                            sum = hint > 0 ? sum + hint : n;
+                        }
+                        StepStarts forward(t, p);
+                        for (std::size_t s = 0; s + 1 < starts.size(); ++s) {
+                            const auto step = static_cast<std::int64_t>(s);
+                            ASSERT_EQ(forward.start(step), starts[s]) << where << " step " << s;
+                            const auto r = forward.range(step);
+                            ASSERT_EQ(r.begin, starts[s]) << where << " step " << s;
+                            ASSERT_EQ(r.end, starts[s + 1]) << where << " step " << s;
+                        }
+                        StepStarts backward(t, p);
+                        for (std::size_t s = starts.size(); s-- > 0;) {
+                            ASSERT_EQ(backward.start(static_cast<std::int64_t>(s)), starts[s])
+                                << where << " step " << s << " (descending)";
+                        }
+                        EXPECT_EQ(backward.start(std::int64_t{1} << 40), n) << where;
+                    }
+                }
+            }
+        }
+    }
 }
 
 // ------------------------------------------------- coverage across combos
