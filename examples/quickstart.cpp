@@ -36,6 +36,7 @@ int main() {
     // per-level techniques; a malformed value keeps GSS+GSS with a warning.
     cfg = core::schedule_from_env(cfg);
     core::ChaosSpec chaos;
+    bool lease = false;
     try {
         // HDLS_INTER_BACKEND=sharded swaps every interior level for the
         // work-stealing backend (per-entity shards at the root, per-child
@@ -51,9 +52,10 @@ int main() {
         cfg.prefetch = core::prefetch_from_env();
         // HDLS_CHAOS=kill:<rank>@<pct>% fail-stops a rank mid-loop; with
         // HDLS_LEASE=1 the survivors reclaim its chunks (the fault drill —
-        // see docs/fault-tolerance.md). Only peeked at here to decide
-        // whether the baseline comparison below makes sense.
+        // see docs/fault-tolerance.md). Both are only peeked at here to
+        // decide whether the baseline comparison below makes sense.
         chaos = core::chaos_from_env();
+        lease = core::lease_from_env();
     } catch (const std::invalid_argument& e) {
         std::cerr << e.what() << "\n";
         return 2;
@@ -98,6 +100,11 @@ int main() {
         // has no failure handling and would refuse the chaos spec.
         std::cout << "\n(baseline comparison skipped: HDLS_CHAOS drills the"
                      " MPI+MPI executor only)\n";
+    } else if (lease) {
+        // The baseline would ignore the lease, so it would compare two
+        // changes at once (and its chunks would dilute the lease metrics).
+        std::cout << "\n(baseline comparison skipped: the MPI+OpenMP baseline has no"
+                     " lease mode)\n";
     } else {
         // The same loop under the MPI+OpenMP-style baseline, for comparison.
         const core::ExecutionReport baseline =

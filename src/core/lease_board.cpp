@@ -16,9 +16,10 @@ LeaseBoard::LeaseBoard(const minimpi::Comm& comm, double k, int slots)
         throw minimpi::Error(minimpi::ErrorCode::InvalidArgument,
                              "LeaseBoard: deadline multiplier k must be > 0");
     }
-    in_use_.assign(static_cast<std::size_t>(slots_), 0);
+    records_.resize(static_cast<std::size_t>(slots_));
     window_ = minimpi::Window::allocate_shared(
         comm_, static_cast<std::size_t>(slots_) * kSlotCells * sizeof(std::int64_t));
+    own_ = window_.shared_span<std::int64_t>(comm_.rank());
     // Every slot starts FREE at generation 0; written explicitly (the
     // thread transport's arena is not guaranteed zeroed) and published by
     // the barrier below.
@@ -31,36 +32,37 @@ LeaseBoard::LeaseBoard(const minimpi::Comm& comm, double k, int slots)
     comm_.barrier();
 }
 
-std::int64_t LeaseBoard::deadline_ns() const noexcept {
+std::int64_t LeaseBoard::deadline_ns(Clock::time_point now) const noexcept {
     constexpr std::int64_t kFloorNs = 100'000'000;  // 100 ms
     const auto scaled = static_cast<std::int64_t>(k_ * ema_seconds_ * 1e9);
-    return now_ns() + std::max(scaled, kFloorNs);
+    return to_ns(now) + std::max(scaled, kFloorNs);
 }
 
 void LeaseBoard::lease(std::int64_t start, std::int64_t size) {
     const int me = comm_.rank();
+    const Clock::time_point now = Clock::now();
     for (int s = 0; s < slots_; ++s) {
-        if (in_use_[static_cast<std::size_t>(s)] != 0) {
+        Record& rec = records_[static_cast<std::size_t>(s)];
+        if (rec.in_use) {
             continue;
         }
-        const std::int64_t word = window_.atomic_read<std::int64_t>(me, cell(s, kState));
+        const std::int64_t word = own_cell(s, kState).load(std::memory_order_acquire);
         if (state_of(word) != kFree) {
             // A fenced-out lease the claimer has not released yet; the
             // slot returns once the claimer's CAS lands.
             continue;
         }
-        // Bounds and deadline first, then the publishing CAS: any rank
-        // that observes ACTIVE observes them too (acq_rel ordering).
-        window_.atomic_write<std::int64_t>(start, me, cell(s, kStart));
-        window_.atomic_write<std::int64_t>(size, me, cell(s, kSize));
-        window_.atomic_write<std::int64_t>(deadline_ns(), me, cell(s, kDeadline));
+        // Bounds and deadline first, as relaxed stores into the own
+        // segment, then the publishing CAS: any rank that observes ACTIVE
+        // observes them too (the CAS is acq_rel, every reader acquires).
+        own_cell(s, kStart).store(start, std::memory_order_relaxed);
+        own_cell(s, kSize).store(size, std::memory_order_relaxed);
+        own_cell(s, kDeadline).store(deadline_ns(now), std::memory_order_relaxed);
         const std::int64_t next = pack(kActive, gen_of(word) + 1);
         if (window_.compare_and_swap<std::int64_t>(word, next, me, cell(s, kState)) != word) {
             continue;  // claimer released a sibling state concurrently; rescan
         }
-        in_use_[static_cast<std::size_t>(s)] = 1;
-        records_[start] =
-            Record{s, gen_of(word) + 1, std::chrono::steady_clock::now()};
+        rec = Record{true, start, gen_of(word) + 1, now};
         metrics::rt().lease_acquires->inc();
         return;
     }
@@ -69,18 +71,19 @@ void LeaseBoard::lease(std::int64_t start, std::int64_t size) {
                          "slots — executor bug)");
 }
 
-bool LeaseBoard::complete(std::int64_t start) {
-    const auto it = records_.find(start);
+bool LeaseBoard::complete(std::int64_t start, Clock::time_point done) {
+    const auto it = std::find_if(records_.begin(), records_.end(), [start](const Record& r) {
+        return r.in_use && r.start == start;
+    });
     if (it == records_.end()) {
         return true;  // not leased through this handle
     }
-    const Record rec = it->second;
-    records_.erase(it);
-    in_use_[static_cast<std::size_t>(rec.slot)] = 0;
-    const std::int64_t expected = pack(kActive, rec.gen);
-    const std::int64_t freed = pack(kFree, rec.gen);
+    it->in_use = false;
+    const int slot = static_cast<int>(it - records_.begin());
+    const std::int64_t expected = pack(kActive, it->gen);
+    const std::int64_t freed = pack(kFree, it->gen);
     const std::int64_t prev = window_.compare_and_swap<std::int64_t>(
-        expected, freed, comm_.rank(), cell(rec.slot, kState));
+        expected, freed, comm_.rank(), cell(slot, kState));
     if (prev != expected) {
         // A sweeper moved the lease to RECLAIMED(g) first: the fence is
         // lost, the execution must not be committed. The claimer's
@@ -88,16 +91,14 @@ bool LeaseBoard::complete(std::int64_t start) {
         metrics::rt().lease_fence_losses->inc();
         return false;
     }
-    const double took = std::chrono::duration<double>(
-                            std::chrono::steady_clock::now() - rec.acquired)
-                            .count();
+    const double took = std::chrono::duration<double>(done - it->acquired).count();
     ema_seconds_ = ema_seconds_ == 0.0 ? took : 0.7 * ema_seconds_ + 0.3 * took;
     return true;
 }
 
 int LeaseBoard::sweep() {
     int reclaimed = 0;
-    const std::int64_t now = now_ns();
+    const std::int64_t now = to_ns(Clock::now());
     for (int r = 0; r < comm_.size(); ++r) {
         if (r == comm_.rank() || !comm_.is_dead(r)) {
             continue;
@@ -152,8 +153,14 @@ bool LeaseBoard::quiescent() const {
 }
 
 void LeaseBoard::abandon_all() noexcept {
-    records_.clear();
-    std::fill(in_use_.begin(), in_use_.end(), 0);
+    for (Record& rec : records_) {
+        rec.in_use = false;
+    }
+}
+
+int LeaseBoard::outstanding() const noexcept {
+    return static_cast<int>(
+        std::count_if(records_.begin(), records_.end(), [](const Record& r) { return r.in_use; }));
 }
 
 void LeaseBoard::free() {

@@ -40,17 +40,28 @@
 ///    winner re-leases the chunk into its own board and executes it.
 ///
 /// Only the owner transitions its own FREE slots, so lease() needs no
-/// cross-rank coordination; start/size/deadline are written before the
-/// FREE -> ACTIVE CAS publishes them (acq_rel on every window atomic), so
-/// any rank that observes ACTIVE or RECLAIMED observes the bounds too.
+/// cross-rank coordination. It stores start/size/deadline into its own
+/// segment directly (relaxed std::atomic_ref stores through shared_span,
+/// no window op) and then publishes them with the FREE -> ACTIVE CAS
+/// (acq_rel): any rank that observes ACTIVE or RECLAIMED observes the
+/// bounds too.
 ///
-/// The board is transport-agnostic: it speaks only Window atomics, so the
-/// same protocol runs over the threads and shm substrates.
+/// The owner's view of its leases is a fixed table, one record per slot,
+/// sized at construction: lease() and complete() allocate nothing, and
+/// complete() finds a record by scanning at most `slots` entries. Each
+/// lease reads the clock once, for both the deadline and the record's
+/// start stamp; complete() can take the caller's body-end stamp instead
+/// of reading the clock again.
+///
+/// The board is transport-agnostic: it speaks only Window atomics and
+/// shared-window addressing, so the same protocol runs over the threads
+/// and shm substrates.
 
+#include <atomic>
 #include <chrono>
 #include <cstdint>
 #include <optional>
-#include <unordered_map>
+#include <span>
 #include <vector>
 
 #include "minimpi/minimpi.hpp"
@@ -59,6 +70,8 @@ namespace hdls::core {
 
 class LeaseBoard {
 public:
+    using Clock = std::chrono::steady_clock;
+
     /// A chunk reclaimed from a dead owner, ready for re-execution.
     struct Reclaimed {
         std::int64_t start = 0;
@@ -85,8 +98,11 @@ public:
     /// counts. Returns false when a sweeper reclaimed the lease first (the
     /// owner was suspected dead): the caller must treat the execution as
     /// uncommitted; the reclaiming survivor owns the chunk now. Unknown
-    /// `start` (never leased through this handle) returns true.
-    [[nodiscard]] bool complete(std::int64_t start);
+    /// `start` (never leased through this handle) returns true. `done` is
+    /// when the execution ended (the caller's body-end stamp); it feeds
+    /// the chunk-time EMA.
+    [[nodiscard]] bool complete(std::int64_t start, Clock::time_point done);
+    [[nodiscard]] bool complete(std::int64_t start) { return complete(start, Clock::now()); }
 
     /// One detection round over *dead* ranks' boards: moves every ACTIVE
     /// lease of a dead owner whose deadline has passed to RECLAIMED.
@@ -110,9 +126,7 @@ public:
     void abandon_all() noexcept;
 
     /// Outstanding leases of this handle (telemetry/tests).
-    [[nodiscard]] int outstanding() const noexcept {
-        return static_cast<int>(records_.size());
-    }
+    [[nodiscard]] int outstanding() const noexcept;
 
     /// The chunk-time EMA feeding the deadline (0 before the first
     /// completion).
@@ -150,9 +164,13 @@ private:
         return static_cast<std::size_t>(slot) * kSlotCells + c;
     }
 
-    [[nodiscard]] static std::int64_t now_ns() noexcept {
-        return std::chrono::duration_cast<std::chrono::nanoseconds>(
-                   std::chrono::steady_clock::now().time_since_epoch())
+    /// A cell of this rank's own slot, for direct atomic access.
+    [[nodiscard]] std::atomic_ref<std::int64_t> own_cell(int slot, std::size_t c) const noexcept {
+        return std::atomic_ref<std::int64_t>(own_[cell(slot, c)]);
+    }
+
+    [[nodiscard]] static std::int64_t to_ns(Clock::time_point t) noexcept {
+        return std::chrono::duration_cast<std::chrono::nanoseconds>(t.time_since_epoch())
             .count();
     }
 
@@ -161,26 +179,27 @@ private:
     /// under microsecond chunk bodies; reclamation additionally requires
     /// the owner to be *declared dead*, so a short deadline alone never
     /// reclaims a live owner's lease.
-    [[nodiscard]] std::int64_t deadline_ns() const noexcept;
+    [[nodiscard]] std::int64_t deadline_ns(Clock::time_point now) const noexcept;
 
+    /// This handle's view of one of its own slots. A slot is reusable only
+    /// once it is not `in_use` here *and* its window state is FREE again (a
+    /// reclaimed slot stays unavailable until the claimer's CAS releases
+    /// it).
     struct Record {
-        int slot = -1;
+        bool in_use = false;
+        std::int64_t start = 0;  ///< the leased chunk's start (unique within a run)
         std::int64_t gen = 0;
-        std::chrono::steady_clock::time_point acquired{};
+        Clock::time_point acquired{};
     };
 
     minimpi::Comm comm_;
     minimpi::Window window_;
+    /// This rank's own board segment, addressed directly by lease().
+    std::span<std::int64_t> own_;
     double k_ = 8.0;
     int slots_ = 8;
     double ema_seconds_ = 0.0;
-    /// Outstanding local leases, keyed by chunk start (starts are unique
-    /// within a run: the hierarchy tiles [0, N) exactly).
-    std::unordered_map<std::int64_t, Record> records_;
-    /// Own-slot occupancy as *this handle* sees it; a slot is reusable
-    /// only once its window state returns to FREE (a reclaimed slot stays
-    /// unavailable until the claimer's CAS releases it).
-    std::vector<char> in_use_;
+    std::vector<Record> records_;  ///< one per own slot, sized at construction
 };
 
 }  // namespace hdls::core

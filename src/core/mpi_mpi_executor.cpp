@@ -132,9 +132,32 @@ WorkerStats run_mpi_mpi_rank(minimpi::Context& ctx, std::int64_t n, const HierCo
         }
     }
 
+    // A committed execution's accounting, shared by the loop and the
+    // reclamation drain.
+    const auto commit = [&](std::int64_t size, Clock::time_point b0, Clock::time_point b1) {
+        stats.busy_seconds += std::chrono::duration<double>(b1 - b0).count();
+        stats.iterations += size;
+        ++stats.chunks;
+        m.exec_chunks->inc();
+        m.exec_iterations->inc(static_cast<std::uint64_t>(size));
+        m.chunk_exec_ns->observe(static_cast<std::uint64_t>(
+            std::chrono::duration_cast<std::chrono::nanoseconds>(b1 - b0).count()));
+    };
+
+    // Failure detection (lease mode): the loop polls at most once per
+    // heartbeat_timeout / 16, so a death is noticed at most that much
+    // later than the timeout alone implies; the drain polls every round.
+    const auto poll_period =
+        std::chrono::duration_cast<Clock::duration>(cfg.heartbeat_timeout) / 16;
+    const auto poll_liveness = [&] {
+        m.liveness_polls->inc();
+        detector->poll();
+    };
+
     world.barrier();  // common start line
     const Clock::time_point t0 = Clock::now();
     sched_mark = t0;
+    Clock::time_point next_poll = t0;
 
     bool cancelled = false;
     while (const auto sub = source.try_acquire()) {
@@ -156,12 +179,7 @@ WorkerStats run_mpi_mpi_rank(minimpi::Context& ctx, std::int64_t n, const HierCo
             break;
         }
         if (board != nullptr) {
-            // Liveness: one heartbeat tick per chunk boundary, plus a
-            // detection round so a mid-run death switches the sharded
-            // root's steal policy (whole-remainder from dead hosts)
-            // without waiting for the drain.
-            world.beat();
-            detector->poll();
+            world.beat();  // liveness: one heartbeat tick per chunk boundary
         }
         // Multi-tenant gate: the chunk is acquired (the chain's refill /
         // termination protocol is done), now wait for a fair-share slot
@@ -184,15 +202,18 @@ WorkerStats run_mpi_mpi_rank(minimpi::Context& ctx, std::int64_t n, const HierCo
         // reclaimed the chunk (this rank was suspected dead mid-body) and
         // a survivor owns it now — the work above is discarded rather than
         // double-committed.
-        const bool committed = board == nullptr || board->complete(sub->start);
+        const bool committed = board == nullptr || board->complete(sub->start, b1);
         if (committed) {
-            stats.busy_seconds += busy;
-            stats.iterations += sub->size;
-            ++stats.chunks;
-            m.exec_chunks->inc();
-            m.exec_iterations->inc(static_cast<std::uint64_t>(sub->size));
-            m.chunk_exec_ns->observe(static_cast<std::uint64_t>(
-                std::chrono::duration_cast<std::chrono::nanoseconds>(b1 - b0).count()));
+            commit(sub->size, b0, b1);
+        }
+        // A detection round so a mid-run death switches the sharded root's
+        // steal policy (whole-remainder from dead hosts) without waiting
+        // for the drain. Peers bump their heartbeat words every chunk, so
+        // each round misses in cache on every peer: at most one round per
+        // poll period, timed by the body-end stamp.
+        if (detector != nullptr && b1 >= next_poll) {
+            poll_liveness();
+            next_poll = b1 + poll_period;
         }
         // Heartbeat for the stall watchdog (a relaxed pointer load when
         // none is installed). Reading the prefetch slot is safe here: this
@@ -227,7 +248,7 @@ WorkerStats run_mpi_mpi_rank(minimpi::Context& ctx, std::int64_t n, const HierCo
         while (!board->quiescent()) {
             world.beat();
             world.poll_abort();
-            detector->poll();
+            poll_liveness();
             m.ranks_dead->set(world.size() - world.alive());
             board->sweep();
             while (const auto rc = board->claim_one()) {
@@ -245,12 +266,12 @@ WorkerStats run_mpi_mpi_rank(minimpi::Context& ctx, std::int64_t n, const HierCo
                     tracer.instant(trace::EventKind::ChunkExecEnd, tracer.now(), rc->start,
                                    rc->start + rc->size);
                 }
-                if (board->complete(rc->start)) {
-                    stats.busy_seconds += std::chrono::duration<double>(b1 - b0).count();
-                    stats.iterations += rc->size;
-                    ++stats.chunks;
-                    m.exec_chunks->inc();
-                    m.exec_iterations->inc(static_cast<std::uint64_t>(rc->size));
+                if (board->complete(rc->start, b1)) {
+                    commit(rc->size, b0, b1);
+                    metrics::worker_beat(world.rank(), source.level(), rc->start,
+                                         source.has_prefetched(),
+                                         std::chrono::duration<double>(b1 - b0).count(),
+                                         hooks.watchdog);
                 }
             }
             metrics::worker_beat(world.rank(), source.level(), -1,

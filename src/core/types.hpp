@@ -146,7 +146,9 @@ struct HierConfig {
     /// a 100 ms floor). Env: HDLS_LEASE_K.
     double lease_k = 8.0;
     /// Failure-detector timeout: a rank whose heartbeat word has not moved
-    /// for this long is declared dead. Env: HDLS_HEARTBEAT_TIMEOUT_MS.
+    /// for this long is declared dead. The MPI+MPI loop polls the detector
+    /// at most once per timeout / 16, so a declaration can come that much
+    /// later. Env: HDLS_HEARTBEAT_TIMEOUT_MS.
     std::chrono::milliseconds heartbeat_timeout{1000};
     /// Fault injection for chaos testing (HDLS_CHAOS); disabled unless
     /// kill_rank >= 0. Requires lease mode to keep the run exactly-once.

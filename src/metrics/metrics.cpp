@@ -304,6 +304,8 @@ RuntimeMetrics make_runtime_metrics() {
                      "Chunk completions that lost the lease fence (not committed)");
     m.ranks_dead =
         &reg.gauge("hdls_ranks_dead", "Ranks declared dead by the failure detector");
+    m.liveness_polls = &reg.counter("hdls_liveness_polls_total",
+                                    "Failure-detector rounds run by the MPI+MPI executor");
 
     m.jobs_submitted =
         &reg.counter("hdls_jobs_submitted_total", "Jobs accepted by JobService::submit");

@@ -319,6 +319,7 @@ struct RuntimeMetrics {
     Counter* lease_fence_losses;  ///< completions that lost the fence (lease
                                   ///< already reclaimed; iterations not committed)
     Gauge* ranks_dead;            ///< ranks declared dead by the failure detector
+    Counter* liveness_polls;      ///< failure-detector rounds run by the executor
 
     // core::JobService — the multi-tenant job stream.
     Counter* jobs_submitted;      ///< jobs accepted by submit()

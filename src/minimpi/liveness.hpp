@@ -11,6 +11,12 @@
 /// sticky, transport-wide, so every rank's detector and the lease layer
 /// (core::LeaseBoard) agree on membership without extra consensus rounds.
 ///
+/// Beats are per chunk, polls are not: peers rewrite their heartbeat
+/// words every chunk, so every poll() misses in cache once per peer. The
+/// MPI+MPI executor polls at most once per `timeout / 16` inside the loop
+/// (and every round of its reclamation drain), which delays a declaration
+/// by at most that much.
+///
 /// The detector is deliberately *suspicion-based*: a slow-but-alive rank
 /// that stops beating long enough WILL be declared dead. Safety does not
 /// rest here — the lease layer's completion fence guarantees exactly-once
@@ -40,8 +46,8 @@ public:
 
     /// One detection round: re-reads every peer's heartbeat word and marks
     /// peers stale past the timeout dead. Returns the number of peers
-    /// *newly* declared dead by this call. O(ranks) relaxed atomic reads —
-    /// cheap enough for every steal/drain round.
+    /// *newly* declared dead by this call. O(ranks) atomic reads of words
+    /// peers keep rewriting — cheap for a drain round, too dear per chunk.
     int poll() {
         const auto now = std::chrono::steady_clock::now();
         int newly_dead = 0;

@@ -13,6 +13,7 @@
 #include <cstdint>
 #include <cstdlib>
 #include <memory>
+#include <new>
 #include <thread>
 #include <vector>
 
@@ -22,6 +23,43 @@
 #include "minimpi/liveness.hpp"
 #include "minimpi/minimpi.hpp"
 #include "sim/simulator.hpp"
+
+// Global operator new/delete replacements for this test binary: when armed,
+// every allocation on any thread is counted. The zero-allocation test arms
+// the counter around lease/complete cycles on a single-rank runtime.
+
+namespace {
+std::atomic<bool> g_count_allocations{false};
+std::atomic<std::uint64_t> g_allocations{0};
+}  // namespace
+
+// gcc pairs its built-in operator-new knowledge with the free() below and
+// warns at every inlined delete site; the replacement pair is consistent.
+#pragma GCC diagnostic ignored "-Wmismatched-new-delete"
+
+void* operator new(std::size_t size) {
+    if (g_count_allocations.load(std::memory_order_relaxed)) {
+        g_allocations.fetch_add(1, std::memory_order_relaxed);
+    }
+    if (void* p = std::malloc(size ? size : 1)) {
+        return p;
+    }
+    throw std::bad_alloc();
+}
+
+// The nothrow form too (std::stable_sort's temporary buffer uses it and
+// frees through the plain delete below): a sanitizer's own nothrow new
+// would not pair with free().
+void* operator new(std::size_t size, const std::nothrow_t&) noexcept {
+    if (g_count_allocations.load(std::memory_order_relaxed)) {
+        g_allocations.fetch_add(1, std::memory_order_relaxed);
+    }
+    return std::malloc(size ? size : 1);
+}
+
+void operator delete(void* p) noexcept { std::free(p); }
+void operator delete(void* p, std::size_t) noexcept { std::free(p); }
+void operator delete(void* p, const std::nothrow_t&) noexcept { std::free(p); }
 
 namespace {
 
@@ -93,6 +131,51 @@ TEST(LeaseBoardTest, RejectsNonPositiveKAndZeroSlots) {
         EXPECT_THROW(LeaseBoard(ctx.world(), 0.0), Error);
         EXPECT_THROW(LeaseBoard(ctx.world(), 8.0, 0), Error);
     });
+}
+
+/// The per-chunk lease path allocates nothing: the prefetch pattern (the
+/// in-flight chunk plus the prefetch-slot chunk outstanding, completed in
+/// either order) runs 10k lease/complete cycles under the counting
+/// operator new. The fixed record table keeps outstanding() exact, and a
+/// completion for a start this handle never leased still commits.
+TEST(LeaseBoardTest, LeaseCompleteCyclesDoNotAllocate) {
+    for (const TransportKind kind : kBothTransports) {
+        Runtime::run(1, kind, [](Context& ctx) {
+            LeaseBoard board(ctx.world(), 8.0);
+            // Warm up the metric counters' thread-local shards uncounted.
+            board.lease(-1, 1);
+            ASSERT_TRUE(board.complete(-1));
+
+            std::int64_t held = 0;  // the older of the two outstanding leases
+            board.lease(held, 1);
+            bool committed = true;
+            bool exact = true;
+            bool unknown_commits = true;
+            g_allocations.store(0);
+            g_count_allocations.store(true);
+            for (std::int64_t i = 0; i < 10'000; ++i) {
+                const std::int64_t fresh = i + 1;
+                board.lease(fresh, 1);
+                exact = exact && board.outstanding() == 2;
+                // Every other cycle the newer lease finishes first.
+                const std::int64_t done = i % 2 == 0 ? held : fresh;
+                committed = board.complete(done) && committed;
+                held = done == held ? fresh : held;
+                exact = exact && board.outstanding() == 1;
+                unknown_commits = board.complete(-2 - i) && unknown_commits;
+                exact = exact && board.outstanding() == 1;
+            }
+            g_count_allocations.store(false);
+            EXPECT_EQ(g_allocations.load(), 0u) << "lease/complete must not allocate";
+            EXPECT_TRUE(committed);
+            EXPECT_TRUE(exact);
+            EXPECT_TRUE(unknown_commits);
+            EXPECT_TRUE(board.complete(held));
+            EXPECT_EQ(board.outstanding(), 0);
+            EXPECT_TRUE(board.quiescent());
+            board.free();
+        });
+    }
 }
 
 /// A dead owner's expired lease is swept to RECLAIMED, claimed by a
@@ -293,6 +376,9 @@ void chaos_exactly_once(TransportKind kind, bool prefetch) {
     EXPECT_GE(report.metrics.counter_total("hdls_lease_reclaims_total"), 1u);
     EXPECT_GE(report.metrics.counter_total("hdls_lease_acquires_total"),
               static_cast<std::uint64_t>(report.executed_chunks()));
+    // Chunks the drain re-executed are timed like any other.
+    EXPECT_EQ(report.metrics.histogram_count("hdls_exec_chunk_ns"),
+              report.metrics.counter_total("hdls_exec_chunks_total"));
     // The trace carries the reclamation story (Reclaim events).
     ASSERT_NE(report.trace, nullptr);
     const auto analysis = hdls::trace::analyze(*report.trace);
@@ -319,6 +405,9 @@ TEST(ChaosTest, LeaseModeWithoutFailuresCommitsEverythingNormally) {
     std::atomic<std::int64_t> count{0};
     HierConfig cfg;
     cfg.lease = true;
+    // One iteration per leaf chunk: enough chunks that a per-chunk poll
+    // would stand out against the timed ones.
+    cfg.intra = Technique::SS;
     const auto report = hdls::parallel_for(
         ClusterShape{2, 2}, Approach::MpiMpi, cfg, kN,
         [&](std::int64_t b, std::int64_t e) { count.fetch_add(e - b); });
@@ -328,6 +417,11 @@ TEST(ChaosTest, LeaseModeWithoutFailuresCommitsEverythingNormally) {
     EXPECT_EQ(report.metrics.counter_total("hdls_lease_fence_losses_total"), 0u);
     EXPECT_GE(report.metrics.counter_total("hdls_lease_acquires_total"),
               static_cast<std::uint64_t>(report.executed_chunks()));
+    // Failure detection runs on a timer, not per chunk.
+    const std::uint64_t polls = report.metrics.counter_total("hdls_liveness_polls_total");
+    EXPECT_GE(polls, 1u);
+    EXPECT_LE(polls * 10, static_cast<std::uint64_t>(report.executed_chunks()))
+        << polls << " polls for " << report.executed_chunks() << " chunks";
 }
 
 // --------------------------------------------------- runner validation
