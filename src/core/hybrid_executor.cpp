@@ -9,6 +9,7 @@
 #include "metrics/metrics.hpp"
 #include "metrics/watchdog.hpp"
 #include "ompsim/team.hpp"
+#include "util/chunk_clock.hpp"
 
 namespace hdls::core {
 
@@ -88,7 +89,13 @@ std::vector<WorkerStats> run_hybrid_rank(minimpi::Context& ctx, int threads_per_
     const auto midx =
         static_cast<std::size_t>(metrics::RuntimeMetrics::level_index(pull_level));
 
+    // Every thread copies this clock onto its own stack (a clock counts
+    // its reads in a plain integer, so threads never share one): body
+    // stamps, the master's acquire and feedback timing and watchdog beats
+    // read the copies. The loop's start and finish stay on steady_clock.
+    util::ChunkClock start_clock;
     world.barrier();  // common start line
+    start_clock.rebase();
     const Clock::time_point t0 = Clock::now();
 
     // Shared between the team's threads within the region below.
@@ -101,6 +108,7 @@ std::vector<WorkerStats> run_hybrid_rank(minimpi::Context& ctx, int threads_per_
 
     team.parallel([&](int tid) {
         auto& mine = stats[static_cast<std::size_t>(tid)];
+        util::ChunkClock clock = start_clock;
         trace::WorkerTracer& tracer = tracers[static_cast<std::size_t>(tid)];
         const bool tracing = tracer.enabled();
         metrics::worker_enter(ctx.rank() * threads_per_node + tid, hooks.watchdog);
@@ -110,7 +118,7 @@ std::vector<WorkerStats> run_hybrid_rank(minimpi::Context& ctx, int threads_per_
                 // previous chunk is fully executed here: report it before
                 // fetching the next (funneled model — master talks to MPI).
                 if (feedback && current) {
-                    const double elapsed = seconds_since(chunk_t0);
+                    const double elapsed = util::elapsed_seconds(chunk_t0, clock.now());
                     chain.report(current->size, elapsed, acquire_seconds);
                     if (tracing) {
                         tracer.instant(trace::EventKind::FeedbackReport, tracer.now(),
@@ -118,7 +126,7 @@ std::vector<WorkerStats> run_hybrid_rank(minimpi::Context& ctx, int threads_per_
                     }
                 }
                 const double acq_t0 = tracing ? tracer.now() : 0.0;
-                const Clock::time_point a0 = Clock::now();
+                const Clock::time_point a0 = clock.now();
                 current = chain.try_acquire();
                 // Multi-tenant gate: one slot covers the whole team while
                 // it workshares this chunk (funneled model). A refusal
@@ -127,11 +135,13 @@ std::vector<WorkerStats> run_hybrid_rank(minimpi::Context& ctx, int threads_per_
                     !hooks.gate->begin_chunk(ctx.rank())) {
                     current.reset();
                 }
-                acquire_seconds = seconds_since(a0);
-                chunk_t0 = Clock::now();
+                // One stamp closes the acquire and opens the chunk.
+                chunk_t0 = clock.now();
+                const std::chrono::nanoseconds acquire_ns = util::elapsed(a0, chunk_t0);
+                acquire_seconds = std::chrono::duration<double>(acquire_ns).count();
                 if (count_master_acquire && current) {
                     m.acquire_latency_ns[midx]->observe(
-                        static_cast<std::uint64_t>(acquire_seconds * 1e9));
+                        static_cast<std::uint64_t>(acquire_ns.count()));
                     (current->stolen ? m.steals : m.acquires)[midx]->inc();
                 }
                 if (tracing) {
@@ -169,19 +179,24 @@ std::vector<WorkerStats> run_hybrid_rank(minimpi::Context& ctx, int threads_per_
                                     thread_tracer.instant(trace::EventKind::ChunkExecBegin,
                                                           thread_tracer.now(), b, e);
                                 }
-                                const Clock::time_point b0 = Clock::now();
+                                // Called on thread `thread_id` itself, whose
+                                // clock is `clock`.
+                                const Clock::time_point b0 = clock.now();
                                 body(b, e);
-                                const double thread_busy = seconds_since(b0);
+                                const Clock::time_point b1 = clock.now();
+                                const std::chrono::nanoseconds busy_ns = util::elapsed(b0, b1);
+                                const double thread_busy =
+                                    std::chrono::duration<double>(busy_ns).count();
                                 ws.busy_seconds += thread_busy;
                                 ws.iterations += e - b;
                                 ++ws.chunks;
                                 m.exec_chunks->inc();
                                 m.exec_iterations->inc(static_cast<std::uint64_t>(e - b));
                                 m.chunk_exec_ns->observe(
-                                    static_cast<std::uint64_t>(thread_busy * 1e9));
+                                    static_cast<std::uint64_t>(busy_ns.count()));
                                 metrics::worker_beat(
                                     ctx.rank() * threads_per_node + thread_id, pull_level,
-                                    b, /*prefetch_outstanding=*/false, thread_busy,
+                                    b, /*prefetch_outstanding=*/false, thread_busy, b1,
                                     hooks.watchdog);
                                 if (thread_tracer.enabled()) {
                                     const double end = thread_tracer.now();
@@ -211,6 +226,7 @@ std::vector<WorkerStats> run_hybrid_rank(minimpi::Context& ctx, int threads_per_
         }
         metrics::worker_leave(ctx.rank() * threads_per_node + tid, hooks.watchdog);
         mine.finish_seconds = seconds_since(t0);
+        mine.clock_reads = static_cast<std::int64_t>(clock.reads());
     });
 
     hier.free();

@@ -6,8 +6,9 @@
 
 namespace hdls::core {
 
-LeaseBoard::LeaseBoard(const minimpi::Comm& comm, double k, int slots)
-    : comm_(comm), k_(k), slots_(slots) {
+LeaseBoard::LeaseBoard(const minimpi::Comm& comm, double k, int slots,
+                       util::ChunkClock* clock)
+    : comm_(comm), clock_(clock != nullptr ? clock : &own_clock_), k_(k), slots_(slots) {
     if (slots < 1) {
         throw minimpi::Error(minimpi::ErrorCode::InvalidArgument,
                              "LeaseBoard: slots must be >= 1");
@@ -40,7 +41,7 @@ std::int64_t LeaseBoard::deadline_ns(Clock::time_point now) const noexcept {
 
 void LeaseBoard::lease(std::int64_t start, std::int64_t size) {
     const int me = comm_.rank();
-    const Clock::time_point now = Clock::now();
+    const Clock::time_point now = clock_->now();
     for (int s = 0; s < slots_; ++s) {
         Record& rec = records_[static_cast<std::size_t>(s)];
         if (rec.in_use) {
@@ -91,14 +92,14 @@ bool LeaseBoard::complete(std::int64_t start, Clock::time_point done) {
         metrics::rt().lease_fence_losses->inc();
         return false;
     }
-    const double took = std::chrono::duration<double>(done - it->acquired).count();
+    const double took = util::elapsed_seconds(it->acquired, done);
     ema_seconds_ = ema_seconds_ == 0.0 ? took : 0.7 * ema_seconds_ + 0.3 * took;
     return true;
 }
 
 int LeaseBoard::sweep() {
     int reclaimed = 0;
-    const std::int64_t now = to_ns(Clock::now());
+    std::optional<std::int64_t> now;  // read once, on the first deadline compared
     for (int r = 0; r < comm_.size(); ++r) {
         if (r == comm_.rank() || !comm_.is_dead(r)) {
             continue;
@@ -108,7 +109,10 @@ int LeaseBoard::sweep() {
             if (state_of(word) != kActive) {
                 continue;
             }
-            if (now <= window_.atomic_read<std::int64_t>(r, cell(s, kDeadline))) {
+            if (!now) {
+                now = to_ns(clock_->now());
+            }
+            if (*now <= window_.atomic_read<std::int64_t>(r, cell(s, kDeadline))) {
                 continue;  // a live claimer may still be executing it
             }
             const std::int64_t next = pack(kReclaimed, gen_of(word));

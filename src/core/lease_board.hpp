@@ -53,6 +53,12 @@
 /// start stamp; complete() can take the caller's body-end stamp instead
 /// of reading the clock again.
 ///
+/// Deadlines are written and compared on the rank's util::ChunkClock —
+/// the executor's per-chunk clock, whose stamps sit on the steady_clock
+/// timeline — so one rank's deadline and another's sweep agree to within
+/// microseconds, far below the 100 ms deadline floor. sweep() reads the
+/// clock only when a dead owner holds an ACTIVE lease.
+///
 /// The board is transport-agnostic: it speaks only Window atomics and
 /// shared-window addressing, so the same protocol runs over the threads
 /// and shm substrates.
@@ -65,6 +71,7 @@
 #include <vector>
 
 #include "minimpi/minimpi.hpp"
+#include "util/chunk_clock.hpp"
 
 namespace hdls::core {
 
@@ -82,7 +89,10 @@ public:
     /// deadline multiplier: deadline = now + max(k x chunk-time EMA, a
     /// 100 ms floor). `slots` bounds the rank's concurrently outstanding
     /// leases (current chunk + prefetch slot use two; 8 leaves headroom).
-    LeaseBoard(const minimpi::Comm& comm, double k, int slots = 8);
+    /// `clock` is the rank's chunk clock (must outlive the board); null
+    /// gives the board a clock of its own.
+    LeaseBoard(const minimpi::Comm& comm, double k, int slots = 8,
+               util::ChunkClock* clock = nullptr);
 
     LeaseBoard(const LeaseBoard&) = delete;
     LeaseBoard& operator=(const LeaseBoard&) = delete;
@@ -102,7 +112,7 @@ public:
     /// when the execution ended (the caller's body-end stamp); it feeds
     /// the chunk-time EMA.
     [[nodiscard]] bool complete(std::int64_t start, Clock::time_point done);
-    [[nodiscard]] bool complete(std::int64_t start) { return complete(start, Clock::now()); }
+    [[nodiscard]] bool complete(std::int64_t start) { return complete(start, clock_->now()); }
 
     /// One detection round over *dead* ranks' boards: moves every ACTIVE
     /// lease of a dead owner whose deadline has passed to RECLAIMED.
@@ -193,6 +203,8 @@ private:
     };
 
     minimpi::Comm comm_;
+    util::ChunkClock own_clock_;
+    util::ChunkClock* clock_;  ///< the caller's clock, or own_clock_
     minimpi::Window window_;
     /// This rank's own board segment, addressed directly by lease().
     std::span<std::int64_t> own_;

@@ -12,6 +12,7 @@
 #include "metrics/metrics.hpp"
 #include "metrics/watchdog.hpp"
 #include "minimpi/liveness.hpp"
+#include "util/chunk_clock.hpp"
 
 namespace hdls::core {
 
@@ -29,6 +30,13 @@ WorkerStats run_mpi_mpi_rank(minimpi::Context& ctx, std::int64_t n, const HierCo
                              trace::WorkerTracer tracer, const RankHooks& hooks) {
     const minimpi::Comm& world = ctx.world();
 
+    // The rank's chunk clock (a calibrated TSC where the host allows it):
+    // body start/end stamps, lease stamps and deadlines, the poll timer
+    // and watchdog beats all read it; the chain's sources time parent
+    // acquisitions on clocks of their own. The loop's start and finish
+    // (t0, finish_seconds) stay on steady_clock.
+    util::ChunkClock clock;
+
     // The rank's view of the scheduling hierarchy: the root backend plus
     // one relay queue per deeper tree level (the leaf being the paper's
     // node-local shared queue), every acquisition protocol (pop, refill,
@@ -45,7 +53,7 @@ WorkerStats run_mpi_mpi_rank(minimpi::Context& ctx, std::int64_t n, const HierCo
     std::unique_ptr<LeaseBoard> board;
     std::unique_ptr<minimpi::FailureDetector> detector;
     if (cfg.lease) {
-        board = std::make_unique<LeaseBoard>(world, cfg.lease_k);
+        board = std::make_unique<LeaseBoard>(world, cfg.lease_k, /*slots=*/8, &clock);
         detector = std::make_unique<minimpi::FailureDetector>(
             world, std::chrono::duration_cast<std::chrono::nanoseconds>(
                        cfg.heartbeat_timeout));
@@ -134,14 +142,13 @@ WorkerStats run_mpi_mpi_rank(minimpi::Context& ctx, std::int64_t n, const HierCo
 
     // A committed execution's accounting, shared by the loop and the
     // reclamation drain.
-    const auto commit = [&](std::int64_t size, Clock::time_point b0, Clock::time_point b1) {
-        stats.busy_seconds += std::chrono::duration<double>(b1 - b0).count();
+    const auto commit = [&](std::int64_t size, std::chrono::nanoseconds busy) {
+        stats.busy_seconds += std::chrono::duration<double>(busy).count();
         stats.iterations += size;
         ++stats.chunks;
         m.exec_chunks->inc();
         m.exec_iterations->inc(static_cast<std::uint64_t>(size));
-        m.chunk_exec_ns->observe(static_cast<std::uint64_t>(
-            std::chrono::duration_cast<std::chrono::nanoseconds>(b1 - b0).count()));
+        m.chunk_exec_ns->observe(static_cast<std::uint64_t>(busy.count()));
     };
 
     // Failure detection (lease mode): the loop polls at most once per
@@ -155,6 +162,7 @@ WorkerStats run_mpi_mpi_rank(minimpi::Context& ctx, std::int64_t n, const HierCo
     };
 
     world.barrier();  // common start line
+    clock.rebase();
     const Clock::time_point t0 = Clock::now();
     sched_mark = t0;
     Clock::time_point next_poll = t0;
@@ -193,10 +201,11 @@ WorkerStats run_mpi_mpi_rank(minimpi::Context& ctx, std::int64_t n, const HierCo
             tracer.instant(trace::EventKind::ChunkExecBegin, tracer.now(), sub->start,
                            sub->start + sub->size);
         }
-        const Clock::time_point b0 = Clock::now();
+        const Clock::time_point b0 = clock.now();
         body(sub->start, sub->start + sub->size);
-        const Clock::time_point b1 = Clock::now();
-        const double busy = std::chrono::duration<double>(b1 - b0).count();
+        const Clock::time_point b1 = clock.now();
+        const std::chrono::nanoseconds busy_ns = util::elapsed(b0, b1);
+        const double busy = std::chrono::duration<double>(busy_ns).count();
         // The completion fence: under lease mode the execution counts only
         // if this rank still owns the lease. A loss means a sweeper
         // reclaimed the chunk (this rank was suspected dead mid-body) and
@@ -204,7 +213,7 @@ WorkerStats run_mpi_mpi_rank(minimpi::Context& ctx, std::int64_t n, const HierCo
         // double-committed.
         const bool committed = board == nullptr || board->complete(sub->start, b1);
         if (committed) {
-            commit(sub->size, b0, b1);
+            commit(sub->size, busy_ns);
         }
         // A detection round so a mid-run death switches the sharded root's
         // steal policy (whole-remainder from dead hosts) without waiting
@@ -219,7 +228,7 @@ WorkerStats run_mpi_mpi_rank(minimpi::Context& ctx, std::int64_t n, const HierCo
         // none is installed). Reading the prefetch slot is safe here: this
         // thread is the only one that touches it.
         metrics::worker_beat(world.rank(), source.level(), sub->start,
-                             source.has_prefetched(), busy, hooks.watchdog);
+                             source.has_prefetched(), busy, b1, hooks.watchdog);
         if (tracing) {
             tracer.instant(trace::EventKind::ChunkExecEnd, tracer.now(), sub->start,
                            sub->start + sub->size);
@@ -230,7 +239,7 @@ WorkerStats run_mpi_mpi_rank(minimpi::Context& ctx, std::int64_t n, const HierCo
         if (feedback && committed) {
             pending_iters += sub->size;
             pending_busy += busy;
-            pending_overhead += std::chrono::duration<double>(b0 - sched_mark).count();
+            pending_overhead += util::elapsed_seconds(sched_mark, b0);
             sched_mark = b1;
         }
     }
@@ -259,23 +268,26 @@ WorkerStats run_mpi_mpi_rank(minimpi::Context& ctx, std::int64_t n, const HierCo
                     tracer.instant(trace::EventKind::ChunkExecBegin, tracer.now(),
                                    rc->start, rc->start + rc->size);
                 }
-                const Clock::time_point b0 = Clock::now();
+                const Clock::time_point b0 = clock.now();
                 body(rc->start, rc->start + rc->size);
-                const Clock::time_point b1 = Clock::now();
+                const Clock::time_point b1 = clock.now();
                 if (tracing) {
                     tracer.instant(trace::EventKind::ChunkExecEnd, tracer.now(), rc->start,
                                    rc->start + rc->size);
                 }
                 if (board->complete(rc->start, b1)) {
-                    commit(rc->size, b0, b1);
+                    const std::chrono::nanoseconds busy_ns = util::elapsed(b0, b1);
+                    commit(rc->size, busy_ns);
                     metrics::worker_beat(world.rank(), source.level(), rc->start,
                                          source.has_prefetched(),
-                                         std::chrono::duration<double>(b1 - b0).count(),
+                                         std::chrono::duration<double>(busy_ns).count(), b1,
                                          hooks.watchdog);
                 }
             }
+            // The idle beat reads steady_clock, so the chunk clock's reads
+            // stay a function of the executed chunks alone.
             metrics::worker_beat(world.rank(), source.level(), -1,
-                                 source.has_prefetched(), 0.0, hooks.watchdog);
+                                 source.has_prefetched(), 0.0, Clock::now(), hooks.watchdog);
             std::this_thread::sleep_for(std::chrono::microseconds(200));
         }
     }
@@ -286,6 +298,7 @@ WorkerStats run_mpi_mpi_rank(minimpi::Context& ctx, std::int64_t n, const HierCo
 
     stats.global_refills = source.refills();
     stats.finish_seconds = seconds_since(t0);
+    stats.clock_reads = static_cast<std::int64_t>(clock.reads());
 
     // probe_guard only fires after this explicit free, so clear the probe
     // by hand first; the guard's second clear is an idempotent no-op.

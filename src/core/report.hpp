@@ -23,6 +23,7 @@ struct WorkerStats {
     std::int64_t global_refills = 0; ///< level-1 chunks this worker fetched
     double busy_seconds = 0.0;       ///< time inside the loop body
     double finish_seconds = 0.0;     ///< time from loop start to this worker's end
+    std::int64_t clock_reads = 0;    ///< util::ChunkClock reads (per-chunk cost gate)
 };
 
 /// Result of one hierarchical loop execution.

@@ -25,6 +25,7 @@
 #include "dls/technique.hpp"
 #include "metrics/metrics.hpp"
 #include "trace/recorder.hpp"
+#include "util/chunk_clock.hpp"
 
 namespace hdls::core {
 
@@ -236,7 +237,7 @@ private:
                 before_refill_();
             }
             const double acq_t0 = tracing_ ? tracer_.now() : 0.0;
-            const auto par_t0 = std::chrono::steady_clock::now();
+            const auto par_t0 = clock_.now();
             if (const auto chunk = parent_.try_acquire()) {
                 observe_parent_acquire(*chunk, par_t0);
                 if (tracing_) {
@@ -332,7 +333,7 @@ private:
         }
         (void)announce.wait();
         const double acq_t0 = tracing_ ? tracer_.now() : 0.0;
-        const auto par_t0 = std::chrono::steady_clock::now();
+        const auto par_t0 = clock_.now();
         if (const auto chunk = parent_.try_acquire()) {
             observe_parent_acquire(*chunk, par_t0);
             if (tracing_) {
@@ -433,12 +434,9 @@ private:
 
     /// Successful parent acquisition: latency histogram plus the owned /
     /// stolen counter, all at the parent's level.
-    void observe_parent_acquire(const Chunk& chunk,
-                                std::chrono::steady_clock::time_point t0) const noexcept {
-        m_acquire_latency_->observe(static_cast<std::uint64_t>(
-            std::chrono::duration_cast<std::chrono::nanoseconds>(
-                std::chrono::steady_clock::now() - t0)
-                .count()));
+    void observe_parent_acquire(const Chunk& chunk, util::ChunkClock::time_point t0) noexcept {
+        m_acquire_latency_->observe(
+            static_cast<std::uint64_t>(util::elapsed(t0, clock_.now()).count()));
         (chunk.stolen ? m_steals_ : m_acquires_)->inc();
     }
 
@@ -454,6 +452,11 @@ private:
     LevelQueue& local_;
     WorkSource& parent_;
     trace::WorkerTracer& tracer_;
+    /// Times parent acquisitions (durations only, so its base needs no
+    /// start-line rebase). A clock of its own: the executor's clock then
+    /// counts exactly the per-chunk stamps, while a termination spin's
+    /// failed parent probes read this one.
+    util::ChunkClock clock_;
     bool tracing_ = false;
     int level_ = 1;
     std::function<void()> before_refill_;

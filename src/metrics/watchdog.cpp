@@ -17,10 +17,14 @@ StallWatchdog::StallWatchdog(int workers, Config cfg)
 StallWatchdog::~StallWatchdog() { stop(); }
 
 std::uint64_t StallWatchdog::now_ns() const noexcept {
-    return static_cast<std::uint64_t>(
-        std::chrono::duration_cast<std::chrono::nanoseconds>(
-            std::chrono::steady_clock::now() - epoch_)
-            .count());
+    return ns_at(std::chrono::steady_clock::now());
+}
+
+std::uint64_t StallWatchdog::ns_at(std::chrono::steady_clock::time_point t) const noexcept {
+    return t > epoch_ ? static_cast<std::uint64_t>(
+                            std::chrono::duration_cast<std::chrono::nanoseconds>(t - epoch_)
+                                .count())
+                      : 0;
 }
 
 void StallWatchdog::enter(int worker) noexcept {

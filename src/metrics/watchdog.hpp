@@ -69,8 +69,9 @@ public:
     void beat(int worker, int level, std::int64_t chunk_start, bool prefetch_outstanding,
               double chunk_seconds) noexcept;
 
-    /// Deterministic seam used by tests: like beat() but with an explicit
-    /// timestamp on the now_ns() clock.
+    /// Like beat() but with an explicit timestamp on the now_ns() clock:
+    /// the executors pass their body-end stamp (through ns_at), tests a
+    /// deterministic time.
     void beat_at(std::uint64_t now, int worker, int level, std::int64_t chunk_start,
                  bool prefetch_outstanding, double chunk_seconds) noexcept;
 
@@ -82,6 +83,8 @@ public:
 
     /// Monotonic nanoseconds since construction (the beat/check clock).
     [[nodiscard]] std::uint64_t now_ns() const noexcept;
+    /// `t` on the now_ns() clock (0 for a time before construction).
+    [[nodiscard]] std::uint64_t ns_at(std::chrono::steady_clock::time_point t) const noexcept;
 
     /// Installs a callback reporting per-shard remaining iterations of the
     /// root queue, included in stall dumps. Thread-safe.
@@ -182,21 +185,20 @@ inline void worker_leave(int worker, StallWatchdog* wd) noexcept {
     }
 }
 
+/// One beat stamped `at`, a time the caller already read (the chunk's
+/// body-end stamp): a steady_clock time point, e.g. a util::ChunkClock
+/// stamp.
 inline void worker_beat(int worker, int level, std::int64_t chunk_start,
                         bool prefetch_outstanding, double chunk_seconds,
-                        StallWatchdog* wd) noexcept {
+                        std::chrono::steady_clock::time_point at, StallWatchdog* wd) noexcept {
     if (wd != nullptr) {
-        wd->beat(worker, level, chunk_start, prefetch_outstanding, chunk_seconds);
+        wd->beat_at(wd->ns_at(at), worker, level, chunk_start, prefetch_outstanding,
+                    chunk_seconds);
     }
 }
 
 /// Registry-addressed conveniences (legacy callers, standalone tools).
 inline void worker_enter(int worker) noexcept { worker_enter(worker, active_watchdog()); }
 inline void worker_leave(int worker) noexcept { worker_leave(worker, active_watchdog()); }
-inline void worker_beat(int worker, int level, std::int64_t chunk_start,
-                        bool prefetch_outstanding, double chunk_seconds) noexcept {
-    worker_beat(worker, level, chunk_start, prefetch_outstanding, chunk_seconds,
-                active_watchdog());
-}
 
 }  // namespace hdls::metrics

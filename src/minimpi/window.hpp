@@ -108,7 +108,9 @@ namespace detail {
 
 /// Layout + storage of one window; shared by every attached rank's Window
 /// handle. The storage (backing bytes and the passive-target lock table)
-/// is owned by the transport-specific WindowStorage.
+/// is owned by the transport-specific WindowStorage. A window's storage
+/// never moves, so its base address and rank count are cached here: the
+/// per-op address computation needs no virtual call.
 class WindowImpl {
 public:
     WindowImpl(std::uint64_t id, CommMeta meta, std::vector<std::size_t> offsets,
@@ -117,13 +119,14 @@ public:
           meta_(std::move(meta)),
           offsets_(std::move(offsets)),
           sizes_(std::move(sizes)),
-          storage_(std::move(storage)) {}
+          storage_(std::move(storage)),
+          base_(storage_->base()),
+          size_(static_cast<int>(meta_.members.size())) {}
 
     [[nodiscard]] std::uint64_t id() const noexcept { return id_; }
-    [[nodiscard]] int size() const noexcept { return static_cast<int>(meta_.members.size()); }
-    [[nodiscard]] std::byte* base() noexcept { return storage_->base(); }
+    [[nodiscard]] int size() const noexcept { return size_; }
     [[nodiscard]] std::byte* segment(int rank) noexcept {
-        return base() + offsets_[static_cast<std::size_t>(rank)];
+        return base_ + offsets_[static_cast<std::size_t>(rank)];
     }
     [[nodiscard]] std::size_t segment_size(int rank) const noexcept {
         return sizes_[static_cast<std::size_t>(rank)];
@@ -137,6 +140,8 @@ private:
     std::vector<std::size_t> offsets_;
     std::vector<std::size_t> sizes_;
     std::unique_ptr<WindowStorage> storage_;
+    std::byte* base_;
+    int size_;
 };
 
 }  // namespace detail
@@ -412,11 +417,18 @@ private:
     void check_target(int target_rank) const;
     void release_held() noexcept;
 
+    /// Validates inline: one null test and one unsigned compare on the
+    /// hot path; require_valid/check_target (and their throws) run only
+    /// when that test fails.
     template <Pod T>
     [[nodiscard]] T* checked_address(int target_rank, std::size_t elem_offset,
                                      std::size_t elems = 1) const {
-        require_valid();
-        check_target(target_rank);
+        if (impl_ == nullptr ||
+            static_cast<unsigned>(target_rank) >= static_cast<unsigned>(impl_->size()))
+            [[unlikely]] {
+            require_valid();
+            check_target(target_rank);
+        }
         const std::size_t byte_off = elem_offset * sizeof(T);
         const std::size_t need = byte_off + elems * sizeof(T);
         if (need > impl_->segment_size(target_rank)) {

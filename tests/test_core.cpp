@@ -9,6 +9,7 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <cmath>
 #include <string>
 #include <thread>
 #include <utility>
@@ -693,6 +694,80 @@ TEST(ReportTest, AccountingInvariants) {
     report.print(oss);
     EXPECT_NE(oss.str().find("MPI+MPI"), std::string::npos);
     EXPECT_NE(oss.str().find("TSS+FAC2"), std::string::npos);
+}
+
+// ------------------------------------------------- chunk-clock accounting
+
+/// Busy time, the chunk histogram and the worker stats all come from the
+/// same chunk-clock stamps, on both executors and both transports: the
+/// histogram holds one sample per executed chunk, its sum is the workers'
+/// busy time to within 1 ns per chunk, and no worker is busier than its
+/// steady_clock finish time.
+TEST(ChunkClockAccounting, BusyTimeHistogramAndFinishAgree) {
+    const std::pair<Technique, Technique> schedules[] = {{Technique::GSS, Technique::SS},
+                                                         {Technique::FAC2, Technique::Static}};
+    for (const auto& [inter, intra] : schedules) {
+        for (const auto transport : {minimpi::TransportKind::Threads,
+                                     minimpi::TransportKind::Shm}) {
+            for (const auto approach : {Approach::MpiMpi, Approach::MpiOpenMp}) {
+                SCOPED_TRACE(std::string(hdls::dls::technique_name(inter)) + "+" +
+                             std::string(hdls::dls::technique_name(intra)) + " " +
+                             minimpi::transport_name(transport) + " " +
+                             (approach == Approach::MpiMpi ? "MPI+MPI" : "MPI+OpenMP"));
+                HierConfig cfg;
+                cfg.inter = inter;
+                cfg.intra = intra;
+                cfg.transport = transport;
+                std::atomic<std::int64_t> sink{0};
+                const auto report = run_hierarchical(
+                    ClusterShape{2, 2}, approach, cfg, 3000,
+                    [&sink](std::int64_t b, std::int64_t e) {
+                        sink.fetch_add(e - b, std::memory_order_relaxed);
+                    });
+                ASSERT_EQ(report.executed_iterations(), 3000);
+                const auto chunks = report.metrics.counter_total("hdls_exec_chunks_total");
+                EXPECT_EQ(chunks, static_cast<std::uint64_t>(report.executed_chunks()));
+                EXPECT_EQ(report.metrics.histogram_count("hdls_exec_chunk_ns"), chunks);
+                double busy_ns = 0.0;
+                for (const auto& w : report.workers) {
+                    EXPECT_LE(w.busy_seconds, w.finish_seconds);
+                    busy_ns += w.busy_seconds * 1e9;
+                }
+                const auto hist_sum =
+                    static_cast<double>(report.metrics.histogram_sum("hdls_exec_chunk_ns"));
+                EXPECT_LE(std::abs(hist_sum - busy_ns), static_cast<double>(chunks));
+            }
+        }
+    }
+}
+
+/// The per-chunk floor's count gate: an MPI+MPI rank reads its chunk clock
+/// exactly twice per executed chunk (body start and end); the completion
+/// fence, the failure-detector timer, the feedback mark and the watchdog
+/// beat all reuse the body-end stamp. Lease mode adds exactly one read per
+/// chunk, the lease stamp, and nothing else when no rank dies.
+TEST(ChunkClockReads, TwoPerChunkAndOneMorePerLease) {
+    HierConfig cfg;
+    cfg.inter = Technique::GSS;
+    cfg.intra = Technique::SS;
+    const auto plain = run_hierarchical(ClusterShape{2, 2}, Approach::MpiMpi, cfg, 4000,
+                                        [](std::int64_t, std::int64_t) {});
+    ASSERT_EQ(plain.executed_iterations(), 4000);
+    for (const auto& w : plain.workers) {
+        EXPECT_EQ(w.clock_reads, 2 * w.chunks);
+    }
+    cfg.lease = true;
+    cfg.prefetch = true;
+    for (const auto transport : {minimpi::TransportKind::Threads, minimpi::TransportKind::Shm}) {
+        SCOPED_TRACE(minimpi::transport_name(transport));
+        cfg.transport = transport;
+        const auto leased = run_hierarchical(ClusterShape{2, 2}, Approach::MpiMpi, cfg, 4000,
+                                             [](std::int64_t, std::int64_t) {});
+        ASSERT_EQ(leased.executed_iterations(), 4000);
+        for (const auto& w : leased.workers) {
+            EXPECT_EQ(w.clock_reads, 3 * w.chunks);
+        }
+    }
 }
 
 // -------------------------------------------------- env / topology parsing

@@ -11,11 +11,15 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
+#include <filesystem>
 #include <fstream>
 #include <new>
 #include <sstream>
+#include <string>
 #include <thread>
 #include <vector>
+
+#include <unistd.h>
 
 #include "core/hdls.hpp"
 #include "metrics/exposition.hpp"
@@ -591,8 +595,21 @@ TEST(WatchdogTest, InstallRegistrySurvivesInterleavedLifetimes) {
 /// dangling-watchdog race in the registry or the beat path is caught
 /// here. Staggered starts/finishes exercise both install orders.
 TEST(WatchdogTest, OverlappingMetricsRunsStayIndependent) {
-    const std::string file_a = "/tmp/hdls_overlap_a.prom";
-    const std::string file_b = "/tmp/hdls_overlap_b.prom";
+    // Per-process paths: concurrent test processes on one host (two ctest
+    // runs of the same build) must not share the exposition files.
+    const std::string stem = (std::filesystem::temp_directory_path() /
+                              ("hdls_overlap_" + std::to_string(::getpid()) + "_"))
+                                 .string();
+    const std::string file_a = stem + "a.prom";
+    const std::string file_b = stem + "b.prom";
+    struct RemoveFiles {
+        std::vector<std::string> files;
+        ~RemoveFiles() {
+            for (const std::string& f : files) {
+                std::remove(f.c_str());
+            }
+        }
+    } cleanup{{file_a, file_b}};
     const auto run = [](const std::string& file, std::int64_t n, int sleep_us) {
         core::ClusterShape shape;
         shape.nodes = 2;
@@ -628,7 +645,6 @@ TEST(WatchdogTest, OverlappingMetricsRunsStayIndependent) {
         std::stringstream ss;
         ss << in.rdbuf();
         EXPECT_NE(ss.str().find("hdls_exec_iterations_total"), std::string::npos);
-        std::remove(file.c_str());
     }
 }
 

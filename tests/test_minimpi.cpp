@@ -6,9 +6,12 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
 #include <atomic>
 #include <chrono>
 #include <numeric>
+#include <optional>
+#include <span>
 #include <thread>
 
 #include "minimpi/minimpi.hpp"
@@ -765,6 +768,67 @@ TEST(WindowTest, OutOfRangeAndMisalignedAccessThrow) {
         w.barrier();
         win.free();
     });
+}
+
+/// The window ops validate inline (one test on the fast path); every
+/// misuse still throws its own ErrorCode, on both transports.
+TEST(WindowTest, MisuseKeepsItsErrorCodesOnBothTransports) {
+    const auto code_of = [](const auto& op) {
+        try {
+            op();
+        } catch (const Error& e) {
+            return std::optional<ErrorCode>(e.code());
+        }
+        return std::optional<ErrorCode>();
+    };
+    for (const TransportKind kind : {TransportKind::Threads, TransportKind::Shm}) {
+        SCOPED_TRACE(transport_name(kind));
+        Runtime::run(2, kind, [&](Context& ctx) {
+            const Comm& w = ctx.world();
+            const auto expect_all = [&](const Window& win, int target, std::size_t offset,
+                                        ErrorCode want) {
+                EXPECT_EQ(code_of([&] { (void)win.atomic_read<std::int64_t>(target, offset); }),
+                          want);
+                EXPECT_EQ(code_of([&] {
+                              (void)win.fetch_and_op<std::int64_t>(1, target, offset,
+                                                                   AccumulateOp::Sum);
+                          }),
+                          want);
+                EXPECT_EQ(code_of([&] {
+                              (void)win.compare_and_swap<std::int64_t>(0, 1, target, offset);
+                          }),
+                          want);
+            };
+            expect_all(Window(), 0, 0, ErrorCode::WindowUsage);  // never allocated
+
+            Window win = Window::allocate_shared(w, 4 * sizeof(std::int64_t));
+            expect_all(win, -1, 0, ErrorCode::InvalidRank);
+            expect_all(win, w.size(), 0, ErrorCode::InvalidRank);
+            expect_all(win, 0, 4, ErrorCode::WindowUsage);  // past the end
+            w.barrier();
+            win.free();
+            expect_all(win, 0, 0, ErrorCode::WindowUsage);  // freed handle
+
+            // Misaligned: segments are 64-byte aligned, so for a 128-byte
+            // aligned element exactly one of two segments 192 bytes apart
+            // starts misaligned.
+            struct alignas(128) Wide {
+                std::byte bytes[128];
+            };
+            Window wide = Window::allocate_shared(w, w.rank() == 0 ? 192 : 128);
+            std::array<Wide, 1> buf{};
+            const auto get_code = [&](int target) {
+                return code_of([&] { wide.get(std::span<Wide>(buf), target, 0); });
+            };
+            const auto c0 = get_code(0);
+            const auto c1 = get_code(1);
+            EXPECT_NE(c0.has_value(), c1.has_value());
+            EXPECT_EQ(c0.value_or(ErrorCode::WindowUsage), ErrorCode::WindowUsage);
+            EXPECT_EQ(c1.value_or(ErrorCode::WindowUsage), ErrorCode::WindowUsage);
+            w.barrier();
+            wide.free();
+        });
+    }
 }
 
 TEST(WindowTest, FreeWithOpenEpochThrows) {

@@ -1,11 +1,15 @@
 /// \file test_util.cpp
-/// Unit tests for the utility layer: RNG, statistics, tables, CLI parsing.
+/// Unit tests for the utility layer: RNG, statistics, tables, CLI parsing,
+/// the chunk clock.
 
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <cmath>
 #include <sstream>
+#include <thread>
 
+#include "util/chunk_clock.hpp"
 #include "util/cli.hpp"
 #include "util/rng.hpp"
 #include "util/stats.hpp"
@@ -312,6 +316,88 @@ TEST(ArgParserTest, HelpReturnsFalse) {
     EXPECT_FALSE(cli.parse({"--help"}));
     const std::string out = testing::internal::GetCapturedStdout();
     EXPECT_NE(out.find("the n value"), std::string::npos);
+}
+
+// --------------------------------------------------------------- ChunkClock
+
+/// Every ChunkClock property holds for both sources: the host default (the
+/// TSC where usable) and the forced steady_clock fallback.
+class ChunkClockSources : public ::testing::TestWithParam<ChunkClock::Source> {};
+
+TEST_P(ChunkClockSources, StampsNeverDecreasePerThread) {
+    constexpr std::uint64_t kReads = 1'000'000;
+    const ChunkClock shared(GetParam());
+    const auto read_many = [&shared](bool& monotone, std::uint64_t& reads) {
+        ChunkClock clock = shared;  // one clock per thread, on the same base
+        auto prev = clock.now();
+        monotone = true;
+        for (std::uint64_t i = 1; i < kReads; ++i) {
+            const auto t = clock.now();
+            monotone = monotone && t >= prev;
+            prev = t;
+        }
+        reads = clock.reads();
+    };
+    bool monotone_a = false;
+    bool monotone_b = false;
+    std::uint64_t reads_a = 0;
+    std::uint64_t reads_b = 0;
+    std::thread a([&] { read_many(monotone_a, reads_a); });
+    std::thread b([&] { read_many(monotone_b, reads_b); });
+    a.join();
+    b.join();
+    EXPECT_TRUE(monotone_a);
+    EXPECT_TRUE(monotone_b);
+    // reads() counts now() calls only, per clock.
+    EXPECT_EQ(reads_a, kReads);
+    EXPECT_EQ(reads_b, kReads);
+    EXPECT_EQ(shared.reads(), 0u);
+}
+
+TEST_P(ChunkClockSources, AgreesWithSteadyClockOverASleep) {
+    using Steady = std::chrono::steady_clock;
+    ChunkClock clock(GetParam());
+    // Each chunk-clock stamp is bracketed by steady readings, so a
+    // preemption between reads only widens the accepted interval.
+    const auto outer0 = Steady::now();
+    const auto c0 = clock.now();
+    const auto inner0 = Steady::now();
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    const auto inner1 = Steady::now();
+    const auto c1 = clock.now();
+    const auto outer1 = Steady::now();
+    const double measured = std::chrono::duration<double>(c1 - c0).count();
+    EXPECT_GE(measured, 0.99 * std::chrono::duration<double>(inner1 - inner0).count());
+    EXPECT_LE(measured, 1.01 * std::chrono::duration<double>(outer1 - outer0).count());
+}
+
+INSTANTIATE_TEST_SUITE_P(Sources, ChunkClockSources,
+                         ::testing::Values(ChunkClock::Source::Auto,
+                                           ChunkClock::Source::Steady),
+                         [](const ::testing::TestParamInfo<ChunkClock::Source>& info) {
+                             return info.param == ChunkClock::Source::Auto ? "Auto" : "Steady";
+                         });
+
+TEST(ChunkClockTest, SourceSelection) {
+    EXPECT_FALSE(ChunkClock(ChunkClock::Source::Steady).uses_tsc());
+    const ChunkClock host;
+    EXPECT_EQ(host.uses_tsc(), ChunkClock::tsc_usable());
+    if (host.uses_tsc()) {
+        EXPECT_GT(host.ns_per_tick(), 0.0);
+    }
+}
+
+TEST(ChunkClockTest, NegativeTickDeltasClampToZero) {
+    using namespace std::chrono_literals;
+    const auto base = std::chrono::steady_clock::now();
+    const ChunkClock clock(/*ns_per_tick=*/0.5, base, /*tsc_base=*/1000);
+    EXPECT_EQ(clock.at_ticks(1010), base + 5ns);
+    EXPECT_EQ(clock.at_ticks(1000), base);
+    EXPECT_EQ(clock.at_ticks(999), base);
+    EXPECT_EQ(clock.at_ticks(0), base);
+    EXPECT_EQ(elapsed(base, base + 5ns), 5ns);
+    EXPECT_EQ(elapsed(base + 5ns, base), 0ns);
+    EXPECT_EQ(elapsed_seconds(base + 1ms, base), 0.0);
 }
 
 }  // namespace
