@@ -57,15 +57,6 @@ MandelbrotImage::MandelbrotImage(const MandelbrotConfig& cfg)
     std::fill_n(data_.get(), cfg.pixels(), kUncomputed);
 }
 
-MandelbrotImage::MandelbrotImage(const MandelbrotConfig& cfg, DeferInit)
-    : cfg_(cfg),
-      data_(std::make_unique_for_overwrite<int[]>(
-          static_cast<std::size_t>(cfg.pixels()))) {}
-
-void MandelbrotImage::init_range(std::int64_t begin, std::int64_t end) noexcept {
-    std::fill(data_.get() + begin, data_.get() + end, kUncomputed);
-}
-
 void MandelbrotImage::compute_pixel(std::int64_t pixel) noexcept {
     const int v = mandelbrot_iterations(cfg_, pixel);
     int& cell = data_[static_cast<std::size_t>(pixel)];

@@ -67,18 +67,6 @@ class MandelbrotImage {
 public:
     explicit MandelbrotImage(const MandelbrotConfig& cfg);
 
-    /// Deferred-initialization constructor: pixel storage is allocated but
-    /// NOT initialized, so the caller can first-touch it from the threads
-    /// that will compute it (pages land on the touching thread's NUMA
-    /// node — see ompsim::first_touch_fill). Every pixel must be covered
-    /// by init_range calls before anything else touches the image.
-    struct DeferInit {};
-    MandelbrotImage(const MandelbrotConfig& cfg, DeferInit);
-
-    /// First-touch initialization of [begin, end) to the "uncomputed"
-    /// sentinel (thread-safe for disjoint ranges).
-    void init_range(std::int64_t begin, std::int64_t end) noexcept;
-
     /// Computes one pixel (thread-safe for distinct pixels).
     void compute_pixel(std::int64_t pixel) noexcept;
 

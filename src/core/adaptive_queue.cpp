@@ -7,7 +7,6 @@
 
 #include "core/global_queue.hpp"
 #include "core/sharded_queue.hpp"
-#include "util/log.hpp"
 
 namespace hdls::core {
 
@@ -140,20 +139,10 @@ std::unique_ptr<InterQueue> make_inter_queue(const minimpi::Comm& comm,
                                              std::int64_t total_iterations,
                                              const HierConfig& cfg, int level_workers,
                                              int node) {
-    if (effective_inter_backend(cfg) == dls::InterBackend::Sharded) {
+    if (dls::effective_backend(cfg.inter, cfg.inter_backend) == dls::InterBackend::Sharded) {
         return std::make_unique<ShardedInterQueue>(comm, total_iterations, cfg.inter,
                                                    level_workers, node, cfg.min_chunk,
                                                    cfg.node_weights);
-    }
-    if (cfg.inter_backend == dls::InterBackend::Sharded) {
-        // FAC and the AWF family need the exact global remaining count (and
-        // the feedback region), which a shard cannot provide. Every rank
-        // takes this branch identically, so the fallback stays collective.
-        if (comm.rank() == 0) {
-            util::log_warn("sharded inter-node backend cannot serve ",
-                           dls::technique_name(cfg.inter),
-                           "; falling back to the centralized queue");
-        }
     }
     if (dls::supports_step_indexed(cfg.inter)) {
         return std::make_unique<GlobalWorkQueue>(comm, total_iterations, cfg.inter,

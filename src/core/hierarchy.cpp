@@ -1,22 +1,11 @@
 #include "core/hierarchy.hpp"
 
 #include <stdexcept>
-#include <string>
 #include <utility>
 
 #include "core/sharded_relay.hpp"
-#include "util/log.hpp"
 
 namespace hdls::core {
-
-namespace {
-
-[[nodiscard]] std::string level_label(const ResolvedHierarchy& rh, int d) {
-    return "level " + std::to_string(d) + " ('" +
-           rh.tree[static_cast<std::size_t>(d)].name + "')";
-}
-
-}  // namespace
 
 ClusterShape shape_from_topology(const std::vector<minimpi::TopologyLevel>& tree) {
     if (tree.size() < 2) {
@@ -33,88 +22,12 @@ ClusterShape shape_from_topology(const std::vector<minimpi::TopologyLevel>& tree
 }
 
 ResolvedHierarchy resolve_hierarchy(const ClusterShape& shape, const HierConfig& cfg) {
-    ResolvedHierarchy rh;
-    rh.tree = cfg.topology;
-    if (rh.tree.empty()) {
-        rh.tree = {{"nodes", shape.nodes}, {"cores", shape.workers_per_node}};
-    }
-    if (rh.tree.size() < 2) {
-        throw std::invalid_argument(
-            "topology: at least two levels are required (an inter level and the leaf)");
-    }
-    try {
-        rh.topology().validate();
-    } catch (const std::invalid_argument& e) {
-        throw std::invalid_argument(std::string("topology: ") + e.what());
-    }
-    if (rh.tree.back().fan_out != shape.workers_per_node) {
-        throw std::invalid_argument(
-            "topology: innermost fan-out (" + std::to_string(rh.tree.back().fan_out) +
-            ") must equal workers_per_node (" + std::to_string(shape.workers_per_node) + ")");
-    }
-    const std::int64_t product = rh.topology().tree_ranks();
-    if (product != shape.total_workers()) {
-        throw std::invalid_argument("topology: level fan-outs multiply to " +
-                                    std::to_string(product) + " but the cluster has " +
-                                    std::to_string(shape.total_workers()) + " workers");
-    }
-
-    const int depth = rh.depth();
-    if (cfg.levels.empty()) {
-        rh.levels.assign(static_cast<std::size_t>(depth),
-                         LevelConfig{cfg.inter, cfg.inter_backend});
-        rh.levels.back() = LevelConfig{cfg.intra, std::nullopt};
-    } else {
-        if (static_cast<int>(cfg.levels.size()) != depth) {
-            throw std::invalid_argument(
-                "levels: got " + std::to_string(cfg.levels.size()) +
-                " level configs for a depth-" + std::to_string(depth) + " topology");
-        }
-        rh.levels = cfg.levels;
-        for (int d = 0; d < depth - 1; ++d) {
-            auto& lc = rh.levels[static_cast<std::size_t>(d)];
-            if (!lc.backend) {
-                lc.backend = cfg.inter_backend;
-            }
-        }
-        rh.levels.back().backend.reset();
-    }
-
-    // Per-level capability checks + sharded fallback resolution, so the
-    // plan (and every report quoting it) states what actually runs.
-    {
-        auto& root = rh.levels.front();
-        if (!dls::supports_internode(root.technique)) {
-            throw std::invalid_argument(
-                std::string("level 0 technique ") +
-                std::string(dls::technique_name(root.technique)) +
-                " has neither a step-indexed nor a remaining-count-based distributed form");
-        }
-        if (root.backend == dls::InterBackend::Sharded &&
-            !dls::supports_sharded(root.technique)) {
-            util::log_warn("sharded backend cannot serve ",
-                           dls::technique_name(root.technique),
-                           " at level 0; falling back to the centralized queue");
-            root.backend = dls::InterBackend::Centralized;
-        }
-    }
-    for (int d = 1; d < depth - 1; ++d) {
-        auto& lc = rh.levels[static_cast<std::size_t>(d)];
-        if (lc.backend == dls::InterBackend::Sharded && !dls::supports_sharded(lc.technique)) {
-            util::log_warn("sharded backend cannot serve ",
-                           dls::technique_name(lc.technique), " at ", level_label(rh, d),
-                           "; falling back to the centralized relay");
-            lc.backend = dls::InterBackend::Centralized;
-        }
-        if (lc.backend == dls::InterBackend::Centralized &&
-            !dls::supports_step_indexed(lc.technique)) {
-            throw std::invalid_argument(
-                level_label(rh, d) + " technique " +
-                std::string(dls::technique_name(lc.technique)) +
-                " cannot relay parent chunks (needs a step-indexed or sharded form)");
-        }
-    }
-    return rh;
+    std::vector<minimpi::TopologyLevel> tree =
+        cfg.topology.empty() ? dls::classic_tree(shape.nodes, shape.workers_per_node)
+                             : cfg.topology;
+    dls::validate_tree(tree, shape.workers_per_node, shape.total_workers());
+    return dls::resolve_level_plan(std::move(tree), cfg.levels, cfg.inter, cfg.intra,
+                                   cfg.inter_backend);
 }
 
 Hierarchy build_hierarchy(const minimpi::Comm& world, std::int64_t total_iterations,

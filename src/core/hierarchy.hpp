@@ -4,7 +4,9 @@
 ///
 /// resolve_hierarchy turns a HierConfig (+ ClusterShape) into the concrete
 /// per-level plan — the machine tree and one effective LevelConfig per
-/// level — validating everything up front with one-line errors.
+/// level — validating everything up front with one-line errors. The plan
+/// type and its rules are dls::LevelPlan / dls::resolve_level_plan, the
+/// same the simulator resolves its runs with.
 /// build_hierarchy then assembles, per rank, the WorkSource chain that
 /// plan describes: the root inter-backend over the whole loop, one relay
 /// queue + ComposedWorkSource per deeper level (each over the rank's
@@ -26,20 +28,7 @@
 namespace hdls::core {
 
 /// The validated per-level plan of one run.
-struct ResolvedHierarchy {
-    /// Machine tree, outermost level first; depth >= 2.
-    std::vector<minimpi::TopologyLevel> tree;
-    /// One entry per tree level. Interior backends are resolved (engaged):
-    /// a sharded request for a technique without a sharded form has
-    /// already fallen back to Centralized. The leaf entry's backend is
-    /// disengaged — the leaf is always the level's shared local queue.
-    std::vector<LevelConfig> levels;
-
-    [[nodiscard]] int depth() const noexcept { return static_cast<int>(tree.size()); }
-
-    /// The minimpi topology of the full tree (MPI+MPI rank layout).
-    [[nodiscard]] minimpi::Topology topology() const { return minimpi::Topology::tree(tree); }
-};
+using ResolvedHierarchy = dls::LevelPlan;
 
 /// The ClusterShape a topology tree implies: workers_per_node = the
 /// innermost fan-out, nodes = the product of the outer fan-outs (the
@@ -49,12 +38,9 @@ struct ResolvedHierarchy {
 [[nodiscard]] ClusterShape shape_from_topology(
     const std::vector<minimpi::TopologyLevel>& tree);
 
-/// Resolves cfg.topology / cfg.levels against the cluster shape, deriving
-/// the classic defaults where unset, and validates: tree fan-outs >= 1
-/// with non-empty names, fan-out product == shape.total_workers(),
-/// innermost fan-out == shape.workers_per_node, cfg.levels size == depth
-/// when set, and per-level technique capabilities (root: a distributed
-/// form; interior: a step-indexed or sharded form). Throws
+/// Resolves cfg.topology / cfg.levels against the cluster shape (the
+/// classic {nodes, cores} tree when cfg.topology is unset): the tree
+/// passes dls::validate_tree, the levels dls::resolve_level_plan. Throws
 /// std::invalid_argument with a one-line message otherwise. Leaf-level
 /// requirements are approach-specific and stay in validate_combination.
 [[nodiscard]] ResolvedHierarchy resolve_hierarchy(const ClusterShape& shape,

@@ -30,23 +30,14 @@ namespace hdls::core {
 /// implements the WorkSource interface directly.
 using InterQueue = WorkSource;
 
-/// The backend make_inter_queue will actually construct for `cfg`: a
-/// sharded request for a technique without a sharded form (FAC, AWF-*)
-/// falls back to the centralized queue. The single source of truth for
-/// the fallback rule — the factory decides with it and reports quote it.
-[[nodiscard]] inline dls::InterBackend effective_inter_backend(const HierConfig& cfg) noexcept {
-    return cfg.inter_backend == dls::InterBackend::Sharded && dls::supports_sharded(cfg.inter)
-               ? dls::InterBackend::Sharded
-               : dls::InterBackend::Centralized;
-}
-
 /// Creates the level-1 queue for `cfg.inter` under `cfg.inter_backend`.
 /// Collective over `comm`. `level_workers` is P in the chunk formulas (the
 /// paper uses the node count) and `node` the caller's level-1 entity id in
 /// [0, level_workers) — the feedback slot adaptive techniques accumulate
 /// into, and the shard the sharded backend assigns the caller. A sharded
 /// request for a technique without a sharded form (FAC, AWF-*) falls back
-/// to the centralized queue with a warning. Throws minimpi::Error for
+/// to the centralized queue (dls::effective_backend; every rank decides
+/// alike, so the fallback stays collective). Throws minimpi::Error for
 /// techniques with no distributed form at all.
 [[nodiscard]] std::unique_ptr<InterQueue> make_inter_queue(const minimpi::Comm& comm,
                                                            std::int64_t total_iterations,

@@ -116,11 +116,8 @@ struct HierConfig {
     /// Per-level technique/backend choices, one per topology level: level
     /// 0 schedules the root (whole loop) among the outermost groups, the
     /// last level slices within the innermost (shared-memory) group.
-    /// Empty derives {inter + inter_backend, [inter + inter_backend ...,]
-    /// intra} for the tree's depth; when set, the size must equal the
-    /// depth, and `inter`/`intra` are ignored. A level with an unset
-    /// backend inherits `inter_backend` (interior levels only; the leaf
-    /// level is always the shared local queue).
+    /// Empty derives them from `inter`, `intra` and `inter_backend`; the
+    /// rules are dls::resolve_level_plan's.
     std::vector<LevelConfig> levels;
     /// Communication substrate of the MPI+MPI runtime: in-process thread
     /// mailboxes (Threads) or one POSIX shared-memory segment (Shm). Unset

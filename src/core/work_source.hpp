@@ -229,53 +229,12 @@ private:
                                pop_wait, level_);
             }
             // Queue drained: this rank happens to be the fastest — refill.
-            local_.begin_refill();
-            if (record_probe) {
-                tracer_.instant(trace::EventKind::RefillBegin, tracer_.now(), 0, 0, level_);
+            const Refill r = refill(/*async=*/false);
+            if (r.sub) {
+                return as_chunk(*r.sub);
             }
-            if (before_refill_) {
-                before_refill_();
-            }
-            const double acq_t0 = tracing_ ? tracer_.now() : 0.0;
-            const auto par_t0 = clock_.now();
-            if (const auto chunk = parent_.try_acquire()) {
-                observe_parent_acquire(*chunk, par_t0);
-                if (tracing_) {
-                    close_wait(acq_t0);
-                    tracer_.record(chunk->stolen ? trace::EventKind::Steal
-                                                 : trace::EventKind::GlobalAcquire,
-                                   acq_t0, tracer_.now(), chunk->start, chunk->size, 0.0,
-                                   level_ - 1);
-                }
-                ++refills_;
-                m_refills_->inc();
-                double push_t0 = 0.0;
-                double push_wait = 0.0;
-                if (tracing_) {
-                    push_t0 = tracer_.now();
-                }
-                const auto sub = local_.push_and_pop(chunk->start, chunk->size,
-                                                     tracing_ ? &push_wait : nullptr);
-                if (tracing_) {
-                    tracer_.record(trace::EventKind::LocalPop, push_t0, tracer_.now(),
-                                   sub ? sub->begin : -1, sub ? sub->end : -1, push_wait,
-                                   level_);
-                    tracer_.instant(trace::EventKind::RefillEnd, tracer_.now(), chunk->start,
-                                    chunk->size, level_);
-                }
-                if (sub) {
-                    m_pops_->inc();
-                    return as_chunk(*sub);
-                }
-                continue;
-            }
-            if (record_probe) {
-                tracer_.record(trace::EventKind::GlobalAcquire, acq_t0, tracer_.now(), 0, 0,
-                               0.0, level_ - 1);
-            }
-            local_.end_refill();
-            if (record_probe) {
-                tracer_.instant(trace::EventKind::RefillEnd, tracer_.now(), 0, 0, level_);
+            if (!r.parent_exhausted) {
+                continue;  // peers drained the pushed chunk first
             }
             // Parent exhausted. Terminate only when no peer is mid-refill
             // and nothing is left to pop, otherwise work could still appear.
@@ -292,16 +251,14 @@ private:
 
     /// Starts the next acquisition while the caller executes the chunk
     /// just returned (the double buffer's back side). One non-spinning
-    /// pass: pop the level queue; on empty, refill from the parent — the
-    /// in-flight announcement issued as a nonblocking window op
-    /// (begin_refill_async) and completed before the parent is touched,
-    /// per the termination protocol's ordering. Never blocks on peers: an
-    /// empty parent simply leaves the slot empty (the next try_acquire
-    /// falls back to the synchronous path, which owns the termination
-    /// protocol). When the root is adaptive (wants_feedback) the refill
-    /// boundary is NOT crossed: the next root decision must see the
-    /// feedback of the chunk whose execution this prefetch would overlap,
-    /// so only already-queued sub-chunks are prefetched and the refill
+    /// pass: pop the level queue; on empty, refill from the parent with a
+    /// nonblocking announcement. Never blocks on peers: an empty parent
+    /// simply leaves the slot empty (the next try_acquire falls back to
+    /// the synchronous path, which owns the termination protocol). When
+    /// the root is adaptive (wants_feedback) the refill boundary is NOT
+    /// crossed: the next root decision must see the feedback of the
+    /// chunk whose execution this prefetch would overlap, so only
+    /// already-queued sub-chunks are prefetched and the refill
     /// stays synchronous, after the flush — feedback-flush ordering is
     /// exactly the synchronous run's.
     void fill_slot() {
@@ -320,12 +277,43 @@ private:
         if (parent_.wants_feedback()) {
             return;  // adaptive root: the refill must follow the flush
         }
-        // The announcement flies as a nonblocking op while the refill's
-        // bookkeeping (trace marker, pre-acquire callback) runs; it must
-        // only have *landed* before the parent is touched, per the
-        // termination protocol's announce-before-parent ordering.
-        auto announce = local_.begin_refill_async();
+        const Refill r = refill(/*async=*/true);
         if (tracing_) {
+            slot_fill_seconds_ = tracer_.now() - fill_t0;
+        }
+        if (r.sub) {
+            slot_ = as_chunk(*r.sub);
+        }
+    }
+
+    /// What one refill found: an exhausted parent (the announcement was
+    /// withdrawn), or a pushed parent chunk and this rank's pop of it (none
+    /// when peers drained it first).
+    struct Refill {
+        bool parent_exhausted = false;
+        std::optional<LevelQueue::SubChunk> sub;
+    };
+
+    /// The refill transaction of both acquisition paths: announce the
+    /// refill, run the pre-acquire callback, acquire a parent chunk, then
+    /// push it and pop this rank's sub-chunk — or withdraw the
+    /// announcement when the parent is exhausted. The announcement always
+    /// lands before the parent is touched (the termination protocol's
+    /// ordering). `async` posts it as a nonblocking window op
+    /// (begin_refill_async) that flies while the trace marker and the
+    /// callback run (the prefetch path); otherwise it is the blocking
+    /// begin_refill().
+    [[nodiscard]] Refill refill(bool async) {
+        // Probes stay muted during a coalesced termination wait (see
+        // acquire_sync); fill_slot never runs inside one.
+        const bool record_probe = tracing_ && wait_start_ < 0.0;
+        minimpi::AtomicUpdateRequest<std::int64_t> announce;
+        if (async) {
+            announce = local_.begin_refill_async();
+        } else {
+            local_.begin_refill();
+        }
+        if (record_probe) {
             tracer_.instant(trace::EventKind::RefillBegin, tracer_.now(), 0, 0, level_);
         }
         if (before_refill_) {
@@ -334,44 +322,41 @@ private:
         (void)announce.wait();
         const double acq_t0 = tracing_ ? tracer_.now() : 0.0;
         const auto par_t0 = clock_.now();
-        if (const auto chunk = parent_.try_acquire()) {
-            observe_parent_acquire(*chunk, par_t0);
-            if (tracing_) {
-                tracer_.record(chunk->stolen ? trace::EventKind::Steal
-                                             : trace::EventKind::GlobalAcquire,
-                               acq_t0, tracer_.now(), chunk->start, chunk->size, 0.0,
-                               level_ - 1);
+        const auto chunk = parent_.try_acquire();
+        if (!chunk) {
+            if (record_probe) {
+                tracer_.record(trace::EventKind::GlobalAcquire, acq_t0, tracer_.now(), 0, 0,
+                               0.0, level_ - 1);
             }
-            ++refills_;
-            m_refills_->inc();
-            double push_t0 = 0.0;
-            double push_wait = 0.0;
-            if (tracing_) {
-                push_t0 = tracer_.now();
+            local_.end_refill();
+            if (record_probe) {
+                tracer_.instant(trace::EventKind::RefillEnd, tracer_.now(), 0, 0, level_);
             }
-            const auto sub = local_.push_and_pop(chunk->start, chunk->size,
-                                                 tracing_ ? &push_wait : nullptr);
-            if (tracing_) {
-                tracer_.record(trace::EventKind::LocalPop, push_t0, tracer_.now(),
-                               sub ? sub->begin : -1, sub ? sub->end : -1, push_wait, level_);
-                tracer_.instant(trace::EventKind::RefillEnd, tracer_.now(), chunk->start,
-                                chunk->size, level_);
-                slot_fill_seconds_ = tracer_.now() - fill_t0;
-            }
-            if (sub) {
-                m_pops_->inc();
-                slot_ = as_chunk(*sub);
-            }
-            return;
+            return {.parent_exhausted = true, .sub = std::nullopt};
         }
+        observe_parent_acquire(*chunk, par_t0);
         if (tracing_) {
-            tracer_.record(trace::EventKind::GlobalAcquire, acq_t0, tracer_.now(), 0, 0, 0.0,
-                           level_ - 1);
+            close_wait(acq_t0);
+            tracer_.record(chunk->stolen ? trace::EventKind::Steal
+                                         : trace::EventKind::GlobalAcquire,
+                           acq_t0, tracer_.now(), chunk->start, chunk->size, 0.0, level_ - 1);
         }
-        local_.end_refill();
+        ++refills_;
+        m_refills_->inc();
+        const double push_t0 = tracing_ ? tracer_.now() : 0.0;
+        double push_wait = 0.0;
+        auto sub =
+            local_.push_and_pop(chunk->start, chunk->size, tracing_ ? &push_wait : nullptr);
         if (tracing_) {
-            tracer_.instant(trace::EventKind::RefillEnd, tracer_.now(), 0, 0, level_);
+            tracer_.record(trace::EventKind::LocalPop, push_t0, tracer_.now(),
+                           sub ? sub->begin : -1, sub ? sub->end : -1, push_wait, level_);
+            tracer_.instant(trace::EventKind::RefillEnd, tracer_.now(), chunk->start,
+                            chunk->size, level_);
         }
+        if (sub) {
+            m_pops_->inc();
+        }
+        return {.parent_exhausted = false, .sub = std::move(sub)};
     }
 
 public:

@@ -5,9 +5,11 @@
 #include <numeric>
 #include <stdexcept>
 #include <string>
+#include <utility>
 
 #include "dls/adaptive.hpp"
 #include "dls/chunk_formulas.hpp"
+#include "util/log.hpp"
 
 namespace hdls::dls {
 
@@ -38,6 +40,104 @@ std::optional<InterBackend> inter_backend_from_string(std::string_view name) noe
 
 bool supports_sharded(Technique t) noexcept {
     return supports_step_indexed(t) || t == Technique::WF;
+}
+
+InterBackend effective_backend(Technique t, InterBackend requested) noexcept {
+    return requested == InterBackend::Sharded && !supports_sharded(t)
+               ? InterBackend::Centralized
+               : requested;
+}
+
+std::vector<minimpi::TopologyLevel> classic_tree(int nodes, int workers_per_node) {
+    return {{"nodes", nodes}, {"cores", workers_per_node}};
+}
+
+void validate_tree(const std::vector<minimpi::TopologyLevel>& tree, int workers_per_node,
+                   std::int64_t total_workers) {
+    if (tree.size() < 2) {
+        throw std::invalid_argument(
+            "topology: at least two levels are required (an inter level and the leaf)");
+    }
+    std::int64_t product = 1;
+    for (const minimpi::TopologyLevel& lv : tree) {
+        if (lv.name.empty()) {
+            throw std::invalid_argument("topology: level names must be non-empty");
+        }
+        if (lv.fan_out < 1) {
+            throw std::invalid_argument("topology: level '" + lv.name +
+                                        "' fan-out must be >= 1 (got " +
+                                        std::to_string(lv.fan_out) + ")");
+        }
+        product *= lv.fan_out;
+    }
+    if (tree.back().fan_out != workers_per_node) {
+        throw std::invalid_argument(
+            "topology: innermost fan-out (" + std::to_string(tree.back().fan_out) +
+            ") must equal workers_per_node (" + std::to_string(workers_per_node) + ")");
+    }
+    if (product != total_workers) {
+        throw std::invalid_argument("topology: level fan-outs multiply to " +
+                                    std::to_string(product) + " but the cluster has " +
+                                    std::to_string(total_workers) + " workers");
+    }
+}
+
+LevelPlan resolve_level_plan(std::vector<minimpi::TopologyLevel> tree,
+                             const std::vector<LevelScheme>& levels, Technique inter,
+                             Technique intra, InterBackend inter_backend) {
+    LevelPlan plan;
+    plan.tree = std::move(tree);
+    const int depth = plan.depth();
+    if (levels.empty()) {
+        plan.levels.assign(static_cast<std::size_t>(depth), LevelScheme{inter, inter_backend});
+        plan.levels.back() = LevelScheme{intra, std::nullopt};
+    } else {
+        if (static_cast<int>(levels.size()) != depth) {
+            throw std::invalid_argument("levels: got " + std::to_string(levels.size()) +
+                                        " level configs for a depth-" +
+                                        std::to_string(depth) + " topology");
+        }
+        plan.levels = levels;
+        for (int d = 0; d < depth - 1; ++d) {
+            auto& lv = plan.levels[static_cast<std::size_t>(d)];
+            if (!lv.backend) {
+                lv.backend = inter_backend;
+            }
+        }
+        plan.levels.back().backend.reset();
+    }
+
+    // Capability checks + sharded fallback, so the plan (and every report
+    // quoting it) states what actually runs.
+    const auto level_label = [&plan](int d) {
+        return "level " + std::to_string(d) + " ('" +
+               plan.tree[static_cast<std::size_t>(d)].name + "')";
+    };
+    for (int d = 0; d < depth - 1; ++d) {
+        auto& lv = plan.levels[static_cast<std::size_t>(d)];
+        if (d == 0 && !supports_internode(lv.technique)) {
+            throw std::invalid_argument(
+                std::string("level 0 technique ") + std::string(technique_name(lv.technique)) +
+                " has neither a step-indexed nor a remaining-count-based distributed form");
+        }
+        if (effective_backend(lv.technique, *lv.backend) != *lv.backend) {
+            if (d == 0) {
+                util::log_warn("sharded backend cannot serve ", technique_name(lv.technique),
+                               " at level 0; falling back to the centralized queue");
+            } else {
+                util::log_warn("sharded backend cannot serve ", technique_name(lv.technique),
+                               " at ", level_label(d), "; falling back to the centralized relay");
+            }
+            lv.backend = InterBackend::Centralized;
+        }
+        if (d > 0 && lv.backend == InterBackend::Centralized &&
+            !supports_step_indexed(lv.technique)) {
+            throw std::invalid_argument(
+                level_label(d) + " technique " + std::string(technique_name(lv.technique)) +
+                " cannot relay parent chunks (needs a step-indexed or sharded form)");
+        }
+    }
+    return plan;
 }
 
 Technique shard_formula(Technique t) {

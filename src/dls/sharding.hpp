@@ -1,6 +1,12 @@
 #pragma once
 /// \file sharding.hpp
-/// Shard math of the *sharded* inter-node backend.
+/// Per-level scheduling plans and the shard math of the *sharded* backend.
+///
+/// A run's plan is one machine tree plus one LevelScheme per tree level.
+/// resolve_level_plan is the single resolver behind both front ends —
+/// core::resolve_hierarchy (the real executors) and sim::simulate (the
+/// simulator) — so the derivation, backend inheritance, capability checks
+/// and sharded fallback are one rule set.
 ///
 /// The centralized level-1 queues serialize every acquisition through one
 /// rank-0 RMA window. The sharded backend removes that hotspot the way
@@ -11,7 +17,7 @@
 /// through the step-indexed formulas, and an idle node steals half the
 /// remainder of the most-loaded victim's shard with one CAS.
 ///
-/// Everything here is pure shard arithmetic shared by the real queue
+/// The shard functions are pure arithmetic shared by the real queue
 /// (core::ShardedInterQueue) and the simulator's virtual-time source
 /// (sim::detail::ShardedInterSource), so the two cannot drift:
 ///  * shard_partition  — largest-remainder apportionment of N by weight;
@@ -27,6 +33,7 @@
 #include <vector>
 
 #include "dls/technique.hpp"
+#include "minimpi/topology.hpp"
 
 namespace hdls::dls {
 
@@ -53,12 +60,61 @@ struct LevelScheme {
 [[nodiscard]] std::optional<InterBackend> inter_backend_from_string(
     std::string_view name) noexcept;
 
+/// The validated per-level plan of one run.
+struct LevelPlan {
+    /// Machine tree, outermost level first; depth >= 2.
+    std::vector<minimpi::TopologyLevel> tree;
+    /// One entry per tree level. Interior backends are engaged and final:
+    /// a sharded request for a technique without a sharded form has
+    /// already fallen back to Centralized. The leaf entry's backend is
+    /// disengaged — the leaf is always the group's shared local queue.
+    std::vector<LevelScheme> levels;
+
+    [[nodiscard]] int depth() const noexcept { return static_cast<int>(tree.size()); }
+
+    /// The minimpi topology of the full tree (MPI+MPI rank layout).
+    [[nodiscard]] minimpi::Topology topology() const { return minimpi::Topology::tree(tree); }
+};
+
+/// The classic two-level {nodes, cores} tree.
+[[nodiscard]] std::vector<minimpi::TopologyLevel> classic_tree(int nodes,
+                                                               int workers_per_node);
+
+/// Checks a machine tree for a cluster of `total_workers` workers,
+/// `workers_per_node` per leaf group: at least two levels, non-empty
+/// names, fan-outs >= 1, innermost fan-out == workers_per_node and
+/// fan-out product == total_workers. Throws std::invalid_argument with a
+/// one-line "topology: ..." message otherwise; allocates nothing when the
+/// tree is valid.
+void validate_tree(const std::vector<minimpi::TopologyLevel>& tree, int workers_per_node,
+                   std::int64_t total_workers);
+
+/// Resolves the level plan over `tree` (which must pass validate_tree).
+/// An empty `levels` derives {inter + inter_backend, [inter +
+/// inter_backend, ...,] intra} — `inter`/`intra` are sugar for it;
+/// otherwise its size must equal the tree depth, and an unset interior
+/// backend inherits `inter_backend`. The root needs a distributed form;
+/// a sharded request without a sharded form falls back to Centralized
+/// with a warning; an interior centralized relay needs a step-indexed
+/// form. Throws std::invalid_argument with a one-line message otherwise.
+/// Leaf-level requirements depend on the execution model and stay with
+/// the callers.
+[[nodiscard]] LevelPlan resolve_level_plan(std::vector<minimpi::TopologyLevel> tree,
+                                           const std::vector<LevelScheme>& levels,
+                                           Technique inter, Technique intra,
+                                           InterBackend inter_backend);
+
 /// True if the technique can be served by the sharded backend: every
 /// step-indexed technique, plus WF (whose static weights become the shard
 /// partition, with FAC2 halving inside each shard — weighted factoring by
 /// construction). The adaptive family and FAC need the exact *global*
 /// remaining count and stay centralized.
 [[nodiscard]] bool supports_sharded(Technique t) noexcept;
+
+/// The backend a level running `t` gets for a `requested` backend: a
+/// sharded request for a technique without a sharded form falls back to
+/// Centralized. The one statement of the fallback rule.
+[[nodiscard]] InterBackend effective_backend(Technique t, InterBackend requested) noexcept;
 
 /// The step-indexed formula used *within* a shard: the technique itself,
 /// except WF which maps to FAC2 (its weight already shaped the shard).

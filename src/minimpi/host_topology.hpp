@@ -5,11 +5,8 @@
 ///
 /// minimpi::Topology describes the *machine tree* the scheduler partitions
 /// work over (racks / nodes / cores); this file describes where the leaf
-/// workers physically land, which matters twice:
-///   1. thread placement — ompsim::ThreadTeam pins its members according to
-///      a PinPolicy plan over this topology (HDLS_PIN), and
-///   2. first-touch — buffers initialized by their computing thread get
-///      their pages on that thread's socket.
+/// workers physically land: ompsim::ThreadTeam pins its members according
+/// to a PinPolicy plan over this topology (HDLS_PIN).
 ///
 /// Detection reads sysfs (physical_package_id per CPU); on non-Linux hosts
 /// or restricted containers it degrades to a single socket spanning

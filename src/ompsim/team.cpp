@@ -311,13 +311,4 @@ int ThreadTeam::pinned_cpu(int thread_id) const noexcept {
     return pin_cpus_[static_cast<std::size_t>(thread_id)];
 }
 
-std::vector<double> ThreadTeam::measure_per_thread(
-    const std::function<double(int)>& probe) {
-    std::vector<double> out(static_cast<std::size_t>(size()), 0.0);
-    // Distinct indices per thread: no synchronization needed beyond the
-    // region's implicit join.
-    parallel([&](int tid) { out[static_cast<std::size_t>(tid)] = probe(tid); });
-    return out;
-}
-
 }  // namespace hdls::ompsim

@@ -77,13 +77,6 @@ public:
     [[nodiscard]] int pinned_cpu(int thread_id) const noexcept;
     [[nodiscard]] minimpi::PinPolicy pin_policy() const noexcept { return pin_policy_; }
 
-    /// Runs probe(thread_id) on every member (a full parallel region) and
-    /// returns the per-thread results indexed by thread id. This is how
-    /// per-worker kernel throughput is measured *on the CPUs the workers
-    /// actually occupy* to seed the honest AWF/WF weights.
-    [[nodiscard]] std::vector<double> measure_per_thread(
-        const std::function<double(int thread_id)>& probe);
-
 private:
     /// Shared state of one worksharing construct. Slots are recycled
     /// round-robin; the generation tag pairs threads with the right

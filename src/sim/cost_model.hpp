@@ -23,6 +23,7 @@
 #include <stdexcept>
 #include <vector>
 
+#include "dls/sharding.hpp"
 #include "minimpi/topology.hpp"
 
 namespace hdls::sim {
@@ -129,10 +130,7 @@ struct ClusterSpec {
 
     /// The effective tree (the implied {nodes, cores} one when unset).
     [[nodiscard]] std::vector<minimpi::TopologyLevel> effective_tree() const {
-        if (!tree.empty()) {
-            return tree;
-        }
-        return {{"nodes", nodes}, {"cores", workers_per_node}};
+        return tree.empty() ? dls::classic_tree(nodes, workers_per_node) : tree;
     }
 
     /// Execution-speed factor of `node` (compute time = cost / speed).
@@ -145,20 +143,7 @@ struct ClusterSpec {
             throw std::invalid_argument("ClusterSpec: shape must be positive");
         }
         if (!tree.empty()) {
-            if (tree.size() < 2) {
-                throw std::invalid_argument(
-                    "ClusterSpec: a topology tree needs at least two levels");
-            }
-            const minimpi::Topology topo = minimpi::Topology::tree(tree);
-            topo.validate();
-            if (tree.back().fan_out != workers_per_node) {
-                throw std::invalid_argument(
-                    "ClusterSpec: innermost fan-out must equal workers_per_node");
-            }
-            if (topo.tree_ranks() != total_workers()) {
-                throw std::invalid_argument(
-                    "ClusterSpec: tree fan-outs must multiply to the worker count");
-            }
+            dls::validate_tree(tree, workers_per_node, total_workers());
         }
         if (!node_speed.empty()) {
             if (node_speed.size() != static_cast<std::size_t>(nodes)) {

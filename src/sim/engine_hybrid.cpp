@@ -38,7 +38,7 @@ struct Event {
 }  // namespace
 
 SimReport simulate_hybrid_barrier(const ClusterSpec& cluster, const SimConfig& config,
-                                  const WorkloadTrace& workload) {
+                                  const dls::LevelPlan& plan, const WorkloadTrace& workload) {
     const CostModel& costs = cluster.costs;
     const int team = cluster.workers_per_node;
     const std::int64_t n = workload.iterations();
@@ -46,7 +46,7 @@ SimReport simulate_hybrid_barrier(const ClusterSpec& cluster, const SimConfig& c
     SimReport report;
     report.nodes = cluster.nodes;
     report.workers_per_node = team;
-    report.topology = cluster.effective_tree();
+    report.topology = plan.tree;
     report.total_iterations = n;
     report.workers.assign(static_cast<std::size_t>(cluster.total_workers()), SimWorker{});
     for (int w = 0; w < cluster.total_workers(); ++w) {
@@ -65,7 +65,6 @@ SimReport simulate_hybrid_barrier(const ClusterSpec& cluster, const SimConfig& c
 
     // The whole hierarchy above the thread-team leaves (root backend + any
     // relay levels of a deep tree), priced per level in one shared place.
-    const SimPlan plan = resolve_sim_plan(cluster, config);
     const dls::Technique leaf_technique = plan.levels.back().technique;
     HierarchicalSource source(cluster, config, plan, n);
 

@@ -62,8 +62,8 @@ struct Event {
 }  // namespace
 
 SimReport simulate_shared_queue(const ClusterSpec& cluster, const SimConfig& config,
-                                const WorkloadTrace& workload, bool polling_lock,
-                                bool any_rank_refills) {
+                                const dls::LevelPlan& plan, const WorkloadTrace& workload,
+                                bool polling_lock, bool any_rank_refills) {
     const CostModel& costs = cluster.costs;
     const int total_workers = cluster.total_workers();
     const std::int64_t n = workload.iterations();
@@ -71,7 +71,7 @@ SimReport simulate_shared_queue(const ClusterSpec& cluster, const SimConfig& con
     SimReport report;
     report.nodes = cluster.nodes;
     report.workers_per_node = cluster.workers_per_node;
-    report.topology = cluster.effective_tree();
+    report.topology = plan.tree;
     report.total_iterations = n;
     report.workers.assign(static_cast<std::size_t>(total_workers), SimWorker{});
     for (int w = 0; w < total_workers; ++w) {
@@ -93,7 +93,6 @@ SimReport simulate_shared_queue(const ClusterSpec& cluster, const SimConfig& con
 
     // The whole hierarchy above the leaf queues (root backend + any relay
     // levels of a deep tree), priced per level in one shared place.
-    const SimPlan plan = resolve_sim_plan(cluster, config);
     const dls::Technique leaf_technique = plan.levels.back().technique;
     const int leaf_level = plan.depth() - 1;
     HierarchicalSource source(cluster, config, plan, n);

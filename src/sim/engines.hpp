@@ -1,6 +1,7 @@
 #pragma once
 /// \file engines.hpp
-/// Internal: the two simulation engines behind sim::simulate().
+/// Internal: the two simulation engines behind sim::simulate(), which
+/// resolves the run's level plan once and hands it to them.
 /// Not part of the public API.
 
 #include "sim/simulator.hpp"
@@ -16,6 +17,7 @@ namespace hdls::sim::detail {
 ///  * any_rank_refills = false restricts global-queue access to worker 0 of
 ///    each node (MPI_THREAD_FUNNELED).
 [[nodiscard]] SimReport simulate_shared_queue(const ClusterSpec& cluster, const SimConfig& config,
+                                              const dls::LevelPlan& plan,
                                               const WorkloadTrace& workload, bool polling_lock,
                                               bool any_rank_refills);
 
@@ -24,6 +26,7 @@ namespace hdls::sim::detail {
 /// barrier per chunk — the MPI+OpenMP baseline (paper Figure 2).
 [[nodiscard]] SimReport simulate_hybrid_barrier(const ClusterSpec& cluster,
                                                 const SimConfig& config,
+                                                const dls::LevelPlan& plan,
                                                 const WorkloadTrace& workload);
 
 }  // namespace hdls::sim::detail

@@ -37,8 +37,6 @@
 #include <memory>
 #include <optional>
 #include <span>
-#include <stdexcept>
-#include <string>
 #include <vector>
 
 #include "dls/adaptive.hpp"
@@ -332,14 +330,13 @@ private:
     double shm_;
 };
 
-/// Picks the backend for `config.inter`; a sharded request for a technique
-/// without a sharded form (FAC, AWF-*) falls back to the centralized
-/// source, mirroring core::make_inter_queue.
+/// The root source for a resolved backend (dls::LevelPlan has already
+/// applied the sharded fallback).
 [[nodiscard]] inline std::unique_ptr<InterSource> make_inter_source(
     dls::InterBackend backend, dls::Technique technique, const dls::LoopParams& params,
     int nodes, const std::vector<double>& wf_weights, const CostModel& costs,
     double rma_latency_s = -1.0) {
-    if (backend == dls::InterBackend::Sharded && dls::supports_sharded(technique)) {
+    if (backend == dls::InterBackend::Sharded) {
         return std::make_unique<ShardedInterSource>(technique, params, nodes, wf_weights,
                                                     costs, rma_latency_s);
     }
@@ -366,67 +363,6 @@ struct PrefetchCharge {
     double hidden = 0.0;   ///< latency absorbed behind the overlap window
     bool hit = false;      ///< the acquisition completed within the window
 };
-
-/// The validated per-level plan of one simulated run (the sim twin of
-/// core::resolve_hierarchy, duplicated only in shape: the simulator keeps
-/// no dependency on the real executors' core layer).
-struct SimPlan {
-    std::vector<minimpi::TopologyLevel> tree;   ///< depth >= 2
-    std::vector<dls::LevelScheme> levels;       ///< per level; interior backends engaged
-
-    [[nodiscard]] int depth() const noexcept { return static_cast<int>(tree.size()); }
-};
-
-[[nodiscard]] inline SimPlan resolve_sim_plan(const ClusterSpec& cluster,
-                                              const SimConfig& config) {
-    SimPlan plan;
-    plan.tree = cluster.effective_tree();  // cluster.validate() checked consistency
-    const int depth = plan.depth();
-    if (config.levels.empty()) {
-        plan.levels.assign(static_cast<std::size_t>(depth),
-                           dls::LevelScheme{config.inter, config.inter_backend});
-        plan.levels.back() = dls::LevelScheme{config.intra, std::nullopt};
-    } else {
-        if (static_cast<int>(config.levels.size()) != depth) {
-            throw std::invalid_argument("simulate: got " +
-                                        std::to_string(config.levels.size()) +
-                                        " level configs for a depth-" + std::to_string(depth) +
-                                        " topology");
-        }
-        plan.levels = config.levels;
-        for (int d = 0; d < depth - 1; ++d) {
-            auto& lv = plan.levels[static_cast<std::size_t>(d)];
-            if (!lv.backend) {
-                lv.backend = config.inter_backend;
-            }
-        }
-        plan.levels.back().backend.reset();
-    }
-    auto& root = plan.levels.front();
-    if (!dls::supports_internode(root.technique)) {
-        throw std::invalid_argument(
-            std::string("simulate: level 0 technique ") +
-            std::string(dls::technique_name(root.technique)) +
-            " has neither a step-indexed nor a remaining-count-based distributed form");
-    }
-    if (root.backend == dls::InterBackend::Sharded && !dls::supports_sharded(root.technique)) {
-        root.backend = dls::InterBackend::Centralized;
-    }
-    for (int d = 1; d < depth - 1; ++d) {
-        auto& lv = plan.levels[static_cast<std::size_t>(d)];
-        if (lv.backend == dls::InterBackend::Sharded && !dls::supports_sharded(lv.technique)) {
-            lv.backend = dls::InterBackend::Centralized;
-        }
-        if (lv.backend == dls::InterBackend::Centralized &&
-            !dls::supports_step_indexed(lv.technique)) {
-            throw std::invalid_argument(
-                std::string("simulate: level ") + std::to_string(d) + " technique " +
-                std::string(dls::technique_name(lv.technique)) +
-                " cannot relay parent chunks (needs a step-indexed or sharded form)");
-        }
-    }
-    return plan;
-}
 
 /// The whole upper scheduling hierarchy of a deep tree, priced per level —
 /// the one place both engines take acquire costs from (the leaf queue
@@ -455,7 +391,7 @@ public:
     };
 
     HierarchicalSource(const ClusterSpec& cluster, const SimConfig& config,
-                       const SimPlan& plan, std::int64_t n)
+                       const dls::LevelPlan& plan, std::int64_t n)
         : depth_(plan.depth()), prefetch_issue_s_(cluster.costs.prefetch_issue_s()) {
         fan_.reserve(plan.tree.size());
         for (const auto& lv : plan.tree) {
@@ -476,7 +412,7 @@ public:
         params.sigma = config.fac_sigma;
         params.mu = config.fac_mu;
         const auto& root = plan.levels.front();
-        root_ = make_inter_source(root.backend.value_or(dls::InterBackend::Centralized),
+        root_ = make_inter_source(*root.backend,
                                   root.technique, params, fan_.front(), config.inter_weights,
                                   cluster.costs, cluster.costs.level_rma_s(0));
 

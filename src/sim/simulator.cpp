@@ -82,9 +82,16 @@ SimReport simulate(ExecModel model, const ClusterSpec& cluster, const SimConfig&
     if (config.min_chunk < 1) {
         throw std::invalid_argument("simulate: min_chunk must be >= 1");
     }
-    // Per-level plan: tree/levels consistency, root capability and interior
-    // relay forms (throws its own one-line errors).
-    const detail::SimPlan plan = detail::resolve_sim_plan(cluster, config);
+    // Per-level plan, resolved once per run: level count, root capability,
+    // sharded fallback and interior relay forms (cluster.validate() has
+    // checked the tree).
+    dls::LevelPlan plan;
+    try {
+        plan = dls::resolve_level_plan(cluster.effective_tree(), config.levels, config.inter,
+                                       config.intra, config.inter_backend);
+    } catch (const std::invalid_argument& e) {
+        throw std::invalid_argument(std::string("simulate: ") + e.what());
+    }
     if (!dls::supports_step_indexed(plan.levels.back().technique)) {
         throw std::invalid_argument(
             std::string("simulate: intra-node technique ") +
@@ -127,17 +134,17 @@ SimReport simulate(ExecModel model, const ClusterSpec& cluster, const SimConfig&
     SimReport report;
     switch (model) {
         case ExecModel::MpiMpi:
-            report = detail::simulate_shared_queue(cluster, config, trace,
+            report = detail::simulate_shared_queue(cluster, config, plan, trace,
                                                    /*polling_lock=*/true,
                                                    /*any_rank_refills=*/true);
             break;
         case ExecModel::MpiOpenMpNowait:
-            report = detail::simulate_shared_queue(cluster, config, trace,
+            report = detail::simulate_shared_queue(cluster, config, plan, trace,
                                                    /*polling_lock=*/false,
                                                    /*any_rank_refills=*/false);
             break;
         case ExecModel::MpiOpenMp:
-            report = detail::simulate_hybrid_barrier(cluster, config, trace);
+            report = detail::simulate_hybrid_barrier(cluster, config, plan, trace);
             break;
         default:
             throw std::invalid_argument("simulate: unknown execution model");

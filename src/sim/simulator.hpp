@@ -77,11 +77,8 @@ struct SimConfig {
     double fac_sigma = 0.0;
     double fac_mu = 1.0;
     /// Per-level technique/backend choices for a deep ClusterSpec::tree,
-    /// one per tree level (mirrors HierConfig::levels). Empty derives
-    /// {inter + inter_backend, [inter + inter_backend ...,] intra}; when
-    /// set, the size must equal the tree depth and `inter`/`intra` are
-    /// ignored. An unset backend inherits `inter_backend` (interior
-    /// levels).
+    /// one per tree level, resolved by dls::resolve_level_plan exactly as
+    /// HierConfig::levels is.
     std::vector<dls::LevelScheme> levels;
     /// Asynchronous chunk prefetching (mirrors HierConfig::prefetch): an
     /// upper-level acquisition that follows a computed chunk is priced as

@@ -76,21 +76,6 @@ TEST(MandelbrotTest, ImageTracksUncomputedPixels) {
     EXPECT_EQ(img.uncomputed(), 0);
 }
 
-TEST(MandelbrotTest, DeferInitMatchesNormalConstruction) {
-    const MandelbrotConfig cfg = small_config();
-    MandelbrotImage eager(cfg);
-    eager.compute_range(0, cfg.pixels());
-
-    MandelbrotImage deferred(cfg, MandelbrotImage::DeferInit{});
-    // First-touch style: initialize in two disjoint ranges, then compute.
-    deferred.init_range(0, cfg.pixels() / 2);
-    deferred.init_range(cfg.pixels() / 2, cfg.pixels());
-    EXPECT_EQ(deferred.uncomputed(), cfg.pixels());
-    deferred.compute_range(0, cfg.pixels());
-    EXPECT_EQ(deferred.uncomputed(), 0);
-    EXPECT_EQ(deferred.checksum(), eager.checksum());
-}
-
 TEST(MandelbrotTest, BatchMatchesPerPixelIterations) {
     const MandelbrotConfig cfg = small_config();
     std::vector<int> batch(static_cast<std::size_t>(cfg.pixels()));

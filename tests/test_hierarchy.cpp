@@ -118,6 +118,93 @@ TEST(HierarchyResolveTest, ShardedFallsBackPerLevel) {
     EXPECT_EQ(rh.levels[1].backend, InterBackend::Sharded);
 }
 
+TEST(LevelPlanTest, OneResolverServesTheExecutorsAndTheSimulator) {
+    using Levels = std::vector<LevelConfig>;
+    constexpr auto kCentral = InterBackend::Centralized;
+    constexpr auto kSharded = InterBackend::Sharded;
+    // Every named technique has a distributed form; an out-of-range value
+    // stands in for one without.
+    const auto no_distributed_form = static_cast<Technique>(255);
+    const std::vector<TopologyLevel> flat = {{"nodes", 2}, {"cores", 4}};
+    const std::vector<TopologyLevel> deep = {{"racks", 2}, {"nodes", 2}, {"cores", 2}};
+    struct Case {
+        const char* name;
+        std::vector<TopologyLevel> tree;
+        Levels levels;  ///< empty: derived from inter/intra
+        Technique inter;
+        InterBackend inter_backend;
+        Levels expected;  ///< empty: invalid, every front end throws
+    };
+    const std::vector<Case> cases = {
+        {"derived classic plan", flat, {}, Technique::FAC2, kCentral,
+         {{Technique::FAC2, kCentral}, {Technique::SS, std::nullopt}}},
+        {"backend inheritance", deep,
+         {{Technique::GSS, std::nullopt}, {Technique::TSS, kCentral}, {Technique::SS, kSharded}},
+         Technique::GSS, kSharded,
+         {{Technique::GSS, kSharded}, {Technique::TSS, kCentral}, {Technique::SS, std::nullopt}}},
+        {"level-count mismatch", deep,
+         {{Technique::GSS, std::nullopt}, {Technique::SS, std::nullopt}}, Technique::GSS,
+         kCentral, {}},
+        {"root without a distributed form", flat, {}, no_distributed_form, kCentral, {}},
+        {"sharded fallback at the root", flat, {}, Technique::AWFB, kSharded,
+         {{Technique::AWFB, kCentral}, {Technique::SS, std::nullopt}}},
+        // FAC has no sharded form, and the centralized relay it falls back
+        // to needs the step-indexed form FAC lacks too.
+        {"sharded fallback at an interior level", deep,
+         {{Technique::GSS, std::nullopt},
+          {Technique::FAC, std::nullopt},
+          {Technique::SS, std::nullopt}},
+         Technique::GSS, kSharded, {}},
+        {"non-step-indexed centralized relay", deep,
+         {{Technique::GSS, std::nullopt}, {Technique::WF, kCentral}, {Technique::SS, std::nullopt}},
+         Technique::GSS, kCentral, {}},
+    };
+    const hdls::sim::WorkloadTrace workload(std::vector<double>(64, 1e-6));
+    for (const Case& c : cases) {
+        SCOPED_TRACE(c.name);
+        const ClusterShape shape = hdls::core::shape_from_topology(c.tree);
+        HierConfig cfg;
+        cfg.topology = c.tree;
+        cfg.levels = c.levels;
+        cfg.inter = c.inter;
+        cfg.intra = Technique::SS;
+        cfg.inter_backend = c.inter_backend;
+        hdls::sim::ClusterSpec cluster;
+        cluster.nodes = shape.nodes;
+        cluster.workers_per_node = shape.workers_per_node;
+        cluster.tree = c.tree;
+        hdls::sim::SimConfig sim_cfg;
+        sim_cfg.inter = cfg.inter;
+        sim_cfg.intra = cfg.intra;
+        sim_cfg.inter_backend = cfg.inter_backend;
+        sim_cfg.levels = cfg.levels;
+        const auto resolve = [&] {
+            return hdls::dls::resolve_level_plan(c.tree, c.levels, cfg.inter, cfg.intra,
+                                                 cfg.inter_backend);
+        };
+        const auto simulate = [&] {
+            return hdls::sim::simulate(hdls::sim::ExecModel::MpiMpi, cluster, sim_cfg, workload);
+        };
+        if (c.expected.empty()) {
+            EXPECT_THROW((void)resolve(), std::invalid_argument);
+            EXPECT_THROW((void)hdls::core::resolve_hierarchy(shape, cfg), std::invalid_argument);
+            EXPECT_THROW((void)simulate(), std::invalid_argument);
+            continue;
+        }
+        const auto plan = resolve();
+        const auto rh = hdls::core::resolve_hierarchy(shape, cfg);
+        ASSERT_EQ(plan.levels.size(), c.expected.size());
+        ASSERT_EQ(rh.levels.size(), c.expected.size());
+        for (std::size_t d = 0; d < c.expected.size(); ++d) {
+            EXPECT_EQ(plan.levels[d].technique, c.expected[d].technique) << "level " << d;
+            EXPECT_EQ(plan.levels[d].backend, c.expected[d].backend) << "level " << d;
+            EXPECT_EQ(rh.levels[d].technique, c.expected[d].technique) << "level " << d;
+            EXPECT_EQ(rh.levels[d].backend, c.expected[d].backend) << "level " << d;
+        }
+        EXPECT_EQ(simulate().executed_iterations(), workload.iterations());
+    }
+}
+
 TEST(HierarchyGridTest, ExactTilingAcrossDepthsTechniquesAndFanOuts) {
     struct Case {
         ClusterShape shape;

@@ -347,6 +347,72 @@ TEST(PrefetchTraceTest, DisabledRunsRecordNoPrefetchEvents) {
     EXPECT_EQ(analysis.prefetch_hits + analysis.prefetch_misses, 0);
 }
 
+TEST(RefillAccountingTest, TraceEventsMatchTheRefillCountersPerLevel) {
+    // The synchronous loop and the prefetcher share one refill
+    // transaction. Per level, every RefillBegin has its RefillEnd, and a
+    // refill that pulled a parent chunk is exactly one non-empty RefillEnd,
+    // one hdls_sched_refills_total increment and, at the chain's top, one
+    // WorkerStats::global_refills.
+    const std::vector<std::vector<TopologyLevel>> trees = {
+        {{"nodes", 2}, {"cores", 2}}, {{"racks", 2}, {"nodes", 2}, {"cores", 2}}};
+    for (const auto& tree : trees) {
+        const int depth = static_cast<int>(tree.size());
+        std::vector<std::pair<std::int64_t, std::int64_t>> sync_chunks;
+        for (const bool prefetch : {false, true}) {
+            SCOPED_TRACE("depth=" + std::to_string(depth) +
+                         " prefetch=" + std::to_string(prefetch));
+            HierConfig cfg;
+            cfg.inter = Technique::GSS;
+            cfg.intra = Technique::SS;
+            cfg.topology = tree;
+            cfg.prefetch = prefetch;
+            cfg.trace = true;
+            std::mutex mu;
+            std::vector<std::pair<std::int64_t, std::int64_t>> chunks;
+            const auto report = hdls::parallel_for(hdls::core::shape_from_topology(tree),
+                                                   Approach::MpiMpi, cfg, 1500,
+                                                   [&](std::int64_t b, std::int64_t e) {
+                                                       const std::lock_guard<std::mutex> lock(mu);
+                                                       chunks.emplace_back(b, e);
+                                                   });
+            ASSERT_NE(report.trace, nullptr);
+            ASSERT_EQ(report.trace->dropped(), 0);
+            std::sort(chunks.begin(), chunks.end());
+            if (prefetch) {
+                EXPECT_EQ(chunks, sync_chunks);
+            } else {
+                sync_chunks = chunks;
+            }
+            for (int level = 1; level < depth; ++level) {
+                std::int64_t begins = 0;
+                std::int64_t ends = 0;
+                std::int64_t filled = 0;
+                for (const auto& e : report.trace->events) {
+                    if (e.level != level) {
+                        continue;
+                    }
+                    if (e.kind == hdls::trace::EventKind::RefillBegin) {
+                        ++begins;
+                    } else if (e.kind == hdls::trace::EventKind::RefillEnd) {
+                        ++ends;
+                        filled += e.b > 0 ? 1 : 0;
+                    }
+                }
+                SCOPED_TRACE("level " + std::to_string(level));
+                EXPECT_EQ(begins, ends);
+                EXPECT_GT(filled, 0);
+                const auto* refills = report.metrics.find(
+                    "hdls_sched_refills_total", {{"level", std::to_string(level)}});
+                ASSERT_NE(refills, nullptr);
+                EXPECT_EQ(refills->value, static_cast<std::uint64_t>(filled));
+                if (level == depth - 1) {
+                    EXPECT_EQ(report.global_chunks(), filled);  // Σ global_refills
+                }
+            }
+        }
+    }
+}
+
 // ------------------------------------------------------------- simulator ---
 
 TEST(PrefetchSimTest, PricesAreDeterministicAndSequencesUnchanged) {

@@ -18,7 +18,6 @@
 #include "apps/synthetic.hpp"
 #include "core/hdls.hpp"
 #include "minimpi/host_topology.hpp"
-#include "ompsim/first_touch.hpp"
 #include "ompsim/team.hpp"
 #include "simd/dispatch.hpp"
 #include "simd/simd.hpp"
@@ -382,22 +381,6 @@ TEST(TeamPlacementTest, UnpinnedTeamReportsNoCpus) {
     EXPECT_EQ(team.pin_policy(), minimpi::PinPolicy::None);
     for (int t = 0; t < 3; ++t) {
         EXPECT_EQ(team.pinned_cpu(t), -1);
-    }
-}
-
-TEST(TeamPlacementTest, MeasurePerThreadIndexesByThreadId) {
-    hdls::ompsim::ThreadTeam team(3);
-    const auto rates = team.measure_per_thread([](int tid) { return 1.0 + tid; });
-    EXPECT_EQ(rates, (std::vector<double>{1.0, 2.0, 3.0}));
-}
-
-TEST(TeamPlacementTest, FirstTouchFillCoversTheWholeBuffer) {
-    hdls::ompsim::ThreadTeam team(4);
-    std::vector<double> data(1027, -1.0);
-    hdls::ompsim::first_touch_fill(team, data.data(),
-                                   static_cast<std::int64_t>(data.size()), 3.5);
-    for (const double v : data) {
-        ASSERT_EQ(v, 3.5);
     }
 }
 
