@@ -11,7 +11,7 @@
 ///   psia       — candidate points/s of the spin-image support filter:
 ///                scalar vs vector vs vector+prefetch vs
 ///                vector+prefetch+pin;
-///   awf        — the honesty loop: per-backend probed rates turned into
+///   awf        — per-backend probed rates turned into
 ///                dls::awf_weights feedback for a cluster where one node
 ///                is stuck on the scalar backend — AWF-B's weights must
 ///                shift toward the vectorized nodes.
@@ -245,9 +245,9 @@ int main(int argc, char** argv) {
     simd::set_mode(simd::SimdMode::Auto);
 
     // --- awf: probed rates -> AWF-B weights, one node stuck on scalar -----
-    // The honesty loop of the runner in miniature: measure what each
+    // How a caller turns measured speeds into weights: measure what each
     // placement can actually sustain and hand the rates to the adaptive
-    // weighting. Node 0 reports the scalar rate, every other node the best
+    // weighting (a WF caller would pass them as HierConfig::node_weights). Node 0 reports the scalar rate, every other node the best
     // backend's rate, over the same one-second virtual window.
     const double rate_scalar =
         simd::probe_mandelbrot_rate(simd::Backend::Scalar, 0.01);

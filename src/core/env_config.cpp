@@ -48,6 +48,50 @@ namespace {
     }
 }
 
+/// The one boolean grammar: "1"/"on"/"true"/"yes" and "0"/"off"/"false"/
+/// "no", case- and whitespace-insensitive; nullopt for anything else.
+[[nodiscard]] std::optional<bool> parse_bool(std::string_view text) {
+    const std::string s = normalized(text);
+    if (s == "1" || s == "ON" || s == "TRUE" || s == "YES") {
+        return true;
+    }
+    if (s == "0" || s == "OFF" || s == "FALSE" || s == "NO") {
+        return false;
+    }
+    return std::nullopt;
+}
+
+/// A strict boolean knob: `fallback` when unset, throws when malformed.
+[[nodiscard]] bool strict_bool_from_env(const char* name, bool fallback) {
+    const char* value = std::getenv(name);
+    if (value == nullptr) {
+        return fallback;
+    }
+    if (const auto b = parse_bool(value)) {
+        return *b;
+    }
+    throw std::invalid_argument(std::string(name) + "='" + value +
+                                "' is not a boolean (expected 1/on/true/yes or 0/off/false/no)");
+}
+
+/// A strict integer knob of at least `min`: `fallback` when unset, throws
+/// "<name>='<value>' is not <expected>" when malformed or below `min`.
+template <class Int>
+[[nodiscard]] Int strict_int_from_env(const char* name, Int fallback, Int min,
+                                      const char* expected) {
+    const char* value = std::getenv(name);
+    if (value == nullptr) {
+        return fallback;
+    }
+    const std::string s = stripped(value);
+    Int v = 0;
+    const auto [ptr, ec] = std::from_chars(s.data(), s.data() + s.size(), v);
+    if (ec != std::errc{} || ptr != s.data() + s.size() || v < min) {
+        throw std::invalid_argument(std::string(name) + "='" + value + "' is not " + expected);
+    }
+    return v;
+}
+
 }  // namespace
 
 std::optional<HierConfig> parse_schedule(std::string_view text) {
@@ -216,12 +260,8 @@ bool trace_from_env(bool fallback) {
     if (value == nullptr) {
         return fallback;
     }
-    const std::string s = normalized(value);
-    if (s == "1" || s == "ON" || s == "TRUE" || s == "YES") {
-        return true;
-    }
-    if (s == "0" || s == "OFF" || s == "FALSE" || s == "NO") {
-        return false;
+    if (const auto b = parse_bool(value)) {
+        return *b;
     }
     util::log_warn("HDLS_TRACE='", value, "' is malformed; using ",
                    fallback ? "on" : "off");
@@ -229,19 +269,7 @@ bool trace_from_env(bool fallback) {
 }
 
 bool prefetch_from_env(bool fallback) {
-    const char* value = std::getenv("HDLS_PREFETCH");
-    if (value == nullptr) {
-        return fallback;
-    }
-    const std::string s = normalized(value);
-    if (s == "1" || s == "ON" || s == "TRUE" || s == "YES") {
-        return true;
-    }
-    if (s == "0" || s == "OFF" || s == "FALSE" || s == "NO") {
-        return false;
-    }
-    throw std::invalid_argument(std::string("HDLS_PREFETCH='") + value +
-                                "' is not a boolean (expected 1/on/true/yes or 0/off/false/no)");
+    return strict_bool_from_env("HDLS_PREFETCH", fallback);
 }
 
 dls::InterBackend inter_backend_from_env(dls::InterBackend fallback) {
@@ -270,68 +298,20 @@ std::vector<minimpi::TopologyLevel> topology_from_env(
 }
 
 bool metrics_from_env(bool fallback) {
-    const char* value = std::getenv("HDLS_METRICS");
-    if (value == nullptr) {
-        return fallback;
-    }
-    const std::string s = normalized(value);
-    if (s == "1" || s == "ON" || s == "TRUE" || s == "YES") {
-        return true;
-    }
-    if (s == "0" || s == "OFF" || s == "FALSE" || s == "NO") {
-        return false;
-    }
-    throw std::invalid_argument(std::string("HDLS_METRICS='") + value +
-                                "' is not a boolean (expected 1/on/true/yes or 0/off/false/no)");
+    return strict_bool_from_env("HDLS_METRICS", fallback);
 }
 
 std::chrono::milliseconds metrics_period_from_env(std::chrono::milliseconds fallback) {
-    const char* value = std::getenv("HDLS_METRICS_PERIOD_MS");
-    if (value == nullptr) {
-        return fallback;
-    }
-    const std::string s = stripped(value);
-    std::int64_t ms = 0;
-    const auto [ptr, ec] = std::from_chars(s.data(), s.data() + s.size(), ms);
-    if (ec != std::errc{} || ptr != s.data() + s.size() || ms < 1) {
-        throw std::invalid_argument(std::string("HDLS_METRICS_PERIOD_MS='") + value +
-                                    "' is not a positive integer (milliseconds)");
-    }
-    return std::chrono::milliseconds(ms);
-}
-
-minimpi::TransportKind transport_from_env(minimpi::TransportKind fallback) {
-    return minimpi::transport_from_env(fallback);
+    return std::chrono::milliseconds(strict_int_from_env<std::int64_t>(
+        "HDLS_METRICS_PERIOD_MS", fallback.count(), 1, "a positive integer (milliseconds)"));
 }
 
 int max_jobs_from_env(int fallback) {
-    const char* value = std::getenv("HDLS_MAX_JOBS");
-    if (value == nullptr) {
-        return fallback;
-    }
-    const std::string s = stripped(value);
-    int jobs = 0;
-    const auto [ptr, ec] = std::from_chars(s.data(), s.data() + s.size(), jobs);
-    if (ec != std::errc{} || ptr != s.data() + s.size() || jobs < 1) {
-        throw std::invalid_argument(std::string("HDLS_MAX_JOBS='") + value +
-                                    "' is not a positive integer");
-    }
-    return jobs;
+    return strict_int_from_env("HDLS_MAX_JOBS", fallback, 1, "a positive integer");
 }
 
 int job_queue_depth_from_env(int fallback) {
-    const char* value = std::getenv("HDLS_JOB_QUEUE_DEPTH");
-    if (value == nullptr) {
-        return fallback;
-    }
-    const std::string s = stripped(value);
-    int depth = -1;
-    const auto [ptr, ec] = std::from_chars(s.data(), s.data() + s.size(), depth);
-    if (ec != std::errc{} || ptr != s.data() + s.size() || depth < 0) {
-        throw std::invalid_argument(std::string("HDLS_JOB_QUEUE_DEPTH='") + value +
-                                    "' is not a non-negative integer");
-    }
-    return depth;
+    return strict_int_from_env("HDLS_JOB_QUEUE_DEPTH", fallback, 0, "a non-negative integer");
 }
 
 simd::SimdMode simd_mode_from_env(simd::SimdMode fallback) {
@@ -355,19 +335,7 @@ simd::SimdMode simd_mode_from_env(simd::SimdMode fallback) {
 }
 
 bool lease_from_env(bool fallback) {
-    const char* value = std::getenv("HDLS_LEASE");
-    if (value == nullptr) {
-        return fallback;
-    }
-    const std::string s = normalized(value);
-    if (s == "1" || s == "ON" || s == "TRUE" || s == "YES") {
-        return true;
-    }
-    if (s == "0" || s == "OFF" || s == "FALSE" || s == "NO") {
-        return false;
-    }
-    throw std::invalid_argument(std::string("HDLS_LEASE='") + value +
-                                "' is not a boolean (expected 1/on/true/yes or 0/off/false/no)");
+    return strict_bool_from_env("HDLS_LEASE", fallback);
 }
 
 double lease_k_from_env(double fallback) {
@@ -386,18 +354,9 @@ double lease_k_from_env(double fallback) {
 }
 
 std::chrono::milliseconds heartbeat_timeout_from_env(std::chrono::milliseconds fallback) {
-    const char* value = std::getenv("HDLS_HEARTBEAT_TIMEOUT_MS");
-    if (value == nullptr) {
-        return fallback;
-    }
-    const std::string s = stripped(value);
-    std::int64_t ms = 0;
-    const auto [ptr, ec] = std::from_chars(s.data(), s.data() + s.size(), ms);
-    if (ec != std::errc{} || ptr != s.data() + s.size() || ms < 1) {
-        throw std::invalid_argument(std::string("HDLS_HEARTBEAT_TIMEOUT_MS='") + value +
-                                    "' is not a positive integer (milliseconds)");
-    }
-    return std::chrono::milliseconds(ms);
+    return std::chrono::milliseconds(strict_int_from_env<std::int64_t>(
+        "HDLS_HEARTBEAT_TIMEOUT_MS", fallback.count(), 1,
+        "a positive integer (milliseconds)"));
 }
 
 ChaosSpec parse_chaos(std::string_view text) {

@@ -28,7 +28,8 @@
 ///     HDLS_METRICS_FILE   — Prometheus exposition file path (default
 ///                           "hdls-metrics.prom")
 ///     HDLS_TRANSPORT      — "threads" | "shm" minimpi substrate of MPI+MPI
-///                           runs (thread mailboxes vs one POSIX shm segment)
+///                           runs (thread mailboxes vs one POSIX shm segment;
+///                           read by minimpi::transport_from_env)
 ///     HDLS_SIMD           — "auto" | "scalar" | "native" SIMD backend
 ///                           policy for the batch kernels (src/simd/)
 ///     HDLS_PIN            — "none" | "compact" | "scatter" thread/rank
@@ -137,15 +138,6 @@ namespace hdls::core {
 /// `fallback` when unset; throws std::invalid_argument when set but empty.
 [[nodiscard]] std::string metrics_file_from_env(
     std::string fallback = "hdls-metrics.prom");
-
-/// Reads HDLS_TRANSPORT ("threads" | "shm", case-insensitive): the minimpi
-/// substrate carrying MPI+MPI runs. Returns `fallback` when unset; throws
-/// std::invalid_argument when set to anything else (no silent fallback —
-/// a typo'd transport silently reverting to threads would change what the
-/// run exercises). Thin wrapper over minimpi::transport_from_env so the
-/// knob is documented with its HDLS_* siblings.
-[[nodiscard]] minimpi::TransportKind transport_from_env(
-    minimpi::TransportKind fallback = minimpi::TransportKind::Threads);
 
 /// Reads HDLS_SIMD ("auto" | "scalar" | "native", case-insensitive): the
 /// SIMD backend policy of the batch kernels. Returns `fallback` when unset;

@@ -4,6 +4,7 @@
 #include <optional>
 #include <string>
 
+#include "core/chunk_exec.hpp"
 #include "core/hierarchy.hpp"
 #include "dls/adaptive.hpp"
 #include "metrics/metrics.hpp"
@@ -16,24 +17,17 @@ namespace hdls::core {
 namespace {
 using Clock = std::chrono::steady_clock;
 
-[[nodiscard]] double seconds_since(Clock::time_point t0) {
-    return std::chrono::duration<double>(Clock::now() - t0).count();
-}
-
-[[nodiscard]] ompsim::ForOptions intra_schedule_or_throw(const HierConfig& cfg,
-                                                         dls::Technique intra) {
+[[nodiscard]] ompsim::ForOptions intra_schedule_or_throw(dls::Technique intra) {
     if (const auto std_opt = ompsim::openmp_equivalent(intra)) {
         return *std_opt;
     }
-    if (cfg.allow_extended_openmp_schedules) {
-        if (const auto ext = ompsim::extended_equivalent(intra)) {
-            return *ext;
-        }
+    if (const auto ext = ompsim::extended_equivalent(intra)) {
+        return *ext;
     }
     throw UnsupportedCombination(
         std::string("MPI+OpenMP cannot schedule ") + std::string(dls::technique_name(intra)) +
-        " at the intra-node level (the OpenMP schedule clause offers only static, dynamic and "
-        "guided; enable allow_extended_openmp_schedules for the libGOMP-style extensions)");
+        " at the intra-node level (neither the OpenMP schedule clause nor the libGOMP-style "
+        "extensions express it)");
 }
 }  // namespace
 
@@ -46,7 +40,7 @@ std::vector<WorkerStats> run_hybrid_rank(minimpi::Context& ctx, int threads_per_
             "run_hybrid_rank: the MPI+OpenMP model maps exactly one rank per leaf group");
     }
     const dls::Technique intra = rh.levels.back().technique;
-    const ompsim::ForOptions schedule = intra_schedule_or_throw(cfg, intra);
+    const ompsim::ForOptions schedule = intra_schedule_or_throw(intra);
     const minimpi::Comm& world = ctx.world();
 
     std::vector<WorkerStats> stats(static_cast<std::size_t>(threads_per_node));
@@ -111,7 +105,10 @@ std::vector<WorkerStats> run_hybrid_rank(minimpi::Context& ctx, int threads_per_
         util::ChunkClock clock = start_clock;
         trace::WorkerTracer& tracer = tracers[static_cast<std::size_t>(tid)];
         const bool tracing = tracer.enabled();
-        metrics::worker_enter(ctx.rank() * threads_per_node + tid, hooks.watchdog);
+        const int worker = ctx.rank() * threads_per_node + tid;
+        // for_chunks calls its body on the calling thread: this executor.
+        ChunkExecutor exec(body, clock, mine, tracer, /*board=*/nullptr, worker, hooks.watchdog);
+        metrics::worker_enter(worker, hooks.watchdog);
         for (;;) {
             if (tid == 0) {
                 // The join barrier below serialized the team, so the
@@ -171,40 +168,10 @@ std::vector<WorkerStats> run_hybrid_rank(minimpi::Context& ctx, int threads_per_
             // return is its barrier wait.
             double last_busy = tracing ? tracer.now() : 0.0;
             team.for_chunks(chunk.start, chunk.start + chunk.size, schedule,
-                            [&](std::int64_t b, std::int64_t e, int thread_id) {
-                                auto& ws = stats[static_cast<std::size_t>(thread_id)];
-                                auto& thread_tracer =
-                                    tracers[static_cast<std::size_t>(thread_id)];
-                                if (thread_tracer.enabled()) {
-                                    thread_tracer.instant(trace::EventKind::ChunkExecBegin,
-                                                          thread_tracer.now(), b, e);
-                                }
-                                // Called on thread `thread_id` itself, whose
-                                // clock is `clock`.
-                                const Clock::time_point b0 = clock.now();
-                                body(b, e);
-                                const Clock::time_point b1 = clock.now();
-                                const std::chrono::nanoseconds busy_ns = util::elapsed(b0, b1);
-                                const double thread_busy =
-                                    std::chrono::duration<double>(busy_ns).count();
-                                ws.busy_seconds += thread_busy;
-                                ws.iterations += e - b;
-                                ++ws.chunks;
-                                m.exec_chunks->inc();
-                                m.exec_iterations->inc(static_cast<std::uint64_t>(e - b));
-                                m.chunk_exec_ns->observe(
-                                    static_cast<std::uint64_t>(busy_ns.count()));
-                                metrics::worker_beat(
-                                    ctx.rank() * threads_per_node + thread_id, pull_level,
-                                    b, /*prefetch_outstanding=*/false, thread_busy, b1,
-                                    hooks.watchdog);
-                                if (thread_tracer.enabled()) {
-                                    const double end = thread_tracer.now();
-                                    thread_tracer.instant(trace::EventKind::ChunkExecEnd, end,
-                                                          b, e);
-                                    if (thread_id == tid) {
-                                        last_busy = end;
-                                    }
+                            [&](std::int64_t b, std::int64_t e, int /*thread_id*/) {
+                                (void)exec.run(b, e - b, pull_level, /*prefetch=*/false);
+                                if (tracing) {
+                                    last_busy = tracer.now();
                                 }
                             });
             if (tracing) {
@@ -224,8 +191,8 @@ std::vector<WorkerStats> run_hybrid_rank(minimpi::Context& ctx, int threads_per_
         if (tracing) {
             tracer.instant(trace::EventKind::Terminate, tracer.now());
         }
-        metrics::worker_leave(ctx.rank() * threads_per_node + tid, hooks.watchdog);
-        mine.finish_seconds = seconds_since(t0);
+        metrics::worker_leave(worker, hooks.watchdog);
+        mine.finish_seconds = util::elapsed_seconds(t0, Clock::now());
         mine.clock_reads = static_cast<std::int64_t>(clock.reads());
     });
 

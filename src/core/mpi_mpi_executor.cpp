@@ -4,6 +4,7 @@
 #include <memory>
 #include <thread>
 
+#include "core/chunk_exec.hpp"
 #include "core/hierarchy.hpp"
 #include "core/lease_board.hpp"
 #include "core/sharded_queue.hpp"
@@ -18,11 +19,6 @@ namespace hdls::core {
 
 namespace {
 using Clock = std::chrono::steady_clock;
-
-[[nodiscard]] double seconds_since(Clock::time_point t0) {
-    return std::chrono::duration<double>(Clock::now() - t0).count();
-}
-
 }  // namespace
 
 WorkerStats run_mpi_mpi_rank(minimpi::Context& ctx, std::int64_t n, const HierConfig& cfg,
@@ -140,16 +136,9 @@ WorkerStats run_mpi_mpi_rank(minimpi::Context& ctx, std::int64_t n, const HierCo
         }
     }
 
-    // A committed execution's accounting, shared by the loop and the
-    // reclamation drain.
-    const auto commit = [&](std::int64_t size, std::chrono::nanoseconds busy) {
-        stats.busy_seconds += std::chrono::duration<double>(busy).count();
-        stats.iterations += size;
-        ++stats.chunks;
-        m.exec_chunks->inc();
-        m.exec_iterations->inc(static_cast<std::uint64_t>(size));
-        m.chunk_exec_ns->observe(static_cast<std::uint64_t>(busy.count()));
-    };
+    // The chunk-execution step of the loop and the reclamation drain:
+    // trace bracket, body stamps, completion fence, accounting, beat.
+    ChunkExecutor exec(body, clock, stats, tracer, board.get(), world.rank(), hooks.watchdog);
 
     // Failure detection (lease mode): the loop polls at most once per
     // heartbeat_timeout / 16, so a death is noticed at most that much
@@ -197,50 +186,25 @@ WorkerStats run_mpi_mpi_rank(minimpi::Context& ctx, std::int64_t n, const HierCo
             cancelled = true;
             break;
         }
-        if (tracing) {
-            tracer.instant(trace::EventKind::ChunkExecBegin, tracer.now(), sub->start,
-                           sub->start + sub->size);
-        }
-        const Clock::time_point b0 = clock.now();
-        body(sub->start, sub->start + sub->size);
-        const Clock::time_point b1 = clock.now();
-        const std::chrono::nanoseconds busy_ns = util::elapsed(b0, b1);
-        const double busy = std::chrono::duration<double>(busy_ns).count();
-        // The completion fence: under lease mode the execution counts only
-        // if this rank still owns the lease. A loss means a sweeper
-        // reclaimed the chunk (this rank was suspected dead mid-body) and
-        // a survivor owns it now — the work above is discarded rather than
-        // double-committed.
-        const bool committed = board == nullptr || board->complete(sub->start, b1);
-        if (committed) {
-            commit(sub->size, busy_ns);
-        }
+        const ChunkExecutor::Result r =
+            exec.run(sub->start, sub->size, source.level(), source.has_prefetched());
         // A detection round so a mid-run death switches the sharded root's
         // steal policy (whole-remainder from dead hosts) without waiting
         // for the drain. Peers bump their heartbeat words every chunk, so
         // each round misses in cache on every peer: at most one round per
         // poll period, timed by the body-end stamp.
-        if (detector != nullptr && b1 >= next_poll) {
+        if (detector != nullptr && r.b1 >= next_poll) {
             poll_liveness();
-            next_poll = b1 + poll_period;
-        }
-        // Heartbeat for the stall watchdog (a relaxed pointer load when
-        // none is installed). Reading the prefetch slot is safe here: this
-        // thread is the only one that touches it.
-        metrics::worker_beat(world.rank(), source.level(), sub->start,
-                             source.has_prefetched(), busy, b1, hooks.watchdog);
-        if (tracing) {
-            tracer.instant(trace::EventKind::ChunkExecEnd, tracer.now(), sub->start,
-                           sub->start + sub->size);
+            next_poll = r.b1 + poll_period;
         }
         if (hooks.gate != nullptr) {
             hooks.gate->end_chunk(world.rank(), sub->size);
         }
-        if (feedback && committed) {
+        if (feedback && r.committed) {
             pending_iters += sub->size;
-            pending_busy += busy;
-            pending_overhead += util::elapsed_seconds(sched_mark, b0);
-            sched_mark = b1;
+            pending_busy += std::chrono::duration<double>(r.busy).count();
+            pending_overhead += util::elapsed_seconds(sched_mark, r.b0);
+            sched_mark = r.b1;
         }
     }
     (void)cancelled;  // the partial WorkerStats already tell the story
@@ -265,24 +229,8 @@ WorkerStats run_mpi_mpi_rank(minimpi::Context& ctx, std::int64_t n, const HierCo
                 if (tracing) {
                     tracer.instant(trace::EventKind::Reclaim, tracer.now(), rc->start,
                                    rc->size);
-                    tracer.instant(trace::EventKind::ChunkExecBegin, tracer.now(),
-                                   rc->start, rc->start + rc->size);
                 }
-                const Clock::time_point b0 = clock.now();
-                body(rc->start, rc->start + rc->size);
-                const Clock::time_point b1 = clock.now();
-                if (tracing) {
-                    tracer.instant(trace::EventKind::ChunkExecEnd, tracer.now(), rc->start,
-                                   rc->start + rc->size);
-                }
-                if (board->complete(rc->start, b1)) {
-                    const std::chrono::nanoseconds busy_ns = util::elapsed(b0, b1);
-                    commit(rc->size, busy_ns);
-                    metrics::worker_beat(world.rank(), source.level(), rc->start,
-                                         source.has_prefetched(),
-                                         std::chrono::duration<double>(busy_ns).count(), b1,
-                                         hooks.watchdog);
-                }
+                (void)exec.run(rc->start, rc->size, source.level(), source.has_prefetched());
             }
             // The idle beat reads steady_clock, so the chunk clock's reads
             // stay a function of the executed chunks alone.
@@ -297,7 +245,7 @@ WorkerStats run_mpi_mpi_rank(minimpi::Context& ctx, std::int64_t n, const HierCo
     hier.finish();
 
     stats.global_refills = source.refills();
-    stats.finish_seconds = seconds_since(t0);
+    stats.finish_seconds = util::elapsed_seconds(t0, Clock::now());
     stats.clock_reads = static_cast<std::int64_t>(clock.reads());
 
     // probe_guard only fires after this explicit free, so clear the probe

@@ -55,10 +55,8 @@ void validate_resolved(Approach approach, const HierConfig& cfg, const ResolvedH
             }
             break;
         case Approach::MpiOpenMp: {
-            const bool expressible =
-                ompsim::openmp_equivalent(leaf).has_value() ||
-                (cfg.allow_extended_openmp_schedules &&
-                 ompsim::extended_equivalent(leaf).has_value());
+            const bool expressible = ompsim::openmp_equivalent(leaf).has_value() ||
+                                     ompsim::extended_equivalent(leaf).has_value();
             if (!expressible) {
                 throw UnsupportedCombination(
                     std::string("run_hierarchical: MPI+OpenMP cannot schedule ") +
@@ -91,29 +89,6 @@ void validate_resolved(Approach approach, const HierConfig& cfg, const ResolvedH
     return rh;
 }
 
-/// The honesty loop: per-node WF weights measured on the CPUs the workers
-/// will actually occupy. The caller thread is pinned to each planned CPU
-/// in turn, the active backend's mandelbrot throughput is probed there
-/// (cached per (backend, cpu) — see simd::probe_mandelbrot_rate), and the
-/// per-CPU rates are summed per level-0 group. Only ratios matter to WF,
-/// so the raw pixel/s sums are returned as-is.
-[[nodiscard]] std::vector<double> probed_node_weights(const ClusterShape& shape,
-                                                      int level0_groups,
-                                                      minimpi::PinPolicy pin) {
-    const minimpi::HostTopology host = minimpi::HostTopology::detect();
-    const std::vector<int> plan = host.plan(pin, 0, shape.total_workers());
-    const std::vector<int> saved = minimpi::current_thread_affinity();
-    const int group_size = shape.total_workers() / std::max(level0_groups, 1);
-    std::vector<double> weights(static_cast<std::size_t>(level0_groups), 0.0);
-    for (int w = 0; w < shape.total_workers(); ++w) {
-        minimpi::pin_current_thread(plan[static_cast<std::size_t>(w)]);
-        weights[static_cast<std::size_t>(w / std::max(group_size, 1))] +=
-            simd::probe_mandelbrot_rate(simd::active_backend());
-    }
-    minimpi::set_current_thread_affinity(saved);
-    return weights;
-}
-
 }  // namespace
 
 void validate_combination(const ClusterShape& shape, Approach approach, const HierConfig& cfg) {
@@ -139,7 +114,7 @@ ExecutionReport run_hierarchical(const ClusterShape& shape, Approach approach,
     // The minimpi substrate: an explicit HierConfig choice wins, otherwise
     // HDLS_TRANSPORT (strict parse — resolved before any thread launches).
     const minimpi::TransportKind transport =
-        cfg.transport ? *cfg.transport : transport_from_env();
+        cfg.transport ? *cfg.transport : minimpi::transport_from_env();
 
     // SIMD backend policy and thread placement, same precedence. set_mode
     // throws here (before any thread launches) when Native is demanded on
@@ -148,7 +123,7 @@ ExecutionReport run_hierarchical(const ClusterShape& shape, Approach approach,
     simd::set_mode(simd_mode);
     const minimpi::PinPolicy pin = cfg.pin ? *cfg.pin : pin_from_env();
 
-    // Executors see the resolved knobs (and, below, any probed weights).
+    // Executors see the resolved knobs.
     HierConfig effective = cfg;
     effective.simd = simd_mode;
     effective.pin = pin;
@@ -184,16 +159,6 @@ ExecutionReport run_hierarchical(const ClusterShape& shape, Approach approach,
                 std::to_string(shape.total_workers()) + " ranks)");
         }
     }
-    // A pinned WF run with no explicit weights gets measured ones: pinning
-    // fixes which CPU each worker occupies, so per-CPU throughput probes
-    // are meaningful per-node speeds. Unpinned runs keep WF's equal-weights
-    // default (every probe would measure the same roaming thread).
-    if (pin != minimpi::PinPolicy::None && cfg.node_weights.empty() &&
-        rh.levels.front().technique == dls::Technique::WF) {
-        effective.node_weights =
-            probed_node_weights(shape, rh.tree.front().fan_out, pin);
-    }
-
     // Rank placement of MPI+MPI runs: one CPU per rank from the same plan
     // a leaf ThreadTeam would use (ranks are threads or forked processes
     // depending on the transport; pinning works for both).

@@ -74,11 +74,6 @@ struct HierConfig {
     dls::InterBackend inter_backend = dls::InterBackend::Centralized;
     /// Smallest chunk either level may produce.
     std::int64_t min_chunk = 1;
-    /// Allow TSS/FAC2 at the intra level of the MPI+OpenMP baseline via the
-    /// extension schedules (LaPeSD-libGOMP-style). The paper's Intel stack
-    /// cannot do this — benches reproducing the paper disable it and report
-    /// "n/a" for those combinations.
-    bool allow_extended_openmp_schedules = true;
     /// Asynchronous chunk prefetching: while a worker executes its current
     /// chunk, the next acquisition is already in flight (a double-buffered
     /// slot on the worker's top WorkSource, filled through the nonblocking
@@ -154,9 +149,10 @@ struct HierConfig {
     /// Compact fills a socket before spilling, Scatter round-robins across
     /// sockets, None leaves placement to the OS. Under MPI+OpenMP the leaf
     /// ThreadTeams pin their members; under MPI+MPI (threads transport) the
-    /// rank threads are pinned. When a WF run with empty node_weights is
-    /// pinned, per-node weights are filled from measured per-CPU kernel
-    /// throughput (the honesty loop). Unset defers to HDLS_PIN (none).
+    /// rank threads are pinned. Pinning never changes scheduling: a WF run
+    /// with empty node_weights keeps WF's equal weights, pinned or not
+    /// (callers wanting measured speeds pass node_weights). Unset defers
+    /// to HDLS_PIN (none).
     std::optional<minimpi::PinPolicy> pin;
 };
 

@@ -122,7 +122,6 @@ public:
     /// unaffected (the slot holds an already-assigned sub-chunk, consumed
     /// before termination can be reached).
     void set_prefetch(bool on) { prefetch_ = on; }
-    [[nodiscard]] bool prefetch_enabled() const noexcept { return prefetch_; }
 
     /// Attaches the fault-tolerance lease board (HierConfig::lease; the
     /// chain's top source only — the handle whose chunks the executor

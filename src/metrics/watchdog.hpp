@@ -197,8 +197,4 @@ inline void worker_beat(int worker, int level, std::int64_t chunk_start,
     }
 }
 
-/// Registry-addressed conveniences (legacy callers, standalone tools).
-inline void worker_enter(int worker) noexcept { worker_enter(worker, active_watchdog()); }
-inline void worker_leave(int worker) noexcept { worker_leave(worker, active_watchdog()); }
-
 }  // namespace hdls::metrics

@@ -97,7 +97,6 @@ private:
     static constexpr std::size_t kWorkshareSlots = 64;
 
     void worker_main(int thread_id, const std::stop_token& stop);
-    void run_region_as(int thread_id);
     Workshare& acquire_workshare(std::int64_t begin, std::int64_t end, const ForOptions& opts);
     void dispatch(Workshare& ws, const ForOptions& opts, const ChunkBody& body, int thread_id);
 

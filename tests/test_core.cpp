@@ -16,7 +16,9 @@
 #include <vector>
 
 #include "apps/mandelbrot.hpp"
+#include "core/chunk_exec.hpp"
 #include "core/hdls.hpp"
+#include "core/lease_board.hpp"
 
 namespace {
 
@@ -641,14 +643,10 @@ TEST(ValidationTest, CombinationRulesEnforced) {
     cfg.node_weights.clear();
     cfg.inter = Technique::GSS;
 
-    // TSS intra under MPI+OpenMP: fine with extensions, rejected without
-    // (the paper's Intel-runtime limitation).
+    // TSS intra under MPI+OpenMP: expressible through the extension
+    // schedules.
     cfg.intra = Technique::TSS;
-    cfg.allow_extended_openmp_schedules = true;
     EXPECT_NO_THROW(validate_combination(shape, Approach::MpiOpenMp, cfg));
-    cfg.allow_extended_openmp_schedules = false;
-    EXPECT_THROW(validate_combination(shape, Approach::MpiOpenMp, cfg),
-                 UnsupportedCombination);
 
     cfg.intra = Technique::GSS;
     EXPECT_THROW(validate_combination(ClusterShape{0, 4}, Approach::MpiMpi, cfg),
@@ -770,6 +768,108 @@ TEST(ChunkClockReads, TwoPerChunkAndOneMorePerLease) {
     }
 }
 
+// ------------------------------------------------------- chunk executor
+
+/// The shared execution step, driven directly: a committed run accounts
+/// each chunk in the worker's stats and the three exec metrics, reads the
+/// chunk clock exactly twice per chunk and brackets the body with one
+/// ChunkExecBegin/ChunkExecEnd pair.
+TEST(ChunkExecutorTest, CommittedRunAccountsTimesAndTracesEveryChunk) {
+    using hdls::util::ChunkClock;
+    hdls::trace::TraceSession session(1);
+    ChunkClock clock(ChunkClock::Source::Steady);
+    WorkerStats stats;
+    std::int64_t ran = 0;
+    const ChunkBody body = [&ran](std::int64_t b, std::int64_t e) { ran += e - b; };
+    const hdls::metrics::Snapshot before = hdls::metrics::registry().snapshot();
+    ChunkExecutor exec(body, clock, stats, session.tracer(0, 0), /*board=*/nullptr,
+                       /*worker=*/0, /*watchdog=*/nullptr);
+    const ChunkExecutor::Result r1 = exec.run(0, 10, /*level=*/1, false);
+    const ChunkExecutor::Result r2 = exec.run(10, 5, /*level=*/1, false);
+    const hdls::metrics::Snapshot delta =
+        hdls::metrics::registry().snapshot().delta_since(before);
+
+    EXPECT_EQ(ran, 15);
+    for (const auto& r : {r1, r2}) {
+        EXPECT_TRUE(r.committed);
+        EXPECT_LE(r.b0, r.b1);
+        EXPECT_EQ(r.busy, hdls::util::elapsed(r.b0, r.b1));
+    }
+    EXPECT_EQ(stats.chunks, 2);
+    EXPECT_EQ(stats.iterations, 15);
+    EXPECT_DOUBLE_EQ(stats.busy_seconds,
+                     std::chrono::duration<double>(r1.busy).count() +
+                         std::chrono::duration<double>(r2.busy).count());
+    EXPECT_EQ(delta.counter_total("hdls_exec_chunks_total"), 2u);
+    EXPECT_EQ(delta.counter_total("hdls_exec_iterations_total"), 15u);
+    EXPECT_EQ(delta.histogram_count("hdls_exec_chunk_ns"), 2u);
+    EXPECT_EQ(delta.histogram_sum("hdls_exec_chunk_ns"),
+              static_cast<std::uint64_t>((r1.busy + r2.busy).count()));
+    EXPECT_EQ(clock.reads(), 4u);
+
+    const hdls::trace::Trace trace = session.merge();
+    EXPECT_EQ(trace.count(hdls::trace::EventKind::ChunkExecBegin, 0), 2);
+    EXPECT_EQ(trace.count(hdls::trace::EventKind::ChunkExecEnd, 0), 2);
+}
+
+/// A lease reclaimed while its owner is still inside the body: the fence
+/// inside run() is lost, so nothing is accounted — but the execution still
+/// records its Begin/End pair.
+TEST(ChunkExecutorTest, LostFenceCommitsNothingButStillTraces) {
+    using hdls::util::ChunkClock;
+    hdls::trace::TraceSession session(2);
+    const hdls::metrics::Snapshot before = hdls::metrics::registry().snapshot();
+    WorkerStats owner_stats;
+    bool owner_committed = true;
+    minimpi::Runtime::run(2, [&](minimpi::Context& ctx) {
+        const minimpi::Comm& world = ctx.world();
+        ChunkClock clock(ChunkClock::Source::Steady);
+        LeaseBoard board(world, 1.0, /*slots=*/8, &clock);
+        if (world.rank() == 0) {
+            // The body parks between two barriers while rank 1 declares
+            // this rank dead and reclaims the lease out from under it.
+            const ChunkBody body = [&world](std::int64_t, std::int64_t) {
+                world.barrier();
+                world.barrier();
+            };
+            ChunkExecutor exec(body, clock, owner_stats, session.tracer(0, 0), &board,
+                               /*worker=*/0, /*watchdog=*/nullptr);
+            board.lease(0, 100);
+            owner_committed = exec.run(0, 100, /*level=*/1, false).committed;
+        } else {
+            world.barrier();
+            world.mark_dead(0);
+            // Past the 100 ms deadline floor (the EMA is still zero).
+            std::this_thread::sleep_for(std::chrono::milliseconds(150));
+            EXPECT_EQ(board.sweep(), 1);
+            const auto rc = board.claim_one();
+            ASSERT_TRUE(rc.has_value());
+            world.barrier();
+            // The claimer re-leases and commits, settling the board.
+            board.lease(rc->start, rc->size);
+            EXPECT_TRUE(board.complete(rc->start));
+        }
+        world.barrier();
+        EXPECT_TRUE(board.quiescent());
+        board.free();
+    });
+    const hdls::metrics::Snapshot delta =
+        hdls::metrics::registry().snapshot().delta_since(before);
+
+    EXPECT_FALSE(owner_committed);
+    EXPECT_EQ(owner_stats.chunks, 0);
+    EXPECT_EQ(owner_stats.iterations, 0);
+    EXPECT_EQ(owner_stats.busy_seconds, 0.0);
+    EXPECT_EQ(delta.counter_total("hdls_exec_chunks_total"), 0u);
+    EXPECT_EQ(delta.counter_total("hdls_exec_iterations_total"), 0u);
+    EXPECT_EQ(delta.histogram_count("hdls_exec_chunk_ns"), 0u);
+    EXPECT_EQ(delta.counter_total("hdls_lease_fence_losses_total"), 1u);
+
+    const hdls::trace::Trace trace = session.merge();
+    EXPECT_EQ(trace.count(hdls::trace::EventKind::ChunkExecBegin, 0), 1);
+    EXPECT_EQ(trace.count(hdls::trace::EventKind::ChunkExecEnd, 0), 1);
+}
+
 // -------------------------------------------------- env / topology parsing
 
 TEST(EnvConfigTest, TopologyParsesTheDocumentedGrammar) {
@@ -819,19 +919,6 @@ TEST(EnvConfigTest, InterBackendEnvThrowsOnUnknownValues) {
     EXPECT_THROW((void)inter_backend_from_env(), std::invalid_argument);
     ::unsetenv("HDLS_INTER_BACKEND");
     EXPECT_EQ(inter_backend_from_env(), hdls::dls::InterBackend::Centralized);
-}
-
-TEST(EnvConfigTest, TransportEnvThrowsOnUnknownValues) {
-    ::setenv("HDLS_TRANSPORT", "shm", 1);
-    EXPECT_EQ(transport_from_env(), minimpi::TransportKind::Shm);
-    ::setenv("HDLS_TRANSPORT", "Threads", 1);
-    EXPECT_EQ(transport_from_env(), minimpi::TransportKind::Threads);
-    ::setenv("HDLS_TRANSPORT", "openmpi", 1);
-    EXPECT_THROW((void)transport_from_env(), std::invalid_argument);
-    ::unsetenv("HDLS_TRANSPORT");
-    EXPECT_EQ(transport_from_env(), minimpi::TransportKind::Threads);
-    EXPECT_EQ(hdls::core::transport_from_env(minimpi::TransportKind::Shm),
-              minimpi::TransportKind::Shm);
 }
 
 TEST(EnvConfigTest, SimdEnvThrowsOnUnknownPolicies) {

@@ -14,6 +14,7 @@
 #include <cstdlib>
 #include <memory>
 #include <new>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -384,6 +385,27 @@ void chaos_exactly_once(TransportKind kind, bool prefetch) {
     const auto analysis = hdls::trace::analyze(*report.trace);
     EXPECT_FALSE(analysis.reclaimed.empty());
     EXPECT_GE(analysis.reclaimed_iterations, 1);
+    // Loop and drain share one execution step: every worker closes each
+    // body it opens, and every Reclaim is followed on the same worker by
+    // the re-execution of the same chunk.
+    using hdls::trace::EventKind;
+    for (int w = 0; w < report.trace->workers(); ++w) {
+        SCOPED_TRACE("worker " + std::to_string(w));
+        EXPECT_EQ(report.trace->count(EventKind::ChunkExecBegin, w),
+                  report.trace->count(EventKind::ChunkExecEnd, w));
+        const auto events = report.trace->worker_events(w);
+        for (std::size_t i = 0; i < events.size(); ++i) {
+            if (events[i].kind != EventKind::Reclaim) {
+                continue;
+            }
+            std::size_t j = i + 1;
+            while (j < events.size() && events[j].kind != EventKind::ChunkExecBegin) {
+                ++j;
+            }
+            ASSERT_LT(j, events.size()) << "Reclaim of " << events[i].a << " never executed";
+            EXPECT_EQ(events[j].a, events[i].a);
+        }
+    }
 }
 
 TEST(ChaosTest, EveryIterationExecutesExactlyOnceOnThreads) {

@@ -2,7 +2,7 @@
 /// SIMD kernel layer, software prefetch, and topology-aware placement:
 /// backend parity (every backend bit-identical to the scalar reference),
 /// runtime dispatch, the prefetch ring, socket planning, team pinning and
-/// the probed-rate honesty loop — including the end-to-end checksum grid
+/// the cached kernel-rate probe — including the end-to-end checksum grid
 /// over techniques x depths x transports.
 
 #include <gtest/gtest.h>
@@ -384,7 +384,7 @@ TEST(TeamPlacementTest, UnpinnedTeamReportsNoCpus) {
     }
 }
 
-// ------------------------------------------------------------ honesty loop --
+// -------------------------------------------------------- kernel-rate probe --
 
 TEST(ProbeTest, ProbedRatesArePositiveAndCached) {
     hdls::simd::reset_probe_cache();
@@ -396,10 +396,10 @@ TEST(ProbeTest, ProbedRatesArePositiveAndCached) {
     }
 }
 
-TEST(ProbeTest, PinnedWfRunFillsNodeWeightsFromProbedRates) {
-    // The runner's honesty loop: a pinned WF run with empty node_weights
-    // gets per-node weights probed from measured kernel throughput. The
-    // run must still execute every iteration exactly once.
+TEST(ProbeTest, PinnedWfRunWithoutNodeWeightsExecutesExactlyOnce) {
+    // A pinned WF run with empty node_weights keeps WF's equal weights
+    // (callers wanting measured speeds pass node_weights, as
+    // bench_ablation_simd does). Every iteration still runs exactly once.
     hdls::core::HierConfig cfg;
     cfg.inter = Technique::WF;
     cfg.intra = Technique::GSS;
