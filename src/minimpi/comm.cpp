@@ -1,11 +1,10 @@
 /// \file comm.cpp
-/// Point-to-point core, collective algorithms and communicator management.
+/// Collective algorithms, communicator management and liveness.
 
 #include "minimpi/comm.hpp"
 
 #include <algorithm>
 #include <cstring>
-#include <thread>
 
 #include "util/rng.hpp"
 
@@ -38,33 +37,11 @@ void Comm::require_valid() const {
     }
 }
 
-void Comm::check_dst(int dst) const {
-    if (dst < 0 || dst >= size()) {
+void Comm::check_root(int root) const {
+    if (root < 0 || root >= size()) {
         throw Error(ErrorCode::InvalidRank,
-                    "minimpi: destination rank " + std::to_string(dst) + " out of range [0, " +
+                    "minimpi: root rank " + std::to_string(root) + " out of range [0, " +
                         std::to_string(size()) + ")");
-    }
-}
-
-void Comm::check_src(int src) const {
-    if (src != kAnySource && (src < 0 || src >= size())) {
-        throw Error(ErrorCode::InvalidRank,
-                    "minimpi: source rank " + std::to_string(src) + " out of range");
-    }
-}
-
-void Comm::check_tag(int tag, bool allow_wildcard) const {
-    if (tag == kAnyTag && allow_wildcard) {
-        return;
-    }
-    if (tag < 0) {
-        throw Error(ErrorCode::InvalidTag, "minimpi: tag must be >= 0");
-    }
-}
-
-void Comm::check_same_extent(std::size_t a, std::size_t b) {
-    if (a != b) {
-        throw Error(ErrorCode::InvalidArgument, "minimpi: buffer extents differ");
     }
 }
 
@@ -111,116 +88,6 @@ int Comm::alive() const {
     return live;
 }
 
-// -------------------------------------------------------------------- p2p --
-
-void Comm::send_bytes(const void* data, std::size_t bytes, int dst, int tag) const {
-    require_valid();
-    check_dst(dst);
-    check_tag(tag, /*allow_wildcard=*/false);
-    state_->check_abort();
-    detail::Envelope e;
-    e.comm_id = meta_->id;
-    e.src = rank_;
-    e.tag = tag;
-    e.payload.resize(bytes);
-    if (bytes > 0) {
-        std::memcpy(e.payload.data(), data, bytes);
-    }
-    const int world_dst = meta_->members[static_cast<std::size_t>(dst)];
-    state_->mailbox(world_dst).push(std::move(e), state_->abort);
-}
-
-Status Comm::recv_bytes(void* data, std::size_t max_bytes, int src, int tag) const {
-    require_valid();
-    check_src(src);
-    check_tag(tag, /*allow_wildcard=*/true);
-    detail::MatchSpec spec{meta_->id, src, tag, /*collective=*/false, 0};
-    const int my_world = meta_->members[static_cast<std::size_t>(rank_)];
-    detail::Envelope e = state_->mailbox(my_world).match(spec, state_->abort);
-    if (e.payload.size() > max_bytes) {
-        throw Error(ErrorCode::Truncate,
-                    "minimpi: message of " + std::to_string(e.payload.size()) +
-                        " bytes truncated by a " + std::to_string(max_bytes) + "-byte buffer");
-    }
-    if (!e.payload.empty()) {
-        std::memcpy(data, e.payload.data(), e.payload.size());
-    }
-    return Status{e.src, e.tag, e.payload.size()};
-}
-
-Request Comm::irecv_bytes(void* data, std::size_t max_bytes, int src, int tag) const {
-    require_valid();
-    check_src(src);
-    check_tag(tag, /*allow_wildcard=*/true);
-    Request::RecvState rs;
-    rs.state = state_;
-    const int my_world = meta_->members[static_cast<std::size_t>(rank_)];
-    rs.mailbox = &state_->mailbox(my_world);
-    rs.spec = detail::MatchSpec{meta_->id, src, tag, /*collective=*/false, 0};
-    rs.buffer = data;
-    rs.max_bytes = max_bytes;
-    return Request(rs);
-}
-
-std::optional<Status> Comm::iprobe(int src, int tag) const {
-    require_valid();
-    check_src(src);
-    check_tag(tag, /*allow_wildcard=*/true);
-    const detail::MatchSpec spec{meta_->id, src, tag, /*collective=*/false, 0};
-    const int my_world = meta_->members[static_cast<std::size_t>(rank_)];
-    return state_->mailbox(my_world).peek(spec);
-}
-
-Status Comm::probe(int src, int tag) const {
-    for (;;) {
-        if (auto s = iprobe(src, tag)) {
-            return *s;
-        }
-        state_->check_abort();
-        std::this_thread::yield();
-    }
-}
-
-// ---------------------------------------------------------------- Request --
-
-void Request::complete_with(detail::Envelope e) {
-    if (e.payload.size() > recv_->max_bytes) {
-        throw Error(ErrorCode::Truncate, "minimpi: irecv buffer too small for matched message");
-    }
-    if (!e.payload.empty()) {
-        std::memcpy(recv_->buffer, e.payload.data(), e.payload.size());
-    }
-    status_ = Status{e.src, e.tag, e.payload.size()};
-    done_ = true;
-    recv_.reset();
-}
-
-void Request::wait() {
-    if (done_ || !recv_) {
-        done_ = true;
-        return;
-    }
-    complete_with(recv_->mailbox->match(recv_->spec, recv_->state->abort));
-}
-
-bool Request::test() {
-    if (done_ || !recv_) {
-        done_ = true;
-        return true;
-    }
-    if (auto e = recv_->mailbox->try_match(recv_->spec)) {
-        complete_with(std::move(*e));
-        return true;
-    }
-    return false;
-}
-
-void Request::wait_all(std::span<Request> requests) {
-    for (Request& r : requests) {
-        r.wait();
-    }
-}
-
 // ----------------------------------------------------- collective plumbing --
 
 void Comm::coll_send(const void* data, std::size_t bytes, int dst, int phase,
@@ -229,8 +96,7 @@ void Comm::coll_send(const void* data, std::size_t bytes, int dst, int phase,
     detail::Envelope e;
     e.comm_id = meta_->id;
     e.src = rank_;
-    e.tag = phase;
-    e.collective = true;
+    e.phase = phase;
     e.cseq = cseq;
     e.payload.resize(bytes);
     if (bytes > 0) {
@@ -240,9 +106,9 @@ void Comm::coll_send(const void* data, std::size_t bytes, int dst, int phase,
     state_->mailbox(world_dst).push(std::move(e), state_->abort);
 }
 
-std::size_t Comm::coll_recv(void* data, std::size_t max_bytes, int src, int phase,
-                            std::uint64_t cseq) const {
-    const detail::MatchSpec spec{meta_->id, src, phase, /*collective=*/true, cseq};
+void Comm::coll_recv(void* data, std::size_t max_bytes, int src, int phase,
+                     std::uint64_t cseq) const {
+    const detail::MatchSpec spec{meta_->id, src, phase, cseq};
     const int my_world = meta_->members[static_cast<std::size_t>(rank_)];
     detail::Envelope e = state_->mailbox(my_world).match(spec, state_->abort);
     if (e.payload.size() > max_bytes) {
@@ -251,7 +117,6 @@ std::size_t Comm::coll_recv(void* data, std::size_t max_bytes, int src, int phas
     if (!e.payload.empty()) {
         std::memcpy(data, e.payload.data(), e.payload.size());
     }
-    return e.payload.size();
 }
 
 // -------------------------------------------------------------- collectives --
@@ -263,8 +128,8 @@ void Comm::barrier() const {
     if (p == 1) {
         return;
     }
-    // Dissemination barrier: ceil(log2(P)) rounds; eager sends keep it
-    // deadlock-free without pairing send/recv.
+    // Dissemination barrier: ceil(log2(P)) rounds; a push completes once
+    // enqueued, so sending before receiving keeps it deadlock-free.
     const std::byte token{0};
     int phase = 0;
     for (int dist = 1; dist < p; dist <<= 1, ++phase) {
@@ -272,13 +137,13 @@ void Comm::barrier() const {
         const int src = (rank_ - dist % p + p) % p;
         coll_send(&token, 1, dst, phase, cseq);
         std::byte sink{};
-        (void)coll_recv(&sink, 1, src, phase, cseq);
+        coll_recv(&sink, 1, src, phase, cseq);
     }
 }
 
 void Comm::bcast_bytes(void* data, std::size_t bytes, int root) const {
     require_valid();
-    check_dst(root);
+    check_root(root);
     const std::uint64_t cseq = ++counters_->collective_seq;
     const int p = size();
     if (p == 1) {
@@ -290,7 +155,7 @@ void Comm::bcast_bytes(void* data, std::size_t bytes, int root) const {
     int mask = 1;
     while (mask < p) {
         if ((vrank & mask) != 0) {
-            (void)coll_recv(data, bytes, real(vrank - mask), 0, cseq);
+            coll_recv(data, bytes, real(vrank - mask), 0, cseq);
             break;
         }
         mask <<= 1;
@@ -304,46 +169,10 @@ void Comm::bcast_bytes(void* data, std::size_t bytes, int root) const {
     }
 }
 
-void Comm::reduce_bytes(const void* in, void* out, std::size_t bytes, Combiner combine,
-                        std::size_t elem_size, int root) const {
-    require_valid();
-    check_dst(root);
-    const std::uint64_t cseq = ++counters_->collective_seq;
-    const int p = size();
-    const std::size_t count = elem_size > 0 ? bytes / elem_size : 0;
-    // Accumulate into a scratch copy of the local contribution.
-    std::vector<std::byte> acc(bytes);
-    if (bytes > 0) {
-        std::memcpy(acc.data(), in, bytes);
-    }
-    if (p > 1) {
-        const int vrank = (rank_ - root + p) % p;
-        auto real = [&](int v) { return (v + root) % p; };
-        std::vector<std::byte> incoming(bytes);
-        int mask = 1;
-        while (mask < p) {
-            if ((vrank & mask) == 0) {
-                const int partner = vrank + mask;
-                if (partner < p) {
-                    (void)coll_recv(incoming.data(), bytes, real(partner), 0, cseq);
-                    combine(acc.data(), incoming.data(), count);
-                }
-            } else {
-                coll_send(acc.data(), bytes, real(vrank - mask), 0, cseq);
-                break;
-            }
-            mask <<= 1;
-        }
-    }
-    if (rank_ == root && bytes > 0) {
-        std::memcpy(out, acc.data(), bytes);
-    }
-}
-
 void Comm::gather_bytes(const void* in, std::size_t in_bytes, void* out, std::size_t out_bytes,
                         int root) const {
     require_valid();
-    check_dst(root);
+    check_root(root);
     const std::uint64_t cseq = ++counters_->collective_seq;
     const int p = size();
     if (rank_ == root) {
@@ -359,7 +188,7 @@ void Comm::gather_bytes(const void* in, std::size_t in_bytes, void* out, std::si
                     std::memcpy(slot, in, in_bytes);
                 }
             } else {
-                (void)coll_recv(slot, in_bytes, r, 0, cseq);
+                coll_recv(slot, in_bytes, r, 0, cseq);
             }
         }
     } else {
@@ -367,43 +196,7 @@ void Comm::gather_bytes(const void* in, std::size_t in_bytes, void* out, std::si
     }
 }
 
-void Comm::scatter_bytes(const void* in, std::size_t in_bytes, void* out, std::size_t out_bytes,
-                         int root) const {
-    require_valid();
-    check_dst(root);
-    const std::uint64_t cseq = ++counters_->collective_seq;
-    const int p = size();
-    if (rank_ == root) {
-        if (in_bytes != out_bytes * static_cast<std::size_t>(p)) {
-            throw Error(ErrorCode::InvalidArgument,
-                        "minimpi: scatter input must hold size()*output bytes");
-        }
-        const auto* src = static_cast<const std::byte*>(in);
-        for (int r = 0; r < p; ++r) {
-            const std::byte* slot = src + static_cast<std::size_t>(r) * out_bytes;
-            if (r == rank_) {
-                if (out_bytes > 0) {
-                    std::memcpy(out, slot, out_bytes);
-                }
-            } else {
-                coll_send(slot, out_bytes, r, 0, cseq);
-            }
-        }
-    } else {
-        (void)coll_recv(out, out_bytes, root, 0, cseq);
-    }
-}
-
 // --------------------------------------------------------- comm management --
-
-Comm Comm::dup() const {
-    require_valid();
-    const std::uint64_t seq = ++counters_->split_seq;
-    auto meta = std::make_shared<detail::CommMeta>();
-    meta->id = derive_comm_id(meta_->id, seq, 0xd0b0ULL);
-    meta->members = meta_->members;
-    return Comm(state_, std::move(meta), rank_);
-}
 
 Comm Comm::split(int color, int key) const {
     require_valid();

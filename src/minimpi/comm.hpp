@@ -1,21 +1,19 @@
 #pragma once
 /// \file comm.hpp
-/// Communicators: point-to-point messaging, non-blocking requests and
-/// collectives with MPI semantics.
+/// Communicators: collectives with MPI semantics, communicator splitting
+/// and the per-rank liveness words.
 ///
 /// A Comm is a cheap value handle. Copies held by the *same* rank share
 /// their collective-sequence bookkeeping; using one communicator from two
 /// threads of the same rank is undefined (as in MPI without THREAD_MULTIPLE).
 ///
-/// Matching semantics follow MPI: receives match on (source, tag) with
-/// kAnySource / kAnyTag wildcards, and messages between a given (sender,
-/// tag) pair arrive in send order (non-overtaking). All sends are eager:
-/// the payload is buffered at the destination and the send returns
-/// immediately, so the usual MPI eager-protocol programs port one-to-one.
+/// Collectives travel over the runtime mailboxes (mailbox.hpp). Every
+/// message of a collective carries its communicator id, the collective's
+/// per-communicator sequence number and the algorithm phase, and a receive
+/// matches exactly on those plus the source rank, so concurrent collectives
+/// on different communicators never cross.
 
-#include <cstring>
 #include <memory>
-#include <optional>
 #include <span>
 #include <vector>
 
@@ -25,59 +23,11 @@
 
 namespace minimpi {
 
-class Comm;
-
-/// Handle for a non-blocking operation (subset of MPI_Request).
-/// Move-only; must be completed by wait()/test() before destruction to have
-/// effect (an incomplete irecv simply never fills its buffer).
-class Request {
-public:
-    Request() = default;
-    Request(Request&&) noexcept = default;
-    Request& operator=(Request&&) noexcept = default;
-    Request(const Request&) = delete;
-    Request& operator=(const Request&) = delete;
-
-    /// Blocks until completion; fills the receive buffer for irecv.
-    void wait();
-
-    /// Non-blocking completion attempt; true once complete.
-    [[nodiscard]] bool test();
-
-    [[nodiscard]] bool done() const noexcept { return done_; }
-
-    /// Completion status; only meaningful once done().
-    [[nodiscard]] const Status& status() const noexcept { return status_; }
-
-    /// Completes every request (MPI_Waitall).
-    static void wait_all(std::span<Request> requests);
-
-private:
-    friend class Comm;
-
-    struct RecvState {
-        detail::RuntimeState* state = nullptr;
-        detail::Mailbox* mailbox = nullptr;
-        detail::MatchSpec spec;
-        void* buffer = nullptr;
-        std::size_t max_bytes = 0;
-    };
-
-    explicit Request(Status completed_send) : status_(completed_send), done_(true) {}
-    explicit Request(RecvState rs) : recv_(rs) {}
-
-    void complete_with(detail::Envelope e);
-
-    std::optional<RecvState> recv_;
-    Status status_{};
-    bool done_ = false;
-};
-
 /// An ordered group of ranks with its own message-matching context.
 class Comm {
 public:
     /// Default-constructed handles are invalid; obtain real ones from
-    /// Context::world(), dup(), split() or split_type().
+    /// Context::world(), split() or split_type().
     Comm() = default;
 
     [[nodiscard]] bool valid() const noexcept { return state_ != nullptr; }
@@ -89,61 +39,6 @@ public:
 
     /// World rank backing a rank of this communicator.
     [[nodiscard]] int world_rank_of(int comm_rank) const;
-
-    // ------------------------------------------------------------- p2p ----
-
-    /// Eager (buffered) send; returns as soon as the payload is enqueued.
-    void send_bytes(const void* data, std::size_t bytes, int dst, int tag) const;
-
-    /// Blocking receive into `data` (capacity `max_bytes`); throws
-    /// ErrorCode::Truncate if the matched message is larger.
-    Status recv_bytes(void* data, std::size_t max_bytes, int src = kAnySource,
-                      int tag = kAnyTag) const;
-
-    template <Pod T>
-    void send(const T& value, int dst, int tag = 0) const {
-        send_bytes(&value, sizeof(T), dst, tag);
-    }
-
-    template <Pod T>
-    void send(std::span<const T> values, int dst, int tag = 0) const {
-        send_bytes(values.data(), values.size_bytes(), dst, tag);
-    }
-
-    template <Pod T>
-    Status recv(T& value, int src = kAnySource, int tag = kAnyTag) const {
-        return recv_bytes(&value, sizeof(T), src, tag);
-    }
-
-    template <Pod T>
-    Status recv(std::span<T> values, int src = kAnySource, int tag = kAnyTag) const {
-        return recv_bytes(values.data(), values.size_bytes(), src, tag);
-    }
-
-    /// Non-blocking send. Eager semantics mean it is complete on return;
-    /// the Request exists for MPI-shaped code and wait_all symmetry.
-    template <Pod T>
-    [[nodiscard]] Request isend(std::span<const T> values, int dst, int tag = 0) const {
-        send_bytes(values.data(), values.size_bytes(), dst, tag);
-        return Request(Status{rank_, tag, values.size_bytes()});
-    }
-
-    /// Non-blocking receive; the buffer must outlive the Request and is
-    /// filled by wait()/test().
-    template <Pod T>
-    [[nodiscard]] Request irecv(std::span<T> values, int src = kAnySource,
-                                int tag = kAnyTag) const {
-        return irecv_bytes(values.data(), values.size_bytes(), src, tag);
-    }
-
-    [[nodiscard]] Request irecv_bytes(void* data, std::size_t max_bytes, int src = kAnySource,
-                                      int tag = kAnyTag) const;
-
-    /// Non-blocking probe: status of the first matching pending message.
-    [[nodiscard]] std::optional<Status> iprobe(int src = kAnySource, int tag = kAnyTag) const;
-
-    /// Blocking probe.
-    Status probe(int src = kAnySource, int tag = kAnyTag) const;
 
     // ------------------------------------------------------ collectives ----
     // All ranks of the communicator must call collectives in the same order
@@ -162,60 +57,12 @@ public:
         bcast_bytes(values.data(), values.size_bytes(), root);
     }
 
-    /// Element-wise reduction to `root` (commutative ops only). Ranks other
-    /// than root receive `out` unchanged.
-    template <Pod T>
-    void reduce(std::span<const T> in, std::span<T> out, ReduceOp op, int root) const
-        requires std::is_arithmetic_v<T>
-    {
-        check_same_extent(in.size(), out.size());
-        reduce_bytes(in.data(), out.data(), sizeof(T) * in.size(), combiner_for<T>(op), sizeof(T),
-                     root);
-    }
-
-    template <Pod T>
-    [[nodiscard]] T reduce(const T& value, ReduceOp op, int root) const
-        requires std::is_arithmetic_v<T>
-    {
-        T out{};
-        reduce(std::span<const T>(&value, 1), std::span<T>(&out, 1), op, root);
-        return out;
-    }
-
-    template <Pod T>
-    void allreduce(std::span<const T> in, std::span<T> out, ReduceOp op) const
-        requires std::is_arithmetic_v<T>
-    {
-        reduce(in, out, op, 0);
-        bcast(out, 0);
-    }
-
-    template <Pod T>
-    [[nodiscard]] T allreduce(const T& value, ReduceOp op) const
-        requires std::is_arithmetic_v<T>
-    {
-        T out{};
-        allreduce(std::span<const T>(&value, 1), std::span<T>(&out, 1), op);
-        return out;
-    }
-
     /// Gather fixed-size contributions; `out` must hold size()*in.size()
     /// elements at root (ignored elsewhere).
     template <Pod T>
     void gather(std::span<const T> in, std::span<T> out, int root) const {
         gather_bytes(in.data(), in.size_bytes(), rank_ == root ? out.data() : nullptr,
                      rank_ == root ? out.size_bytes() : 0, root);
-    }
-
-    /// Scalar gather convenience: root receives the vector, others empty.
-    template <Pod T>
-    [[nodiscard]] std::vector<T> gather(const T& value, int root) const {
-        std::vector<T> out;
-        if (rank_ == root) {
-            out.resize(static_cast<std::size_t>(size()));
-        }
-        gather(std::span<const T>(&value, 1), std::span<T>(out), root);
-        return out;
     }
 
     template <Pod T>
@@ -231,24 +78,7 @@ public:
         return out;
     }
 
-    /// Scatter fixed-size pieces from root; returns this rank's piece.
-    template <Pod T>
-    void scatter(std::span<const T> in, std::span<T> out, int root) const {
-        scatter_bytes(rank_ == root ? in.data() : nullptr, rank_ == root ? in.size_bytes() : 0,
-                      out.data(), out.size_bytes(), root);
-    }
-
-    template <Pod T>
-    [[nodiscard]] T scatter(std::span<const T> in, int root) const {
-        T out{};
-        scatter(in, std::span<T>(&out, 1), root);
-        return out;
-    }
-
     // ------------------------------------------------ comm management ----
-
-    /// New communicator with the same group but a fresh matching context.
-    [[nodiscard]] Comm dup() const;
 
     /// MPI_Comm_split: ranks with equal `color` form a new communicator,
     /// ordered by (key, old rank). color < 0 means "not participating"
@@ -303,64 +133,17 @@ private:
           rank_(my_rank) {}
 
     void require_valid() const;
-    void check_dst(int dst) const;
-    void check_tag(int tag, bool allow_wildcard) const;
-    void check_src(int src) const;
-    static void check_same_extent(std::size_t a, std::size_t b);
+    void check_root(int root) const;
 
-    // Collective-lane internals (implemented in comm.cpp).
-    using Combiner = void (*)(void* acc, const void* in, std::size_t count);
+    // Collective internals (implemented in comm.cpp).
     void bcast_bytes(void* data, std::size_t bytes, int root) const;
-    void reduce_bytes(const void* in, void* out, std::size_t bytes, Combiner combine,
-                      std::size_t elem_size, int root) const;
     void gather_bytes(const void* in, std::size_t in_bytes, void* out, std::size_t out_bytes,
                       int root) const;
-    void scatter_bytes(const void* in, std::size_t in_bytes, void* out, std::size_t out_bytes,
-                       int root) const;
 
     void coll_send(const void* data, std::size_t bytes, int dst, int phase,
                    std::uint64_t cseq) const;
-    std::size_t coll_recv(void* data, std::size_t max_bytes, int src, int phase,
-                          std::uint64_t cseq) const;
-
-    template <Pod T>
-    [[nodiscard]] static Combiner combiner_for(ReduceOp op) {
-        switch (op) {
-            case ReduceOp::Sum:
-                return [](void* a, const void* b, std::size_t n) {
-                    auto* x = static_cast<T*>(a);
-                    const auto* y = static_cast<const T*>(b);
-                    for (std::size_t i = 0; i < n; ++i) {
-                        x[i] = static_cast<T>(x[i] + y[i]);
-                    }
-                };
-            case ReduceOp::Prod:
-                return [](void* a, const void* b, std::size_t n) {
-                    auto* x = static_cast<T*>(a);
-                    const auto* y = static_cast<const T*>(b);
-                    for (std::size_t i = 0; i < n; ++i) {
-                        x[i] = static_cast<T>(x[i] * y[i]);
-                    }
-                };
-            case ReduceOp::Min:
-                return [](void* a, const void* b, std::size_t n) {
-                    auto* x = static_cast<T*>(a);
-                    const auto* y = static_cast<const T*>(b);
-                    for (std::size_t i = 0; i < n; ++i) {
-                        x[i] = y[i] < x[i] ? y[i] : x[i];
-                    }
-                };
-            case ReduceOp::Max:
-                return [](void* a, const void* b, std::size_t n) {
-                    auto* x = static_cast<T*>(a);
-                    const auto* y = static_cast<const T*>(b);
-                    for (std::size_t i = 0; i < n; ++i) {
-                        x[i] = y[i] > x[i] ? y[i] : x[i];
-                    }
-                };
-        }
-        throw Error(ErrorCode::InvalidArgument, "minimpi: unknown ReduceOp");
-    }
+    void coll_recv(void* data, std::size_t max_bytes, int src, int phase,
+                   std::uint64_t cseq) const;
 
     detail::RuntimeState* state_ = nullptr;
     std::shared_ptr<const detail::CommMeta> meta_;

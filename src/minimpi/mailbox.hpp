@@ -1,18 +1,16 @@
 #pragma once
 /// \file mailbox.hpp
-/// Internal: the per-rank message-queue *interface* with MPI matching
-/// semantics. Each Transport supplies its own implementation (see
+/// Internal: the per-rank message-queue *interface* that carries the
+/// collectives. Each Transport supplies its own implementation (see
 /// transport.hpp): the thread transport a mutex+condvar deque, the shm
 /// transport a lock-word slot table inside the shared segment.
 ///
-/// Sends are *eager*: the payload is copied into the destination mailbox
-/// and the send completes as soon as the envelope is enqueued (MPI's
-/// buffered/eager protocol; a transport with bounded buffering may block
-/// the sender until a slot frees, which preserves eager semantics for any
-/// program that was correct under finite MPI buffering). Receives scan the
-/// queue front-to-back for the first envelope matching (comm, source, tag,
-/// lane), which yields MPI's non-overtaking guarantee: two messages from
-/// the same sender with the same tag are received in send order.
+/// Every envelope belongs to one collective call: a receive matches
+/// exactly on (communicator, source, phase, collective sequence number),
+/// so concurrent collectives on different communicators, and successive
+/// collectives on one communicator, never cross. A push completes as soon
+/// as the envelope is enqueued; a transport with bounded buffering may
+/// block the sender until the receiver drains a slot.
 ///
 /// Abort contract: every potentially blocking entry point (push under
 /// backpressure, match) takes the runtime's abort flag and must observe it
@@ -23,47 +21,32 @@
 
 #include <atomic>
 #include <cstdint>
-#include <optional>
 #include <vector>
 
 #include "minimpi/types.hpp"
 
 namespace minimpi::detail {
 
-/// A message in flight. `collective` separates the runtime-internal
-/// collective lane from user point-to-point traffic; `cseq` disambiguates
+/// A message in flight: one step of one collective. `phase` names the
+/// step inside the algorithm (a barrier round); `cseq` disambiguates
 /// successive collectives on the same communicator.
 struct Envelope {
     std::uint64_t comm_id = 0;
     int src = 0;  ///< comm rank of the sender
-    int tag = 0;
-    bool collective = false;
+    int phase = 0;
     std::uint64_t cseq = 0;
     std::vector<std::byte> payload;
 };
 
-/// Matching criteria for a receive/probe.
+/// What a collective receive waits for.
 struct MatchSpec {
     std::uint64_t comm_id = 0;
-    int src = kAnySource;
-    int tag = kAnyTag;
-    bool collective = false;
+    int src = 0;
+    int phase = 0;
     std::uint64_t cseq = 0;
 
     [[nodiscard]] bool matches(const Envelope& e) const noexcept {
-        if (e.comm_id != comm_id || e.collective != collective) {
-            return false;
-        }
-        if (collective && e.cseq != cseq) {
-            return false;
-        }
-        if (src != kAnySource && e.src != src) {
-            return false;
-        }
-        if (tag != kAnyTag && e.tag != tag) {
-            return false;
-        }
-        return true;
+        return e.comm_id == comm_id && e.src == src && e.phase == phase && e.cseq == cseq;
     }
 };
 
@@ -73,27 +56,18 @@ class Mailbox {
 public:
     virtual ~Mailbox() = default;
 
-    /// Eager enqueue. A bounded-buffer transport may block until a slot
-    /// frees; it must then poll `abort` and throw ErrorCode::Aborted
-    /// rather than wait on a dead peer.
+    /// Enqueue. A bounded-buffer transport may block until a slot frees;
+    /// it must then poll `abort` and throw ErrorCode::Aborted rather than
+    /// wait on a dead peer.
     virtual void push(Envelope e, const std::atomic<bool>& abort) = 0;
 
     /// Blocking matched pop. Polls the abort flag so a failing rank
     /// elsewhere unblocks this one instead of deadlocking the process.
     virtual Envelope match(const MatchSpec& spec, const std::atomic<bool>& abort) = 0;
 
-    /// Non-blocking matched pop.
-    virtual std::optional<Envelope> try_match(const MatchSpec& spec) = 0;
-
-    /// Non-destructive probe: status of the first matching envelope.
-    virtual std::optional<Status> peek(const MatchSpec& spec) = 0;
-
     /// Wakes blocked receivers so they can observe the abort flag (a no-op
     /// for transports whose waits are polled).
     virtual void interrupt() = 0;
-
-    /// Number of queued envelopes (tests / leak detection).
-    [[nodiscard]] virtual std::size_t pending() = 0;
 };
 
 }  // namespace minimpi::detail

@@ -20,7 +20,9 @@
 ///
 /// Whatever the transport, the seam must carry the semantics the
 /// scheduling core relies on:
-///  * eager non-overtaking sends (Mailbox),
+///  * collective messages matched exactly on (communicator, source,
+///    phase, sequence number); a push returns once enqueued, or blocks
+///    while a bounded mailbox is full (Mailbox),
 ///  * passive-target epochs + element-wise atomics + request-based
 ///    nonblocking CAS (WindowStorage and the Window built on it),
 ///  * abort propagation: every blocking primitive observes a peer failure

@@ -86,8 +86,7 @@ struct ShmSlot {
     std::uint64_t comm_id;
     std::uint64_t cseq;
     std::int32_t src;
-    std::int32_t tag;
-    std::uint32_t collective;
+    std::int32_t phase;
     std::uint32_t size;  ///< total payload bytes of the whole chain
     std::int32_t next;
     std::int32_t cont;
@@ -99,7 +98,6 @@ struct ShmSlot {
 /// that never queues more than k messages at once touches only k slots.
 struct ShmMailboxShared {
     std::atomic<std::uint32_t> lock{0};
-    std::uint32_t count = 0;
     std::int32_t head = -1;
     std::int32_t tail = -1;
     std::int32_t free_head = -1;
@@ -122,19 +120,8 @@ namespace {
 }
 
 [[nodiscard]] bool matches_slot(const MatchSpec& spec, const ShmSlot& s) noexcept {
-    if (s.comm_id != spec.comm_id || (s.collective != 0) != spec.collective) {
-        return false;
-    }
-    if (spec.collective && s.cseq != spec.cseq) {
-        return false;
-    }
-    if (spec.src != kAnySource && s.src != spec.src) {
-        return false;
-    }
-    if (spec.tag != kAnyTag && s.tag != spec.tag) {
-        return false;
-    }
-    return true;
+    return s.comm_id == spec.comm_id && s.src == spec.src && s.phase == spec.phase &&
+           s.cseq == spec.cseq;
 }
 
 }  // namespace
@@ -222,8 +209,7 @@ void ShmMailbox::push(Envelope e, const std::atomic<bool>& abort) {
                 s.comm_id = e.comm_id;
                 s.cseq = e.cseq;
                 s.src = e.src;
-                s.tag = e.tag;
-                s.collective = e.collective ? 1 : 0;
+                s.phase = e.phase;
                 s.size = static_cast<std::uint32_t>(e.payload.size());
                 s.next = -1;
                 std::size_t copied = 0;
@@ -243,7 +229,6 @@ void ShmMailbox::push(Envelope e, const std::atomic<bool>& abort) {
                     sh_->head = first;
                 }
                 sh_->tail = first;
-                ++sh_->count;
                 return;
             }
             while (first >= 0) {
@@ -285,8 +270,7 @@ std::optional<Envelope> ShmMailbox::try_match(const MatchSpec& spec) {
             e.comm_id = s.comm_id;
             e.cseq = s.cseq;
             e.src = s.src;
-            e.tag = s.tag;
-            e.collective = s.collective != 0;
+            e.phase = s.phase;
             e.payload.resize(s.size);
             std::size_t copied = 0;
             for (std::int32_t c = idx; c >= 0;
@@ -313,7 +297,6 @@ std::optional<Envelope> ShmMailbox::try_match(const MatchSpec& spec) {
                 sh_->free_head = c;
                 c = cont;
             }
-            --sh_->count;
             return e;
         }
         prev = idx;
@@ -321,23 +304,7 @@ std::optional<Envelope> ShmMailbox::try_match(const MatchSpec& spec) {
     return std::nullopt;
 }
 
-std::optional<Status> ShmMailbox::peek(const MatchSpec& spec) {
-    const SpinLockGuard guard(sh_->lock);
-    for (std::int32_t idx = sh_->head; idx >= 0; idx = sh_->slots[static_cast<std::size_t>(idx)].next) {
-        const ShmSlot& s = sh_->slots[static_cast<std::size_t>(idx)];
-        if (matches_slot(spec, s)) {
-            return Status{s.src, s.tag, s.size};
-        }
-    }
-    return std::nullopt;
-}
-
 void ShmMailbox::interrupt() {}
-
-std::size_t ShmMailbox::pending() {
-    const SpinLockGuard guard(sh_->lock);
-    return sh_->count;
-}
 
 // ------------------------------------------------------- ShmWindowStorage --
 

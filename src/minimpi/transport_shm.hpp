@@ -10,8 +10,8 @@
 ///    kShmMaxPayload inline payload bytes; bigger messages chain
 ///    continuation slots) ordered by an index-linked list, guarded by one
 ///    exclusive lock word per mailbox. push blocks under backpressure
-///    (bounded eager buffering); match is a polled scan on the Backoff
-///    ladder. Both observe the abort flag in bounded time.
+///    (bounded buffering); match is a polled scan on the Backoff ladder.
+///    Both observe the abort flag in bounded time.
 ///  * Windows are carved from the arena by an atomic bump allocator in the
 ///    control block: per-rank lock *words* (one cache line each — the
 ///    futex-or-polled words real passive-target implementations use over
@@ -27,6 +27,8 @@
 ///
 /// Not part of the public API.
 
+#include <optional>
+
 #include "minimpi/transport.hpp"
 
 namespace minimpi::detail {
@@ -34,8 +36,8 @@ namespace minimpi::detail {
 /// Per-mailbox slot count; a sender whose destination has all slots in
 /// flight blocks (polling abort) until the receiver drains one.
 inline constexpr std::size_t kShmMailboxSlots = 256;
-/// Inline payload bytes of one slot. Everything the scheduling core sends
-/// is tens of bytes (one slot); a larger message chains continuation
+/// Inline payload bytes of one slot. Every collective the scheduling core
+/// runs moves tens of bytes (one slot); a larger message chains continuation
 /// slots, up to the whole slot table (kShmMailboxSlots * kShmMaxPayload
 /// bytes) before throwing ErrorCode::Resource with a one-line hint.
 inline constexpr std::size_t kShmMaxPayload = 4096;
@@ -69,12 +71,12 @@ public:
 
     void push(Envelope e, const std::atomic<bool>& abort) override;
     Envelope match(const MatchSpec& spec, const std::atomic<bool>& abort) override;
-    std::optional<Envelope> try_match(const MatchSpec& spec) override;
-    std::optional<Status> peek(const MatchSpec& spec) override;
     void interrupt() override;  // waits are polled: nothing to wake
-    [[nodiscard]] std::size_t pending() override;
 
 private:
+    /// One locked scan: pops the matching envelope if it is queued.
+    std::optional<Envelope> try_match(const MatchSpec& spec);
+
     ShmMailboxShared* sh_;
 };
 

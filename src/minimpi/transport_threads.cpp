@@ -30,27 +30,7 @@ Envelope ThreadMailbox::match(const MatchSpec& spec, const std::atomic<bool>& ab
     }
 }
 
-std::optional<Envelope> ThreadMailbox::try_match(const MatchSpec& spec) {
-    const std::lock_guard<std::mutex> lock(mutex_);
-    return take_locked(spec);
-}
-
-std::optional<Status> ThreadMailbox::peek(const MatchSpec& spec) {
-    const std::lock_guard<std::mutex> lock(mutex_);
-    for (const Envelope& e : queue_) {
-        if (spec.matches(e)) {
-            return Status{e.src, e.tag, e.payload.size()};
-        }
-    }
-    return std::nullopt;
-}
-
 void ThreadMailbox::interrupt() { cv_.notify_all(); }
-
-std::size_t ThreadMailbox::pending() {
-    const std::lock_guard<std::mutex> lock(mutex_);
-    return queue_.size();
-}
 
 std::optional<Envelope> ThreadMailbox::take_locked(const MatchSpec& spec) {
     for (auto it = queue_.begin(); it != queue_.end(); ++it) {

@@ -12,6 +12,7 @@
 #include <cstdint>
 #include <deque>
 #include <mutex>
+#include <optional>
 #include <vector>
 
 #include "minimpi/lock_word.hpp"
@@ -25,10 +26,7 @@ class ThreadMailbox final : public Mailbox {
 public:
     void push(Envelope e, const std::atomic<bool>& abort) override;
     Envelope match(const MatchSpec& spec, const std::atomic<bool>& abort) override;
-    std::optional<Envelope> try_match(const MatchSpec& spec) override;
-    std::optional<Status> peek(const MatchSpec& spec) override;
     void interrupt() override;
-    [[nodiscard]] std::size_t pending() override;
 
 private:
     std::optional<Envelope> take_locked(const MatchSpec& spec);

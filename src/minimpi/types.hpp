@@ -3,16 +3,17 @@
 /// Common types, constants and errors of the minimpi runtime.
 ///
 /// minimpi is a *thread-backed* implementation of the MPI-3 subset the
-/// paper's MPI+MPI approach relies on: two-sided point-to-point messaging,
-/// collectives, communicator splitting (including the shared-memory split
-/// of MPI_Comm_split_type) and passive-target one-sided windows including
-/// MPI_Win_allocate_shared, MPI_Fetch_and_op and MPI_Compare_and_swap.
-/// Ranks are threads inside one process; a Topology assigns ranks to
-/// simulated "compute nodes" so that node-level splitting behaves exactly
-/// like MPI_COMM_TYPE_SHARED on a real cluster.
+/// paper's MPI+MPI approach relies on: four collectives (barrier, bcast,
+/// gather, allgather), communicator splitting (including the
+/// shared-memory split of MPI_Comm_split_type) and passive-target
+/// one-sided windows: MPI_Win_allocate_shared, MPI_Win_lock/unlock,
+/// MPI_Fetch_and_op and MPI_Compare_and_swap. Ranks are threads inside one
+/// process; a Topology assigns ranks to simulated "compute nodes" so that
+/// node-level splitting behaves exactly like MPI_COMM_TYPE_SHARED on a
+/// real cluster.
 ///
-/// The public API mirrors MPI *semantics* (matching rules, eager buffered
-/// sends, exclusive/shared passive-target locks, element-wise atomicity of
+/// The public API mirrors MPI *semantics* (collective call ordering,
+/// exclusive/shared passive-target locks, element-wise atomicity of
 /// accumulate operations) with idiomatic C++ surface (RAII, spans, enums,
 /// exceptions instead of error codes).
 
@@ -24,18 +25,11 @@
 
 namespace minimpi {
 
-/// Wildcard for Comm::recv / probe source matching (MPI_ANY_SOURCE).
-inline constexpr int kAnySource = -1;
-/// Wildcard for Comm::recv / probe tag matching (MPI_ANY_TAG).
-inline constexpr int kAnyTag = -1;
-
 /// Error categories (loosely mirrors the MPI error classes we can hit).
 enum class ErrorCode {
     InvalidRank,
-    InvalidTag,
     InvalidArgument,
-    Truncate,       ///< receive buffer smaller than the matched message
-    WindowUsage,    ///< bad window rank/offset/alignment
+    WindowUsage,    ///< invalid window, access past a segment, epoch misuse
     Aborted,        ///< another rank terminated with an exception
     Resource,       ///< transport resource exhausted (shm segment, slot capacity)
     Internal,
@@ -49,19 +43,6 @@ public:
 
 private:
     ErrorCode code_;
-};
-
-/// Completion information of a receive (subset of MPI_Status).
-struct Status {
-    int source = kAnySource;  ///< comm rank of the sender
-    int tag = kAnyTag;
-    std::size_t bytes = 0;  ///< payload size in bytes
-
-    /// Element count, MPI_Get_count style.
-    template <typename T>
-    [[nodiscard]] std::size_t count() const noexcept {
-        return bytes / sizeof(T);
-    }
 };
 
 /// Comm::split_type selector (subset of MPI_COMM_TYPE_*).
@@ -81,10 +62,7 @@ enum class AccumulateOp {
     NoOp,     ///< MPI_NO_OP — atomic read
 };
 
-/// Reduction operators for the collective reduce/allreduce.
-enum class ReduceOp { Sum, Prod, Min, Max };
-
-/// Only trivially copyable types travel through messages and windows.
+/// Only trivially copyable types travel through collectives and windows.
 template <typename T>
 concept Pod = std::is_trivially_copyable_v<T>;
 

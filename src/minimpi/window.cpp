@@ -116,10 +116,6 @@ Window Window::allocate_shared(const Comm& comm, std::size_t local_bytes) {
     return Window(std::move(impl), comm);
 }
 
-Window Window::allocate(const Comm& comm, std::size_t local_bytes) {
-    return allocate_shared(comm, local_bytes);
-}
-
 void Window::require_valid() const {
     if (!valid()) {
         throw Error(ErrorCode::WindowUsage, "minimpi: operation on an invalid window");
@@ -139,11 +135,6 @@ void Window::release_held() noexcept {
         }
     }
     held_.clear();
-}
-
-std::span<std::byte> Window::local_span() const {
-    require_valid();
-    return {impl_->segment(rank_), impl_->segment_size(rank_)};
 }
 
 std::pair<std::byte*, std::size_t> Window::shared_query(int target_rank) const {
@@ -173,42 +164,6 @@ void Window::unlock(int target_rank) const {
     }
     impl_->storage().unlock(target_rank, it->second);
     held_.erase(it);
-}
-
-void Window::lock_all() const {
-    require_valid();
-    int locked = 0;
-    try {
-        for (; locked < size(); ++locked) {
-            lock(LockType::Shared, locked);
-        }
-    } catch (...) {
-        // All-or-nothing: roll back the epochs this call opened (ranks
-        // below `locked` were acquired by the loop itself — a pre-held
-        // epoch would have thrown before being counted).
-        for (int r = 0; r < locked; ++r) {
-            unlock(r);
-        }
-        throw;
-    }
-}
-
-void Window::unlock_all() const {
-    require_valid();
-    for (int r = 0; r < size(); ++r) {
-        unlock(r);
-    }
-}
-
-void Window::flush(int target_rank) const {
-    require_valid();
-    check_target(target_rank);
-    std::atomic_thread_fence(std::memory_order_seq_cst);
-}
-
-void Window::flush_all() const {
-    require_valid();
-    std::atomic_thread_fence(std::memory_order_seq_cst);
 }
 
 void Window::sync() const {

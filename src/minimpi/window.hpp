@@ -15,7 +15,7 @@
 ///    to every other accumulate access to the same location, regardless of
 ///    locks — exactly the property the distributed chunk-calculation
 ///    protocol relies on.
-///  * flush/sync order memory accesses (mapped to seq-cst fences here).
+///  * sync orders memory accesses (mapped to a seq-cst fence here).
 ///
 /// The backing store and the lock table live behind the transport seam
 /// (detail::WindowStorage): a heap buffer on the thread transport, the
@@ -25,7 +25,6 @@
 /// only computes offsets and enforces epoch/abort semantics.
 
 #include <atomic>
-#include <cstring>
 #include <functional>
 #include <memory>
 #include <optional>
@@ -197,18 +196,9 @@ public:
     /// cache-line-padded cells laid out in a segment never straddle lines.
     [[nodiscard]] static Window allocate_shared(const Comm& comm, std::size_t local_bytes);
 
-    /// MPI_Win_allocate. Under this runtime every window is physically
-    /// shared, so this is allocate_shared with the same semantics for
-    /// get/put/atomics; only direct load/store addressing of remote
-    /// segments is (by convention) reserved for shared windows.
-    [[nodiscard]] static Window allocate(const Comm& comm, std::size_t local_bytes);
-
     [[nodiscard]] bool valid() const noexcept { return impl_ != nullptr; }
     [[nodiscard]] int rank() const noexcept { return rank_; }
     [[nodiscard]] int size() const noexcept { return impl_ ? impl_->size() : 0; }
-
-    /// This rank's segment.
-    [[nodiscard]] std::span<std::byte> local_span() const;
 
     /// Address and size of any rank's segment (MPI_Win_shared_query).
     [[nodiscard]] std::pair<std::byte*, std::size_t> shared_query(int target_rank) const;
@@ -234,12 +224,6 @@ public:
     /// Closes the epoch opened by lock() (MPI_Win_unlock). Throws if no
     /// epoch is open on that target from this handle.
     void unlock(int target_rank) const;
-
-    /// Shared lock on every rank (MPI_Win_lock_all / unlock_all). If any
-    /// acquisition throws, the epochs this call already opened are rolled
-    /// back before the exception propagates — lock_all is all-or-nothing.
-    void lock_all() const;
-    void unlock_all() const;
 
     // ------------------------------------------------------ accumulate ----
 
@@ -376,32 +360,10 @@ public:
             });
     }
 
-    // ------------------------------------------------------------ put/get --
-
-    /// Copies into the target segment. Not atomic: the caller must hold an
-    /// epoch (lock) covering concurrent writers, as in MPI.
-    template <Pod T>
-    void put(std::span<const T> values, int target_rank, std::size_t elem_offset) const {
-        T* addr = checked_address<T>(target_rank, elem_offset, values.size());
-        if (!values.empty()) {
-            std::memcpy(addr, values.data(), values.size_bytes());
-        }
-    }
-
-    template <Pod T>
-    void get(std::span<T> values, int target_rank, std::size_t elem_offset) const {
-        T* addr = checked_address<T>(target_rank, elem_offset, values.size());
-        if (!values.empty()) {
-            std::memcpy(values.data(), addr, values.size_bytes());
-        }
-    }
-
     // ------------------------------------------------------ completion ----
 
-    /// Orders RMA accesses (MPI_Win_flush / MPI_Win_sync). In-process
+    /// Orders memory accesses to the window (MPI_Win_sync). In-process
     /// windows need only a memory fence.
-    void flush(int target_rank) const;
-    void flush_all() const;
     void sync() const;
 
     /// Collective teardown (MPI_Win_free). The handle becomes invalid even
@@ -419,10 +381,11 @@ private:
 
     /// Validates inline: one null test and one unsigned compare on the
     /// hot path; require_valid/check_target (and their throws) run only
-    /// when that test fails.
+    /// when that test fails. Segments start 64-byte aligned and offsets
+    /// count whole elements, so an arithmetic element is always aligned.
     template <Pod T>
-    [[nodiscard]] T* checked_address(int target_rank, std::size_t elem_offset,
-                                     std::size_t elems = 1) const {
+    [[nodiscard]] T* checked_address(int target_rank, std::size_t elem_offset) const {
+        static_assert(alignof(T) <= 64, "window segments are only 64-byte aligned");
         if (impl_ == nullptr ||
             static_cast<unsigned>(target_rank) >= static_cast<unsigned>(impl_->size()))
             [[unlikely]] {
@@ -430,16 +393,11 @@ private:
             check_target(target_rank);
         }
         const std::size_t byte_off = elem_offset * sizeof(T);
-        const std::size_t need = byte_off + elems * sizeof(T);
-        if (need > impl_->segment_size(target_rank)) {
+        if (byte_off + sizeof(T) > impl_->segment_size(target_rank)) {
             throw Error(ErrorCode::WindowUsage,
                         "minimpi: window access past the end of the target segment");
         }
-        std::byte* addr = impl_->segment(target_rank) + byte_off;
-        if (reinterpret_cast<std::uintptr_t>(addr) % alignof(T) != 0) {
-            throw Error(ErrorCode::WindowUsage, "minimpi: misaligned window access");
-        }
-        return reinterpret_cast<T*>(addr);
+        return reinterpret_cast<T*>(impl_->segment(target_rank) + byte_off);
     }
 
     std::shared_ptr<detail::WindowImpl> impl_;

@@ -14,6 +14,7 @@
 #include <cstdlib>
 #include <memory>
 #include <new>
+#include <numeric>
 #include <string>
 #include <thread>
 #include <vector>
@@ -74,7 +75,6 @@ using minimpi::Context;
 using minimpi::Error;
 using minimpi::ErrorCode;
 using minimpi::FailureDetector;
-using minimpi::ReduceOp;
 using minimpi::Runtime;
 using minimpi::TransportKind;
 
@@ -244,8 +244,10 @@ TEST(LeaseBoardTest, DoubleReclamationRaceHasSingleWinners) {
                 ++claimed;
             }
         }
-        EXPECT_EQ(world.allreduce(swept, ReduceOp::Sum), 2);
-        EXPECT_EQ(world.allreduce(claimed, ReduceOp::Sum), 2);
+        const std::vector<std::int64_t> sweeps = world.allgather(swept);
+        const std::vector<std::int64_t> claims = world.allgather(claimed);
+        EXPECT_EQ(std::accumulate(sweeps.begin(), sweeps.end(), std::int64_t{0}), 2);
+        EXPECT_EQ(std::accumulate(claims.begin(), claims.end(), std::int64_t{0}), 2);
         world.barrier();
         EXPECT_TRUE(board.quiescent());
         board.free();

@@ -1,6 +1,6 @@
 /// \file test_minimpi.cpp
-/// Tests for the thread-backed MPI-3-like runtime: point-to-point matching
-/// rules, request lifecycle, collectives against serial references,
+/// Tests for the thread-backed MPI-3-like runtime: collectives against
+/// serial references, exact communicator matching on both transports,
 /// communicator management and RMA windows (shared allocation, passive-
 /// target locks, atomic accumulates under contention).
 
@@ -8,11 +8,10 @@
 
 #include <array>
 #include <atomic>
-#include <chrono>
 #include <numeric>
 #include <optional>
 #include <span>
-#include <thread>
+#include <vector>
 
 #include "minimpi/minimpi.hpp"
 
@@ -26,6 +25,13 @@ void run(int world, const std::function<void(Context&)>& fn) { Runtime::run(worl
 /// Runs `fn` over `nodes * rpn` ranks with `rpn` ranks per simulated node.
 void run_cluster(int nodes, int rpn, const std::function<void(Context&)>& fn) {
     Runtime::run(nodes * rpn, Topology{rpn, {}}, fn);
+}
+
+/// Sum of every member's `value`: allgather plus std::accumulate.
+template <typename T>
+[[nodiscard]] T sum_over(const Comm& comm, T value) {
+    const std::vector<T> all = comm.allgather(value);
+    return std::accumulate(all.begin(), all.end(), T{});
 }
 
 // ------------------------------------------------------------------ runtime
@@ -59,15 +65,16 @@ TEST(RuntimeTest, InvalidLaunchArgsThrow) {
 }
 
 TEST(RuntimeTest, ExceptionInOneRankAbortsTheTeam) {
-    // Rank 1 throws while rank 0 blocks in recv; the runtime must unwind
-    // both and rethrow rank 1's primary exception, not the Aborted echo.
+    // Rank 1 throws while rank 0 blocks in a broadcast rooted at rank 1;
+    // the runtime must unwind both and rethrow rank 1's primary exception,
+    // not the Aborted echo.
     try {
         run(2, [](Context& ctx) {
             if (ctx.rank() == 1) {
                 throw std::logic_error("rank 1 exploded");
             }
             int v = 0;
-            (void)ctx.world().recv(v, 1, 7);  // never satisfied
+            ctx.world().bcast(v, 1);  // never satisfied
         });
         FAIL() << "expected an exception";
     } catch (const std::logic_error& e) {
@@ -81,239 +88,7 @@ TEST(RuntimeTest, SingleRankWorldWorks) {
         ctx.world().barrier();
         int v = 41;
         ctx.world().bcast(v, 0);
-        EXPECT_EQ(ctx.world().allreduce(v, ReduceOp::Sum), 41);
-    });
-}
-
-// -------------------------------------------------------------------- p2p
-
-TEST(P2PTest, BlockingSendRecvScalar) {
-    run(2, [](Context& ctx) {
-        const Comm& w = ctx.world();
-        if (ctx.rank() == 0) {
-            w.send(1234, 1, 9);
-        } else {
-            int v = 0;
-            const Status st = w.recv(v, 0, 9);
-            EXPECT_EQ(v, 1234);
-            EXPECT_EQ(st.source, 0);
-            EXPECT_EQ(st.tag, 9);
-            EXPECT_EQ(st.bytes, sizeof(int));
-        }
-    });
-}
-
-TEST(P2PTest, SpanPayloadRoundTrip) {
-    run(2, [](Context& ctx) {
-        const Comm& w = ctx.world();
-        std::vector<double> data(1000);
-        if (ctx.rank() == 0) {
-            std::iota(data.begin(), data.end(), 0.0);
-            w.send(std::span<const double>(data), 1, 0);
-        } else {
-            std::vector<double> got(1000, -1.0);
-            const Status st = w.recv(std::span<double>(got), 0, 0);
-            EXPECT_EQ(st.count<double>(), 1000u);
-            EXPECT_EQ(got[0], 0.0);
-            EXPECT_EQ(got[999], 999.0);
-        }
-    });
-}
-
-TEST(P2PTest, NonOvertakingSameSourceSameTag) {
-    run(2, [](Context& ctx) {
-        const Comm& w = ctx.world();
-        if (ctx.rank() == 0) {
-            for (int i = 0; i < 100; ++i) {
-                w.send(i, 1, 5);
-            }
-        } else {
-            for (int i = 0; i < 100; ++i) {
-                int v = -1;
-                (void)w.recv(v, 0, 5);
-                EXPECT_EQ(v, i);  // send order preserved
-            }
-        }
-    });
-}
-
-TEST(P2PTest, TagSelectsAmongPendingMessages) {
-    run(2, [](Context& ctx) {
-        const Comm& w = ctx.world();
-        if (ctx.rank() == 0) {
-            w.send(111, 1, 1);
-            w.send(222, 1, 2);
-            w.send(333, 1, 3);
-        } else {
-            int v = 0;
-            (void)w.recv(v, 0, 2);
-            EXPECT_EQ(v, 222);
-            (void)w.recv(v, 0, 3);
-            EXPECT_EQ(v, 333);
-            (void)w.recv(v, 0, 1);
-            EXPECT_EQ(v, 111);
-        }
-    });
-}
-
-TEST(P2PTest, AnySourceAndAnyTagWildcards) {
-    run(4, [](Context& ctx) {
-        const Comm& w = ctx.world();
-        if (ctx.rank() != 0) {
-            w.send(ctx.rank() * 10, 0, ctx.rank());
-        } else {
-            int sum = 0;
-            for (int i = 0; i < 3; ++i) {
-                int v = 0;
-                const Status st = w.recv(v, kAnySource, kAnyTag);
-                EXPECT_EQ(v, st.source * 10);
-                EXPECT_EQ(st.tag, st.source);
-                sum += v;
-            }
-            EXPECT_EQ(sum, 10 + 20 + 30);
-        }
-    });
-}
-
-TEST(P2PTest, SendToSelf) {
-    run(1, [](Context& ctx) {
-        ctx.world().send(7, 0, 0);
-        int v = 0;
-        (void)ctx.world().recv(v, 0, 0);
-        EXPECT_EQ(v, 7);
-    });
-}
-
-TEST(P2PTest, EmptyMessage) {
-    run(2, [](Context& ctx) {
-        const Comm& w = ctx.world();
-        if (ctx.rank() == 0) {
-            w.send_bytes(nullptr, 0, 1, 0);
-        } else {
-            const Status st = w.recv_bytes(nullptr, 0, 0, 0);
-            EXPECT_EQ(st.bytes, 0u);
-        }
-    });
-}
-
-TEST(P2PTest, TruncationThrows) {
-    EXPECT_THROW(run(2,
-                     [](Context& ctx) {
-                         const Comm& w = ctx.world();
-                         if (ctx.rank() == 0) {
-                             const std::array<int, 4> big{1, 2, 3, 4};
-                             w.send(std::span<const int>(big), 1, 0);
-                         } else {
-                             int small = 0;
-                             (void)w.recv(small, 0, 0);  // 4-byte buffer, 16-byte message
-                         }
-                     }),
-                 Error);
-}
-
-TEST(P2PTest, InvalidRankAndTagThrow) {
-    run(2, [](Context& ctx) {
-        const Comm& w = ctx.world();
-        int v = 0;
-        EXPECT_THROW(w.send(v, 2, 0), Error);
-        EXPECT_THROW(w.send(v, -1, 0), Error);
-        EXPECT_THROW(w.send(v, 1, -3), Error);  // negative tag on send
-        EXPECT_THROW((void)w.recv(v, 5, 0), Error);
-        w.barrier();
-    });
-}
-
-TEST(P2PTest, ProbeReportsPendingMessage) {
-    run(2, [](Context& ctx) {
-        const Comm& w = ctx.world();
-        if (ctx.rank() == 0) {
-            w.send(77, 1, 3);
-            w.barrier();
-        } else {
-            const Status st = w.probe(kAnySource, kAnyTag);
-            EXPECT_EQ(st.source, 0);
-            EXPECT_EQ(st.tag, 3);
-            EXPECT_EQ(st.bytes, sizeof(int));
-            int v = 0;
-            (void)w.recv(v, st.source, st.tag);
-            EXPECT_EQ(v, 77);
-            EXPECT_EQ(w.iprobe(), std::nullopt);  // queue drained
-            w.barrier();
-        }
-    });
-}
-
-// ---------------------------------------------------------------- requests
-
-TEST(RequestTest, IrecvCompletesViaWait) {
-    run(2, [](Context& ctx) {
-        const Comm& w = ctx.world();
-        if (ctx.rank() == 1) {
-            std::this_thread::sleep_for(std::chrono::milliseconds(20));
-            w.send(55, 0, 0);
-        } else {
-            int v = 0;
-            Request r = w.irecv(std::span<int>(&v, 1), 1, 0);
-            EXPECT_FALSE(r.done());
-            r.wait();
-            EXPECT_TRUE(r.done());
-            EXPECT_EQ(v, 55);
-            EXPECT_EQ(r.status().source, 1);
-        }
-    });
-}
-
-TEST(RequestTest, TestPollsWithoutBlocking) {
-    run(2, [](Context& ctx) {
-        const Comm& w = ctx.world();
-        if (ctx.rank() == 1) {
-            int go = 0;
-            (void)w.recv(go, 0, 1);  // wait for the probe phase to finish
-            w.send(66, 0, 0);
-        } else {
-            int v = 0;
-            Request r = w.irecv(std::span<int>(&v, 1), 1, 0);
-            EXPECT_FALSE(r.test());  // nothing sent yet
-            w.send(1, 1, 1);         // release the sender
-            while (!r.test()) {
-                std::this_thread::yield();
-            }
-            EXPECT_EQ(v, 66);
-        }
-    });
-}
-
-TEST(RequestTest, IsendIsImmediatelyComplete) {
-    run(2, [](Context& ctx) {
-        const Comm& w = ctx.world();
-        if (ctx.rank() == 0) {
-            const int v = 9;
-            Request r = w.isend(std::span<const int>(&v, 1), 1, 0);
-            EXPECT_TRUE(r.done());
-            r.wait();  // idempotent
-        } else {
-            int v = 0;
-            (void)w.recv(v, 0, 0);
-            EXPECT_EQ(v, 9);
-        }
-    });
-}
-
-TEST(RequestTest, WaitAllCompletesMixedBatch) {
-    run(4, [](Context& ctx) {
-        const Comm& w = ctx.world();
-        if (ctx.rank() != 0) {
-            w.send(ctx.rank(), 0, 0);
-        } else {
-            std::array<int, 3> vals{};
-            std::vector<Request> reqs;
-            for (int i = 1; i <= 3; ++i) {
-                reqs.push_back(w.irecv(std::span<int>(&vals[static_cast<std::size_t>(i - 1)], 1),
-                                       i, 0));
-            }
-            Request::wait_all(reqs);
-            EXPECT_EQ(vals[0] + vals[1] + vals[2], 6);
-        }
+        EXPECT_EQ(ctx.world().allgather(v), std::vector<int>{41});
     });
 }
 
@@ -350,65 +125,17 @@ TEST_P(CollectiveSizes, BcastSpanPayload) {
     });
 }
 
-TEST_P(CollectiveSizes, ReduceSumToEveryRoot) {
-    const int p = GetParam();
-    run(p, [p](Context& ctx) {
-        const std::int64_t expected = static_cast<std::int64_t>(p) * (p - 1) / 2;
-        for (int root = 0; root < p; ++root) {
-            const auto r =
-                ctx.world().reduce(static_cast<std::int64_t>(ctx.rank()), ReduceOp::Sum, root);
-            if (ctx.rank() == root) {
-                EXPECT_EQ(r, expected);
-            }
-        }
-    });
-}
-
-TEST_P(CollectiveSizes, AllreduceMinMaxProd) {
-    const int p = GetParam();
-    run(p, [p](Context& ctx) {
-        const int me = ctx.rank() + 1;  // 1..P
-        EXPECT_EQ(ctx.world().allreduce(me, ReduceOp::Min), 1);
-        EXPECT_EQ(ctx.world().allreduce(me, ReduceOp::Max), p);
-        if (p <= 8) {  // factorial fits easily
-            std::int64_t fact = 1;
-            for (int i = 1; i <= p; ++i) {
-                fact *= i;
-            }
-            EXPECT_EQ(ctx.world().allreduce(static_cast<std::int64_t>(me), ReduceOp::Prod), fact);
-        }
-    });
-}
-
-TEST_P(CollectiveSizes, ReduceElementwiseVectors) {
-    const int p = GetParam();
-    run(p, [p](Context& ctx) {
-        std::vector<int> mine(16);
-        for (std::size_t i = 0; i < mine.size(); ++i) {
-            mine[i] = ctx.rank() + static_cast<int>(i);
-        }
-        std::vector<int> out(16, -1);
-        ctx.world().reduce(std::span<const int>(mine), std::span<int>(out), ReduceOp::Sum, 0);
-        if (ctx.rank() == 0) {
-            const int ranksum = p * (p - 1) / 2;
-            for (std::size_t i = 0; i < out.size(); ++i) {
-                EXPECT_EQ(out[i], ranksum + static_cast<int>(i) * p);
-            }
-        }
-    });
-}
-
 TEST_P(CollectiveSizes, GatherCollectsInRankOrder) {
     const int p = GetParam();
     run(p, [p](Context& ctx) {
-        const auto all = ctx.world().gather(ctx.rank() * 2, 0);
+        const std::array<int, 2> mine{ctx.rank() * 2, -ctx.rank()};
+        std::vector<int> all(ctx.rank() == 0 ? 2 * static_cast<std::size_t>(p) : 0);
+        ctx.world().gather(std::span<const int>(mine), std::span<int>(all), 0);
         if (ctx.rank() == 0) {
-            ASSERT_EQ(all.size(), static_cast<std::size_t>(p));
             for (int r = 0; r < p; ++r) {
-                EXPECT_EQ(all[static_cast<std::size_t>(r)], r * 2);
+                EXPECT_EQ(all[2 * static_cast<std::size_t>(r)], r * 2);
+                EXPECT_EQ(all[2 * static_cast<std::size_t>(r) + 1], -r);
             }
-        } else {
-            EXPECT_TRUE(all.empty());
         }
     });
 }
@@ -424,42 +151,48 @@ TEST_P(CollectiveSizes, AllgatherGivesEveryoneEverything) {
     });
 }
 
-TEST_P(CollectiveSizes, ScatterDistributesSlices) {
-    const int p = GetParam();
-    run(p, [p](Context& ctx) {
-        std::vector<int> src;
-        if (ctx.rank() == 0) {
-            src.resize(static_cast<std::size_t>(p));
-            for (int r = 0; r < p; ++r) {
-                src[static_cast<std::size_t>(r)] = r * r;
-            }
-        }
-        const int mine = ctx.world().scatter(std::span<const int>(src), 0);
-        EXPECT_EQ(mine, ctx.rank() * ctx.rank());
-    });
-}
-
 INSTANTIATE_TEST_SUITE_P(Sizes, CollectiveSizes, ::testing::Values(1, 2, 3, 5, 8, 16, 17));
 
 TEST(CollectiveTest, ConcurrentCollectivesOnDistinctCommsDoNotCross) {
-    // Split world into two halves; each half does its own reductions while
-    // the other is mid-flight. Sequence numbers must keep them apart.
-    run(8, [](Context& ctx) {
-        const Comm& w = ctx.world();
-        const Comm half = w.split(ctx.rank() % 2, ctx.rank());
-        for (int i = 0; i < 20; ++i) {
-            const int sum = half.allreduce(1, ReduceOp::Sum);
-            EXPECT_EQ(sum, 4);
-        }
-        w.barrier();
-    });
+    // Split world into two halves; each half runs its own collectives while
+    // the other is mid-flight, and both share every rank's mailbox.
+    for (const TransportKind kind : {TransportKind::Threads, TransportKind::Shm}) {
+        SCOPED_TRACE(transport_name(kind));
+        Runtime::run(8, kind, [](Context& ctx) {
+            const Comm& w = ctx.world();
+            const Comm half = w.split(ctx.rank() % 2, ctx.rank());
+            for (int i = 0; i < 20; ++i) {
+                EXPECT_EQ(sum_over(half, ctx.rank()), ctx.rank() % 2 == 0 ? 12 : 16);
+            }
+            w.barrier();
+        });
+    }
 }
 
-TEST(CollectiveTest, FloatingPointAllreduceSum) {
-    run(7, [](Context& ctx) {
-        const double r = ctx.world().allreduce(0.5, ReduceOp::Sum);
-        EXPECT_NEAR(r, 3.5, 1e-12);
-    });
+TEST(CollectiveTest, MessagesMatchOnlyTheirOwnCommunicator) {
+    // Two communicators over the same group agree on every other match
+    // field: the same source, phase and sequence number. The root's
+    // broadcasts return once enqueued, so it can finish `a` before the
+    // other rank enters `b`; the receiver takes `b` first and must skip
+    // the earlier `a` message queued from the same sender.
+    for (const TransportKind kind : {TransportKind::Threads, TransportKind::Shm}) {
+        SCOPED_TRACE(transport_name(kind));
+        Runtime::run(2, kind, [](Context& ctx) {
+            const Comm a = ctx.world().split(0, ctx.rank());
+            const Comm b = ctx.world().split(0, ctx.rank());
+            int va = ctx.rank() == 0 ? 111 : 0;
+            int vb = ctx.rank() == 0 ? 222 : 0;
+            if (ctx.rank() == 0) {
+                a.bcast(va, 0);
+                b.bcast(vb, 0);
+            } else {
+                b.bcast(vb, 0);
+                a.bcast(va, 0);
+            }
+            EXPECT_EQ(va, 111);
+            EXPECT_EQ(vb, 222);
+        });
+    }
 }
 
 // ------------------------------------------------------- comm management
@@ -475,8 +208,7 @@ TEST(CommTest, SplitGroupsByColorOrderedByKey) {
         const int expected_rank = (5 - ctx.rank()) / 2;
         EXPECT_EQ(sub.rank(), expected_rank);
         // The new comm must be functional.
-        const int sum = sub.allreduce(ctx.rank(), ReduceOp::Sum);
-        EXPECT_EQ(sum, ctx.rank() % 2 == 0 ? 0 + 2 + 4 : 1 + 3 + 5);
+        EXPECT_EQ(sum_over(sub, ctx.rank()), ctx.rank() % 2 == 0 ? 0 + 2 + 4 : 1 + 3 + 5);
     });
 }
 
@@ -501,29 +233,7 @@ TEST(CommTest, SplitTypeSharedGroupsByNode) {
         for (int r = 0; r < node.size(); ++r) {
             EXPECT_EQ(node.node_of(r), ctx.node());
         }
-        const int sum = node.allreduce(1, ReduceOp::Sum);
-        EXPECT_EQ(sum, 4);
-    });
-}
-
-TEST(CommTest, DupIsIndependentMatchingContext) {
-    run(2, [](Context& ctx) {
-        const Comm& w = ctx.world();
-        const Comm d = w.dup();
-        EXPECT_NE(d.id(), w.id());
-        EXPECT_EQ(d.size(), w.size());
-        if (ctx.rank() == 0) {
-            w.send(1, 1, 0);
-            d.send(2, 1, 0);
-        } else {
-            // Receive from the dup first: tags/sources equal, only the
-            // communicator distinguishes them.
-            int v = 0;
-            (void)d.recv(v, 0, 0);
-            EXPECT_EQ(v, 2);
-            (void)w.recv(v, 0, 0);
-            EXPECT_EQ(v, 1);
-        }
+        EXPECT_EQ(sum_over(node, 1), 4);
     });
 }
 
@@ -539,9 +249,10 @@ TEST(CommTest, OperationsOnInvalidCommThrow) {
     const Comm invalid;
     EXPECT_FALSE(invalid.valid());
     int v = 0;
-    EXPECT_THROW(invalid.send(v, 0, 0), Error);
     EXPECT_THROW(invalid.barrier(), Error);
-    EXPECT_THROW((void)invalid.dup(), Error);
+    EXPECT_THROW(invalid.bcast(v, 0), Error);
+    EXPECT_THROW((void)invalid.allgather(v), Error);
+    EXPECT_THROW((void)invalid.split(0, 0), Error);
 }
 
 // ------------------------------------------------------------------ windows
@@ -554,7 +265,6 @@ TEST(WindowTest, AllocateSharedLayoutAndQuery) {
         Window win = Window::allocate_shared(w, mine);
         EXPECT_EQ(win.size(), 4);
         EXPECT_EQ(win.rank(), ctx.rank());
-        EXPECT_EQ(win.local_span().size(), mine);
         for (int r = 0; r < 4; ++r) {
             const auto [ptr, bytes] = win.shared_query(r);
             EXPECT_NE(ptr, nullptr);
@@ -576,29 +286,6 @@ TEST(WindowTest, DirectStoresVisibleAfterBarrier) {
         for (int r = 0; r < 4; ++r) {
             EXPECT_EQ(win.shared_span<std::int64_t>(r)[0], 100 + r);
         }
-        w.barrier();
-        win.free();
-    });
-}
-
-TEST(WindowTest, PutGetRoundTrip) {
-    run(2, [](Context& ctx) {
-        const Comm& w = ctx.world();
-        Window win = Window::allocate_shared(w, 8 * sizeof(double));
-        if (ctx.rank() == 0) {
-            const std::array<double, 8> vals{1, 2, 3, 4, 5, 6, 7, 8};
-            win.lock(LockType::Exclusive, 1);
-            win.put(std::span<const double>(vals), 1, 0);
-            win.unlock(1);
-            win.flush(1);
-        }
-        w.barrier();
-        std::array<double, 8> got{};
-        win.lock(LockType::Shared, 1);
-        win.get(std::span<double>(got), 1, 0);
-        win.unlock(1);
-        EXPECT_EQ(got[0], 1.0);
-        EXPECT_EQ(got[7], 8.0);
         w.barrier();
         win.free();
     });
@@ -742,34 +429,6 @@ TEST(WindowTest, LockDisciplineViolationsThrow) {
     });
 }
 
-TEST(WindowTest, LockAllUnlockAll) {
-    run(4, [](Context& ctx) {
-        const Comm& w = ctx.world();
-        Window win = Window::allocate_shared(w, sizeof(std::int64_t));
-        win.lock_all();
-        for (int r = 0; r < 4; ++r) {
-            std::int64_t v = 0;
-            win.get(std::span<std::int64_t>(&v, 1), r, 0);
-        }
-        win.unlock_all();
-        w.barrier();
-        win.free();
-    });
-}
-
-TEST(WindowTest, OutOfRangeAndMisalignedAccessThrow) {
-    run(2, [](Context& ctx) {
-        const Comm& w = ctx.world();
-        Window win = Window::allocate_shared(w, 3 * sizeof(std::int64_t));
-        EXPECT_THROW((void)win.atomic_read<std::int64_t>(0, 3), Error);   // past the end
-        EXPECT_THROW((void)win.atomic_read<std::int64_t>(0, 100), Error);
-        std::array<std::int64_t, 4> buf{};
-        EXPECT_THROW(win.put(std::span<const std::int64_t>(buf), 0, 0), Error);  // 4 > 3
-        w.barrier();
-        win.free();
-    });
-}
-
 /// The window ops validate inline (one test on the fast path); every
 /// misuse still throws its own ErrorCode, on both transports.
 TEST(WindowTest, MisuseKeepsItsErrorCodesOnBothTransports) {
@@ -808,25 +467,6 @@ TEST(WindowTest, MisuseKeepsItsErrorCodesOnBothTransports) {
             w.barrier();
             win.free();
             expect_all(win, 0, 0, ErrorCode::WindowUsage);  // freed handle
-
-            // Misaligned: segments are 64-byte aligned, so for a 128-byte
-            // aligned element exactly one of two segments 192 bytes apart
-            // starts misaligned.
-            struct alignas(128) Wide {
-                std::byte bytes[128];
-            };
-            Window wide = Window::allocate_shared(w, w.rank() == 0 ? 192 : 128);
-            std::array<Wide, 1> buf{};
-            const auto get_code = [&](int target) {
-                return code_of([&] { wide.get(std::span<Wide>(buf), target, 0); });
-            };
-            const auto c0 = get_code(0);
-            const auto c1 = get_code(1);
-            EXPECT_NE(c0.has_value(), c1.has_value());
-            EXPECT_EQ(c0.value_or(ErrorCode::WindowUsage), ErrorCode::WindowUsage);
-            EXPECT_EQ(c1.value_or(ErrorCode::WindowUsage), ErrorCode::WindowUsage);
-            w.barrier();
-            wide.free();
         });
     }
 }
@@ -870,26 +510,6 @@ TEST(WindowTest, WindowsOnSubCommunicators) {
 }
 
 // ----------------------------------------------------------- stress tests
-
-TEST(StressTest, ManyToOneTraffic) {
-    run(16, [](Context& ctx) {
-        const Comm& w = ctx.world();
-        constexpr int kMsgs = 50;
-        if (ctx.rank() == 0) {
-            std::int64_t total = 0;
-            for (int i = 0; i < kMsgs * 15; ++i) {
-                std::int64_t v = 0;
-                (void)w.recv(v, kAnySource, 0);
-                total += v;
-            }
-            EXPECT_EQ(total, 15LL * 16 / 2 * kMsgs);  // sum of ranks 1..15, kMsgs each
-        } else {
-            for (int i = 0; i < kMsgs; ++i) {
-                w.send(static_cast<std::int64_t>(ctx.rank()), 0, 0);
-            }
-        }
-    });
-}
 
 TEST(StressTest, StepCounterProtocolMatchesSsSemantics) {
     // The distributed chunk-calculation idiom end-to-end on minimpi: every
