@@ -1,29 +1,17 @@
 #pragma once
 /// \file exec_hooks.hpp
-/// Per-run execution hooks threaded from run_hierarchical into the rank
-/// executors. Two concerns live here:
-///
-///  - ChunkGate: the multi-tenancy seam. A gate sits between chunk
-///    *acquisition* and chunk *execution*: after a rank pulls a chunk off
-///    its WorkSource chain it must pass begin_chunk() before running the
-///    body, and calls end_chunk() when the body returns. The JobService's
-///    SlotGovernor implements this to enforce weighted-fair slot sharing
-///    across concurrent jobs. Gating deliberately happens *after*
-///    try_acquire: the refill/termination protocol inside the chain must
-///    never block on another job's slot, or a rank holding a job's last
-///    slot could deadlock the peer whose refill it is waiting on.
-///
-///  - StallWatchdog: each run beats its *own* watchdog instance (threaded
-///    here by the runner) instead of a process-global pointer, so
-///    overlapping runs never cross heartbeats.
-///
-/// A default-constructed RankHooks is free: null gate, null watchdog.
+/// ChunkGate: the multi-tenancy seam threaded from run_hierarchical into
+/// the rank executors. A gate sits between chunk *acquisition* and chunk
+/// *execution*: after a rank pulls a chunk off its WorkSource chain it
+/// must pass begin_chunk() before running the body, and calls end_chunk()
+/// when the body returns. The JobService's SlotGovernor implements this to
+/// enforce weighted-fair slot sharing across concurrent jobs. Gating
+/// deliberately happens *after* try_acquire: the refill/termination
+/// protocol inside the chain must never block on another job's slot, or a
+/// rank holding a job's last slot could deadlock the peer whose refill it
+/// is waiting on.
 
 #include <cstdint>
-
-namespace hdls::metrics {
-class StallWatchdog;
-}  // namespace hdls::metrics
 
 namespace hdls::core {
 
@@ -43,12 +31,6 @@ public:
     /// Called after the chunk's body returned; releases the capacity taken
     /// by begin_chunk and reports the progress made.
     virtual void end_chunk(int rank, std::int64_t iterations) = 0;
-};
-
-/// The per-run hook bundle handed to run_mpi_mpi_rank / run_hybrid_rank.
-struct RankHooks {
-    ChunkGate* gate = nullptr;                     ///< multi-tenant slot gate (may be null)
-    metrics::StallWatchdog* watchdog = nullptr;    ///< this run's watchdog (may be null)
 };
 
 }  // namespace hdls::core

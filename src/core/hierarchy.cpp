@@ -32,7 +32,7 @@ ResolvedHierarchy resolve_hierarchy(const ClusterShape& shape, const HierConfig&
 
 Hierarchy build_hierarchy(const minimpi::Comm& world, std::int64_t total_iterations,
                           const ResolvedHierarchy& rh, const HierConfig& cfg,
-                          trace::WorkerTracer& tracer, bool include_leaf) {
+                          const Probe& probe, bool include_leaf) {
     // Coordinate math over the levels the ranks of `world` actually span:
     // the full tree for MPI+MPI, the tree minus its thread-team leaf for
     // the MPI+OpenMP masters.
@@ -73,7 +73,7 @@ Hierarchy build_hierarchy(const minimpi::Comm& world, std::int64_t total_iterati
             queue = std::make_unique<NodeWorkQueue>(gcomm, lc.technique, cfg.min_chunk,
                                                     fan_out);
         }
-        auto composed = std::make_unique<ComposedWorkSource>(*queue, *parent, tracer, d);
+        auto composed = std::make_unique<ComposedWorkSource>(*queue, *parent, probe.level(d));
         parent = composed.get();
         h.queues_.push_back(std::move(queue));
         h.composed_.push_back(std::move(composed));

@@ -56,8 +56,7 @@ public:
     }
 
     /// The top as a composed source, or nullptr when the chain is only the
-    /// root (the depth-2 MPI+OpenMP case — the executor then records its
-    /// own acquire events, as the chain has no recorder of its own).
+    /// root (the depth-2 MPI+OpenMP case).
     [[nodiscard]] ComposedWorkSource* top_composed() noexcept {
         return composed_.empty() ? nullptr : composed_.back().get();
     }
@@ -75,13 +74,11 @@ public:
         }
     }
 
-    /// Closes open trace spans chain-wide; when `terminate_top` is set the
-    /// top source also records the worker's Terminate event (executors
-    /// that emit their own Terminate — the hybrid's per-thread ones —
-    /// pass false).
-    void finish(bool terminate_top = true) {
+    /// Closes open termination-wait spans chain-wide (the worker's
+    /// Terminate event is Probe::leave's).
+    void finish() {
         for (auto& c : composed_) {
-            c->finish(/*terminate=*/terminate_top && c.get() == composed_.back().get());
+            c->finish();
         }
     }
 
@@ -91,7 +88,7 @@ public:
 private:
     friend Hierarchy build_hierarchy(const minimpi::Comm&, std::int64_t,
                                      const ResolvedHierarchy&, const HierConfig&,
-                                     trace::WorkerTracer&, bool);
+                                     const Probe&, bool);
 
     std::unique_ptr<InterQueue> root_;
     std::vector<std::unique_ptr<LevelQueue>> queues_;
@@ -102,11 +99,12 @@ private:
 /// the chain spans every tree level (MPI+MPI: the caller executes leaf
 /// sub-chunks directly); without it the chain stops one level short
 /// (MPI+OpenMP: `world` holds one master rank per leaf group and the
-/// thread team workshares the chain's chunks). `tracer` must outlive the
-/// returned Hierarchy.
+/// thread team workshares the chain's chunks). Each composed source
+/// reports into `probe` at its own level; the probe's trace session must
+/// outlive the returned Hierarchy.
 [[nodiscard]] Hierarchy build_hierarchy(const minimpi::Comm& world,
                                         std::int64_t total_iterations,
                                         const ResolvedHierarchy& rh, const HierConfig& cfg,
-                                        trace::WorkerTracer& tracer, bool include_leaf);
+                                        const Probe& probe, bool include_leaf);
 
 }  // namespace hdls::core

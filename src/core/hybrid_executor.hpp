@@ -14,10 +14,10 @@
 
 #include "core/exec_hooks.hpp"
 #include "core/hierarchy.hpp"
+#include "core/probe.hpp"
 #include "core/report.hpp"
 #include "core/types.hpp"
 #include "minimpi/minimpi.hpp"
-#include "trace/recorder.hpp"
 
 namespace hdls::core {
 
@@ -30,24 +30,22 @@ public:
 };
 
 /// Executes the calling node-master rank's share of the hierarchical loop
-/// [0, n) with a team of `threads_per_node` threads. Collective over
+/// [0, n) with a team of one thread per entry of `probes`. Collective over
 /// ctx.world() (which must contain one rank per leaf group, i.e. topology
 /// ranks_per_node == 1). The masters pull chunks through the scheduling
 /// chain of `rh` truncated above its leaf (for the classic depth-2 tree
 /// that is just the root backend; deeper trees add relay levels between
 /// the masters), and the thread team workshares each chunk under the leaf
-/// technique. Returns one WorkerStats per thread of this node. When
-/// `session` is non-null every thread records its chunk-lifecycle events
-/// under global worker id rank * threads_per_node + tid. `hooks.watchdog`
-/// receives the team's heartbeats; the chunk gate, when set, is consulted
-/// by the master around each team chunk (the whole team counts as one
-/// slot — the funneled model admits no finer grain).
-[[nodiscard]] std::vector<WorkerStats> run_hybrid_rank(minimpi::Context& ctx,
-                                                       int threads_per_node, std::int64_t n,
+/// technique. Returns one WorkerStats per thread of this node. Thread t
+/// reports every scheduling event to probes[t] (the master's chain
+/// included, through probes[0]). `gate`, when set, is consulted by the
+/// master around each team chunk (the whole team counts as one slot — the
+/// funneled model admits no finer grain).
+[[nodiscard]] std::vector<WorkerStats> run_hybrid_rank(minimpi::Context& ctx, std::int64_t n,
                                                        const HierConfig& cfg,
                                                        const ResolvedHierarchy& rh,
                                                        const ChunkBody& body,
-                                                       trace::TraceSession* session = nullptr,
-                                                       const RankHooks& hooks = {});
+                                                       const std::vector<Probe>& probes,
+                                                       ChunkGate* gate = nullptr);
 
 }  // namespace hdls::core

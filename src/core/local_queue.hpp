@@ -66,23 +66,29 @@ public:
     [[nodiscard]] virtual std::optional<SubChunk> try_pop(double* wait_s) = 0;
 
     /// Announce an in-flight refill *before* touching the parent level so
-    /// peers do not terminate while a chunk is on its way.
-    virtual void begin_refill() = 0;
+    /// peers do not terminate while a chunk is on its way: +1 on the
+    /// level's in-flight cell.
+    void begin_refill() {
+        (void)window_.fetch_and_op<std::int64_t>(1, kHost, inflight_,
+                                                 minimpi::AccumulateOp::Sum);
+    }
 
     /// Nonblocking begin_refill(): posts the in-flight announcement as a
     /// request-based window op (Window::start_atomic_update) and returns
     /// the handle. The caller must complete it — wait() — before touching
     /// the parent level (the announcement-precedes-parent ordering of the
     /// termination protocol), but may overlap anything else first; that is
-    /// the prefetcher's issue path. The default falls back to the blocking
-    /// announcement and returns an already-complete request.
-    [[nodiscard]] virtual minimpi::AtomicUpdateRequest<std::int64_t> begin_refill_async() {
-        begin_refill();
-        return {};
+    /// the prefetcher's issue path.
+    [[nodiscard]] minimpi::AtomicUpdateRequest<std::int64_t> begin_refill_async() {
+        return window_.start_atomic_update<std::int64_t>(
+            kHost, inflight_, [](std::int64_t v) { return v + 1; });
     }
 
     /// Withdraw the announcement (the parent turned out to be empty).
-    virtual void end_refill() = 0;
+    void end_refill() {
+        (void)window_.fetch_and_op<std::int64_t>(-1, kHost, inflight_,
+                                                 minimpi::AccumulateOp::Sum);
+    }
 
     /// Append a fresh parent chunk and immediately pop a sub-chunk for the
     /// caller, then withdraw the in-flight announcement (on every exit
@@ -96,7 +102,9 @@ public:
     [[nodiscard]] virtual bool has_pending() = 0;
 
     /// True while some rank is between begin_refill() and its completion.
-    [[nodiscard]] virtual bool refills_in_flight() = 0;
+    [[nodiscard]] bool refills_in_flight() {
+        return window_.atomic_read<std::int64_t>(kHost, inflight_) > 0;
+    }
 
     /// Sub-chunks popped through this handle (per-rank statistic).
     [[nodiscard]] virtual std::int64_t popped() const noexcept = 0;
@@ -106,6 +114,30 @@ public:
 
     /// Collective teardown over the level's communicator.
     virtual void free() = 0;
+
+protected:
+    /// `inflight` is the cell of the level's window counting announced
+    /// refills; the implementation allocates window_ in its constructor.
+    explicit LevelQueue(std::size_t inflight) noexcept : inflight_(inflight) {}
+
+    /// Scope guard withdrawing the announcement on every exit path of a
+    /// refill completion (normal return and throw alike).
+    class RefillRelease {
+    public:
+        explicit RefillRelease(LevelQueue& queue) noexcept : queue_(queue) {}
+        ~RefillRelease() { queue_.end_refill(); }
+        RefillRelease(const RefillRelease&) = delete;
+        RefillRelease& operator=(const RefillRelease&) = delete;
+
+    private:
+        LevelQueue& queue_;
+    };
+
+    static constexpr int kHost = 0;  // group rank hosting the level's window
+    minimpi::Window window_;
+
+private:
+    std::size_t inflight_;
 };
 
 class NodeWorkQueue final : public LevelQueue {
@@ -119,7 +151,8 @@ public:
     /// means the communicator size, the paper's leaf-level convention.
     NodeWorkQueue(const minimpi::Comm& comm, dls::Technique technique, std::int64_t min_chunk,
                   int level_workers = 0)
-        : comm_(comm),
+        : LevelQueue(kInflight),
+          comm_(comm),
           level_workers_(level_workers > 0 ? level_workers : comm.size()),
           capacity_(comm.size() + 4) {
         if (!dls::supports_step_indexed(technique)) {
@@ -160,26 +193,6 @@ public:
         return sub;
     }
 
-    /// Announce an in-flight refill *before* touching the parent level so
-    /// peers do not terminate while a chunk is on its way.
-    void begin_refill() override {
-        (void)window_.fetch_and_op<std::int64_t>(1, kHost, kInflight,
-                                                 minimpi::AccumulateOp::Sum);
-    }
-
-    /// The announcement as a nonblocking window op (the prefetch issue
-    /// path): +1 on the in-flight counter, completed via the request.
-    [[nodiscard]] minimpi::AtomicUpdateRequest<std::int64_t> begin_refill_async() override {
-        return window_.start_atomic_update<std::int64_t>(
-            kHost, kInflight, [](std::int64_t v) { return v + 1; });
-    }
-
-    /// Withdraw the announcement (the parent turned out to be empty).
-    void end_refill() override {
-        (void)window_.fetch_and_op<std::int64_t>(-1, kHost, kInflight,
-                                                 minimpi::AccumulateOp::Sum);
-    }
-
     /// Stage 1+2 combined: append a fresh parent chunk inside one exclusive
     /// epoch, pop a sub-chunk through the lock-free path, then withdraw the
     /// in-flight announcement. The announcement is released on *every*
@@ -190,7 +203,7 @@ public:
     /// latency plus the pop's failed-claim time.
     [[nodiscard]] std::optional<SubChunk> push_and_pop(std::int64_t start, std::int64_t size,
                                                        double* wait_s = nullptr) override {
-        const RefillAnnouncementGuard release(*this);
+        const RefillRelease release(*this);
         if (size > kStepMask && slicing(size).start(kStepMask) < size) {
             throw minimpi::Error(minimpi::ErrorCode::InvalidArgument,
                                  "NodeWorkQueue: chunk has more sub-chunks than the cursor's "
@@ -245,11 +258,6 @@ public:
         return head_.steps.start(cursor & kStepMask) < head_.size;
     }
 
-    /// True while some rank is between begin_refill() and its completion.
-    [[nodiscard]] bool refills_in_flight() override {
-        return window_.atomic_read<std::int64_t>(kHost, kInflight) > 0;
-    }
-
     /// Sub-chunks popped through this handle (per-rank statistic).
     [[nodiscard]] std::int64_t popped() const noexcept override { return popped_; }
 
@@ -263,19 +271,6 @@ public:
     }
 
 private:
-    /// Scope guard pairing begin_refill() with end_refill() across every
-    /// exit path of a refill completion (normal return and throw alike).
-    class RefillAnnouncementGuard {
-    public:
-        explicit RefillAnnouncementGuard(NodeWorkQueue& queue) noexcept : queue_(queue) {}
-        ~RefillAnnouncementGuard() { queue_.end_refill(); }
-        RefillAnnouncementGuard(const RefillAnnouncementGuard&) = delete;
-        RefillAnnouncementGuard& operator=(const RefillAnnouncementGuard&) = delete;
-
-    private:
-        NodeWorkQueue& queue_;
-    };
-
     /// The head chunk as this rank last read it: its immutable ring fields
     /// and the slicing of its steps, cached per seq.
     struct Head {
@@ -285,7 +280,6 @@ private:
         dls::StepStarts steps{dls::Technique::SS, dls::LoopParams{}};
     };
 
-    static constexpr int kHost = 0;  // group rank hosting the queue memory
     // The cursor is claimed on every pop; it has a cache line to itself.
     static constexpr std::size_t kCursor = 0;
     static constexpr std::size_t kTail = 8;
@@ -381,7 +375,6 @@ private:
     }
 
     minimpi::Comm comm_;
-    minimpi::Window window_;
     dls::Technique technique_{};
     std::int64_t min_chunk_ = 1;
     int level_workers_ = 0;

@@ -9,8 +9,6 @@
 #include "core/lease_board.hpp"
 #include "core/sharded_queue.hpp"
 #include "core/work_source.hpp"
-#include "dls/adaptive.hpp"
-#include "metrics/metrics.hpp"
 #include "metrics/watchdog.hpp"
 #include "minimpi/liveness.hpp"
 #include "util/chunk_clock.hpp"
@@ -23,7 +21,7 @@ using Clock = std::chrono::steady_clock;
 
 WorkerStats run_mpi_mpi_rank(minimpi::Context& ctx, std::int64_t n, const HierConfig& cfg,
                              const ResolvedHierarchy& rh, const ChunkBody& body,
-                             trace::WorkerTracer tracer, const RankHooks& hooks) {
+                             Probe probe, ChunkGate* gate) {
     const minimpi::Comm& world = ctx.world();
 
     // The rank's chunk clock (a calibrated TSC where the host allows it):
@@ -38,7 +36,7 @@ WorkerStats run_mpi_mpi_rank(minimpi::Context& ctx, std::int64_t n, const HierCo
     // node-local shared queue), every acquisition protocol (pop, refill,
     // steal-aware tracing, termination) inside the ComposedWorkSource
     // chain.
-    Hierarchy hier = build_hierarchy(world, n, rh, cfg, tracer, /*include_leaf=*/true);
+    Hierarchy hier = build_hierarchy(world, n, rh, cfg, probe, /*include_leaf=*/true);
     ComposedWorkSource& source = *hier.top_composed();
 
     // Lease-based fault tolerance (HierConfig::lease): every chunk this
@@ -69,7 +67,6 @@ WorkerStats run_mpi_mpi_rank(minimpi::Context& ctx, std::int64_t n, const HierCo
     stats.node = ctx.node();
     stats.worker_in_node = world.rank() % ctx.topology().ranks_per_node;
 
-    const bool tracing = tracer.enabled();
     const bool feedback = hier.root().wants_feedback();
 
     // Adaptive feedback is accumulated locally per executed sub-chunk and
@@ -90,39 +87,32 @@ WorkerStats run_mpi_mpi_rank(minimpi::Context& ctx, std::int64_t n, const HierCo
         if (!feedback || pending_iters == 0) {
             return;
         }
-        metrics::rt().feedback_flushes->inc();
         hier.root().report(pending_iters, pending_busy, pending_overhead);
-        if (tracing) {
-            tracer.instant(trace::EventKind::FeedbackReport, tracer.now(), pending_iters,
-                           dls::feedback_ns(pending_busy));
-        }
+        probe.feedback(pending_iters, pending_busy);
         pending_iters = 0;
         pending_busy = 0.0;
         pending_overhead = 0.0;
     };
     hier.set_feedback_flush(flush_feedback);
 
-    const metrics::RuntimeMetrics& m = metrics::rt();
-    metrics::worker_enter(world.rank(), hooks.watchdog);
+    probe.enter();
 
-    // Rank 0 lends the watchdog a view into the sharded root: per-shard
-    // remaining counts (atomic reads on the RMA window) so a stall dump
-    // can name the starved shard. The probe must not outlive the window it
-    // reads, so the guard below clears it on *every* exit path — a chunk
-    // body that throws unwinds through hier's destructor (freeing the
-    // window) while the watchdog thread may be mid-check. The watchdog is
-    // the run's own (threaded through hooks), never the global registry's:
-    // with concurrent runs, the registry top may belong to another run and
-    // a probe into *this* run's window must die with this run.
-    metrics::StallWatchdog* const wd = world.rank() == 0 ? hooks.watchdog : nullptr;
-    struct ProbeGuard {
+    // Rank 0 lends the run's watchdog a view into the sharded root:
+    // per-shard remaining counts (atomic reads on the RMA window) so a
+    // stall dump can name the starved shard. The shard probe must not
+    // outlive the window it reads, so the guard below clears it on *every*
+    // exit path — a chunk body that throws unwinds through hier's
+    // destructor (freeing the window) while the watchdog thread may be
+    // mid-check.
+    metrics::StallWatchdog* const wd = world.rank() == 0 ? probe.watchdog() : nullptr;
+    struct ShardProbeGuard {
         metrics::StallWatchdog* wd;
-        ~ProbeGuard() {
+        ~ShardProbeGuard() {
             if (wd != nullptr) {
                 wd->clear_shard_probe();
             }
         }
-    } probe_guard{wd};
+    } shard_probe_guard{wd};
     if (wd != nullptr) {
         if (const auto* sharded = dynamic_cast<const ShardedInterQueue*>(&hier.root())) {
             const int shards = rh.tree.front().fan_out;
@@ -138,7 +128,7 @@ WorkerStats run_mpi_mpi_rank(minimpi::Context& ctx, std::int64_t n, const HierCo
 
     // The chunk-execution step of the loop and the reclamation drain:
     // trace bracket, body stamps, completion fence, accounting, beat.
-    ChunkExecutor exec(body, clock, stats, tracer, board.get(), world.rank(), hooks.watchdog);
+    ChunkExecutor exec(body, clock, stats, board.get(), probe);
 
     // Failure detection (lease mode): the loop polls at most once per
     // heartbeat_timeout / 16, so a death is noticed at most that much
@@ -146,7 +136,7 @@ WorkerStats run_mpi_mpi_rank(minimpi::Context& ctx, std::int64_t n, const HierCo
     const auto poll_period =
         std::chrono::duration_cast<Clock::duration>(cfg.heartbeat_timeout) / 16;
     const auto poll_liveness = [&] {
-        m.liveness_polls->inc();
+        probe.liveness_poll();
         detector->poll();
     };
 
@@ -182,7 +172,7 @@ WorkerStats run_mpi_mpi_rank(minimpi::Context& ctx, std::int64_t n, const HierCo
         // termination protocol is done), now wait for a fair-share slot
         // before burning CPU on it. A refusal means the job was cancelled:
         // drop the chunk and leave; peers drain the same way.
-        if (hooks.gate != nullptr && !hooks.gate->begin_chunk(world.rank())) {
+        if (gate != nullptr && !gate->begin_chunk(world.rank())) {
             cancelled = true;
             break;
         }
@@ -197,8 +187,8 @@ WorkerStats run_mpi_mpi_rank(minimpi::Context& ctx, std::int64_t n, const HierCo
             poll_liveness();
             next_poll = r.b1 + poll_period;
         }
-        if (hooks.gate != nullptr) {
-            hooks.gate->end_chunk(world.rank(), sub->size);
+        if (gate != nullptr) {
+            gate->end_chunk(world.rank(), sub->size);
         }
         if (feedback && r.committed) {
             pending_iters += sub->size;
@@ -222,33 +212,27 @@ WorkerStats run_mpi_mpi_rank(minimpi::Context& ctx, std::int64_t n, const HierCo
             world.beat();
             world.poll_abort();
             poll_liveness();
-            m.ranks_dead->set(world.size() - world.alive());
             board->sweep();
             while (const auto rc = board->claim_one()) {
                 board->lease(rc->start, rc->size);
-                if (tracing) {
-                    tracer.instant(trace::EventKind::Reclaim, tracer.now(), rc->start,
-                                   rc->size);
-                }
+                probe.instant(trace::EventKind::Reclaim, rc->start, rc->size);
                 (void)exec.run(rc->start, rc->size, source.level(), source.has_prefetched());
             }
-            // The idle beat reads steady_clock, so the chunk clock's reads
-            // stay a function of the executed chunks alone.
-            metrics::worker_beat(world.rank(), source.level(), -1,
-                                 source.has_prefetched(), 0.0, Clock::now(), hooks.watchdog);
+            probe.drain_round(world.size() - world.alive(), source.level(),
+                              source.has_prefetched());
             std::this_thread::sleep_for(std::chrono::microseconds(200));
         }
     }
 
     flush_feedback();  // final accounting for chunks executed since the last refill
-    metrics::worker_leave(world.rank(), hooks.watchdog);
     hier.finish();
+    probe.leave();
 
     stats.global_refills = source.refills();
     stats.finish_seconds = util::elapsed_seconds(t0, Clock::now());
     stats.clock_reads = static_cast<std::int64_t>(clock.reads());
 
-    // probe_guard only fires after this explicit free, so clear the probe
+    // shard_probe_guard only fires after this explicit free, so clear the probe
     // by hand first; the guard's second clear is an idempotent no-op.
     if (wd != nullptr) {
         wd->clear_shard_probe();

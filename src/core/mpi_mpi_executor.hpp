@@ -13,10 +13,10 @@
 
 #include "core/exec_hooks.hpp"
 #include "core/hierarchy.hpp"
+#include "core/probe.hpp"
 #include "core/report.hpp"
 #include "core/types.hpp"
 #include "minimpi/minimpi.hpp"
-#include "trace/recorder.hpp"
 
 namespace hdls::core {
 
@@ -25,16 +25,16 @@ namespace hdls::core {
 /// two-level run is the {nodes, cores} instance). Collective over
 /// ctx.world(); every rank must call it with identical arguments. Returns
 /// this rank's statistics (finish time is measured from the common
-/// post-setup barrier). A default-constructed (disabled) `tracer` records
-/// nothing and costs nothing; an enabled one records the rank's
-/// chunk-lifecycle events, level-tagged. `hooks` carries the run-scoped
-/// seams: the multi-tenant chunk gate (consulted between acquisition and
-/// execution; a false begin_chunk cancels this rank's loop) and the run's
-/// own stall watchdog.
+/// post-setup barrier). Every scheduling event of the rank goes to
+/// `probe`: a default-constructed one records no trace and beats no
+/// watchdog; one built over a trace session and the run's watchdog records
+/// the rank's level-tagged chunk-lifecycle events and beats its slot.
+/// `gate` (may be null) is the multi-tenant chunk gate, consulted between
+/// acquisition and execution; a false begin_chunk cancels this rank's
+/// loop.
 [[nodiscard]] WorkerStats run_mpi_mpi_rank(minimpi::Context& ctx, std::int64_t n,
                                            const HierConfig& cfg, const ResolvedHierarchy& rh,
-                                           const ChunkBody& body,
-                                           trace::WorkerTracer tracer = {},
-                                           const RankHooks& hooks = {});
+                                           const ChunkBody& body, Probe probe = {},
+                                           ChunkGate* gate = nullptr);
 
 }  // namespace hdls::core

@@ -5,6 +5,7 @@
 #include <mutex>
 #include <stdexcept>
 #include <string>
+#include <vector>
 
 #include "core/env_config.hpp"
 #include "core/hierarchy.hpp"
@@ -204,13 +205,11 @@ ExecutionReport run_hierarchical(const ClusterShape& shape, Approach approach,
     // override) additionally runs the background sampler (Prometheus
     // exposition file, HDLS_METRICS_FILE) and the stall watchdog for the
     // duration of the run, both on the HDLS_METRICS_PERIOD_MS cadence.
-    // Concurrent runs are safe: each run owns its watchdog instance, beats
-    // it explicitly through RankHooks, and its registry installation is
-    // removed by identity (never by restoring a stale snapshot), so no
-    // interleaving of run lifetimes can dangle the global hook. The
-    // snapshot delta below remains process-wide — overlapping runs see
-    // each other's counts; per-job attribution lives in the JobService's
-    // job metrics and per-job traces.
+    // Concurrent runs are safe: each run owns its watchdog instance and
+    // every worker's Probe beats that one (a run without metrics beats
+    // none). The snapshot delta below remains process-wide — overlapping
+    // runs see each other's counts; per-job attribution lives in the
+    // JobService's job metrics and per-job traces.
     const metrics::Snapshot metrics_before = metrics::registry().snapshot();
     std::unique_ptr<metrics::MetricsSampler> sampler;
     std::unique_ptr<metrics::StallWatchdog> watchdog;
@@ -223,14 +222,12 @@ ExecutionReport run_hierarchical(const ClusterShape& shape, Approach approach,
         watchdog = std::make_unique<metrics::StallWatchdog>(shape.total_workers());
         watchdog->start(period);
     }
-    const metrics::WatchdogInstallation watchdog_installation(watchdog.get());
-    // A run without its own watchdog still beats an externally installed
-    // one (tools install theirs via install_watchdog and expect runs to
-    // report into it). Captured once, before threads launch: the pointer
-    // stays stable for the whole run even if the registry top changes.
-    RankHooks hooks;
-    hooks.gate = opts.gate;
-    hooks.watchdog = watchdog ? watchdog.get() : metrics::active_watchdog();
+    // Each worker's instrumentation sink: its event log (when tracing),
+    // this run's watchdog slot and the runtime metrics.
+    const auto probe_for = [&](int worker, int node) {
+        return Probe(session ? session->tracer(worker, node) : trace::WorkerTracer{},
+                     watchdog.get(), worker);
+    };
 
     switch (approach) {
         case Approach::MpiMpi: {
@@ -241,10 +238,8 @@ ExecutionReport run_hierarchical(const ClusterShape& shape, Approach approach,
                     minimpi::pin_current_thread(
                         rank_pin_plan[static_cast<std::size_t>(ctx.rank())]);
                 }
-                const trace::WorkerTracer tracer =
-                    session ? session->tracer(ctx.rank(), ctx.node()) : trace::WorkerTracer{};
-                const WorkerStats stats =
-                    run_mpi_mpi_rank(ctx, n, effective, rh, body, tracer, hooks);
+                const WorkerStats stats = run_mpi_mpi_rank(
+                    ctx, n, effective, rh, body, probe_for(ctx.rank(), ctx.node()), opts.gate);
                 const std::lock_guard<std::mutex> lock(merge_mutex);
                 report.workers[static_cast<std::size_t>(ctx.rank())] = stats;
             });
@@ -254,8 +249,12 @@ ExecutionReport run_hierarchical(const ClusterShape& shape, Approach approach,
             minimpi::Topology topo;  // one master rank per leaf group
             topo.ranks_per_node = 1;
             minimpi::Runtime::run(shape.nodes, topo, transport, [&](minimpi::Context& ctx) {
-                const auto stats = run_hybrid_rank(ctx, shape.workers_per_node, n, effective,
-                                                   rh, body, session.get(), hooks);
+                std::vector<Probe> probes;
+                for (int t = 0; t < shape.workers_per_node; ++t) {
+                    probes.push_back(
+                        probe_for(ctx.rank() * shape.workers_per_node + t, ctx.node()));
+                }
+                const auto stats = run_hybrid_rank(ctx, n, effective, rh, body, probes, opts.gate);
                 const std::lock_guard<std::mutex> lock(merge_mutex);
                 for (int t = 0; t < shape.workers_per_node; ++t) {
                     report.workers[static_cast<std::size_t>(
@@ -268,7 +267,6 @@ ExecutionReport run_hierarchical(const ClusterShape& shape, Approach approach,
     }
 
     if (watchdog) {
-        metrics::uninstall_watchdog(watchdog.get());
         watchdog->stop();
     }
     if (sampler) {

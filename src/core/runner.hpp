@@ -43,9 +43,9 @@ struct RunOptions {
                                                const ChunkBody& body);
 
 /// As above, with per-run execution options. Safe to call concurrently
-/// from several threads of one process: each run installs its own
-/// watchdog (refcounted registry) and beats it explicitly, and the
-/// metrics delta attached to the report is the *process-wide* delta over
+/// from several threads of one process: each run owns its watchdog (when
+/// metrics are on) and every worker beats only its own run's watchdog,
+/// through its Probe; the metrics delta attached to the report is the *process-wide* delta over
 /// the run's span — concurrent runs therefore see each other's counts in
 /// their deltas (the registry is process-global by design; per-job
 /// attribution comes from the JobService's labeled job metrics and

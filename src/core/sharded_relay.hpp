@@ -46,7 +46,8 @@ public:
     /// index in [0, fan_out). Requires dls::supports_sharded(technique).
     ShardedRelayQueue(const minimpi::Comm& comm, dls::Technique technique,
                       std::int64_t min_chunk, int fan_out, int child)
-        : comm_(comm),
+        : LevelQueue(kInflight),
+          comm_(comm),
           fan_out_(fan_out),
           child_(child),
           min_chunk_(min_chunk),
@@ -83,26 +84,9 @@ public:
         return sub;
     }
 
-    void begin_refill() override {
-        (void)window_.fetch_and_op<std::int64_t>(1, kHost, kInflight,
-                                                 minimpi::AccumulateOp::Sum);
-    }
-
-    /// The announcement as a nonblocking window op (the prefetch issue
-    /// path): +1 on the in-flight counter, completed via the request.
-    [[nodiscard]] minimpi::AtomicUpdateRequest<std::int64_t> begin_refill_async() override {
-        return window_.start_atomic_update<std::int64_t>(
-            kHost, kInflight, [](std::int64_t v) { return v + 1; });
-    }
-
-    void end_refill() override {
-        (void)window_.fetch_and_op<std::int64_t>(-1, kHost, kInflight,
-                                                 minimpi::AccumulateOp::Sum);
-    }
-
     [[nodiscard]] std::optional<SubChunk> push_and_pop(std::int64_t start, std::int64_t size,
                                                        double* lock_wait_s = nullptr) override {
-        const Release release(*this);
+        const RefillRelease release(*this);
         lock_timed(lock_wait_s);
         auto mem = window_.shared_span<std::int64_t>(kHost);
         const std::vector<std::int64_t> parts = dls::shard_partition(size, {}, fan_out_);
@@ -148,10 +132,6 @@ public:
         return pending;
     }
 
-    [[nodiscard]] bool refills_in_flight() override {
-        return window_.atomic_read<std::int64_t>(kHost, kInflight) > 0;
-    }
-
     [[nodiscard]] std::int64_t popped() const noexcept override { return popped_; }
 
     /// Sub-chunks this handle carved from a sibling's shard.
@@ -165,17 +145,6 @@ public:
     }
 
 private:
-    class Release {
-    public:
-        explicit Release(ShardedRelayQueue& queue) noexcept : queue_(queue) {}
-        ~Release() { queue_.end_refill(); }
-        Release(const Release&) = delete;
-        Release& operator=(const Release&) = delete;
-
-    private:
-        ShardedRelayQueue& queue_;
-    };
-
     void lock_timed(double* lock_wait_s) {
         if (lock_wait_s == nullptr) {
             window_.lock(minimpi::LockType::Exclusive, kHost);
@@ -187,7 +156,6 @@ private:
             std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
     }
 
-    static constexpr int kHost = 0;
     static constexpr std::size_t kInflight = 0;
     static constexpr std::size_t kChildBase = 2;  // spare cell keeps layout aligned
     static constexpr std::size_t kSegFields = 4;
@@ -273,7 +241,6 @@ private:
     }
 
     minimpi::Comm comm_;
-    minimpi::Window window_;
     dls::Technique technique_{};
     dls::Technique formula_{};
     int fan_out_ = 0;

@@ -22,9 +22,8 @@
 
 #include "core/lease_board.hpp"
 #include "core/local_queue.hpp"
+#include "core/probe.hpp"
 #include "dls/technique.hpp"
-#include "metrics/metrics.hpp"
-#include "trace/recorder.hpp"
 #include "util/chunk_clock.hpp"
 
 namespace hdls::core {
@@ -78,36 +77,24 @@ public:
 /// source under the paper's "fastest rank refills" protocol — including
 /// the termination condition (parent exhausted, queue drained, no refill
 /// in flight). Works at any depth: the parent may be the root backend or
-/// another ComposedWorkSource. Records the full chunk-lifecycle trace
-/// (LocalPop, RefillBegin/End, GlobalAcquire/Steal, coalesced
-/// BarrierWait), each event tagged with its hierarchy level: pops and
-/// refills carry this source's level, parent acquisitions the parent's.
+/// another ComposedWorkSource. Every step of the chunk lifecycle (pop,
+/// refill, parent acquire or steal, termination spin, prefetch) goes to
+/// the worker's Probe::Level for this level, which maps it onto the
+/// level-tagged trace events and the per-level metric families.
 class ComposedWorkSource final : public WorkSource {
 public:
-    /// `level` is this source's depth in the tree (>= 1; the root is 0).
+    /// `probe` is the worker's sink at this source's depth in the tree
+    /// (>= 1; the root is 0).
     /// `before_refill` (optional) runs right before every parent acquire —
     /// the executors flush accumulated adaptive feedback there (attached
     /// to the level-1 source, so rates are published before the next root
     /// decision); it can also be attached later via set_before_refill.
-    ComposedWorkSource(LevelQueue& local, WorkSource& parent, trace::WorkerTracer& tracer,
-                       int level, std::function<void()> before_refill = {})
+    ComposedWorkSource(LevelQueue& local, WorkSource& parent, Probe::Level probe,
+                       std::function<void()> before_refill = {})
         : local_(local),
           parent_(parent),
-          tracer_(tracer),
-          tracing_(tracer.enabled()),
-          level_(level),
-          before_refill_(std::move(before_refill)),
-          // Metric handles resolved once: increments on the acquire path
-          // are a single relaxed fetch_add through these pointers. Parent
-          // acquisitions are attributed to the parent's level, as in the
-          // trace events above.
-          m_pops_(metrics::rt().pops[midx(level)]),
-          m_refills_(metrics::rt().refills[midx(level)]),
-          m_acquires_(metrics::rt().acquires[midx(level - 1)]),
-          m_steals_(metrics::rt().steals[midx(level - 1)]),
-          m_acquire_latency_(metrics::rt().acquire_latency_ns[midx(level - 1)]),
-          m_prefetch_hits_(metrics::rt().prefetch_hits),
-          m_prefetch_misses_(metrics::rt().prefetch_misses) {}
+          probe_(probe),
+          before_refill_(std::move(before_refill)) {}
 
     /// Attaches the pre-acquire callback after construction (the feedback
     /// flush needs the fully-built chain to exist first).
@@ -164,27 +151,17 @@ public:
 
     [[nodiscard]] std::optional<Chunk> try_acquire() override {
         if (prefetch_ && slot_) {
-            m_prefetch_hits_->inc();
             const Chunk chunk = *slot_;
             slot_.reset();
-            if (tracing_) {
-                const double now = tracer_.now();
-                tracer_.record(trace::EventKind::Prefetch, now, now, 1, chunk.start,
-                               slot_fill_seconds_, level_);
-            }
+            probe_.prefetch(/*hit=*/true, chunk.start, slot_fill_seconds_);
             fill_slot();
             return chunk;
         }
         const auto chunk = acquire_sync();
         if (prefetch_ && chunk) {
-            m_prefetch_misses_->inc();
-            if (tracing_) {
-                // Miss: the slot was empty and the acquisition above ran on
-                // the critical path.
-                const double now = tracer_.now();
-                tracer_.record(trace::EventKind::Prefetch, now, now, 0, chunk->start, 0.0,
-                               level_);
-            }
+            // Miss: the slot was empty and the acquisition above ran on
+            // the critical path.
+            probe_.prefetch(/*hit=*/false, chunk->start, 0.0);
             fill_slot();
         }
         return chunk;
@@ -193,39 +170,21 @@ public:
 private:
     /// The synchronous acquisition loop (the pre-prefetch try_acquire):
     /// pop, else refill from the parent, else run the termination
-    /// protocol.
+    /// protocol. While the parent is exhausted but peers are mid-refill
+    /// the rank polls; the probe coalesces that whole wait into one span.
     [[nodiscard]] std::optional<Chunk> acquire_sync() {
         for (;;) {
-            // Termination-spin coalescing: while the parent is exhausted
-            // but peers are mid-refill, the rank polls; recording every
-            // poll would flood the worker's event log, so the whole wait becomes
-            // one BarrierWait event — and the per-poll LocalPop /
-            // GlobalAcquire probes are muted.
-            const bool record_probe = tracing_ && wait_start_ < 0.0;
             // Stage 2 first: the level queue may already hold sub-chunks.
-            double pop_t0 = 0.0;
+            // A pop that carved a sibling's shard (sharded relay) keeps its
+            // `stolen` flag on the returned chunk, and the *puller* one
+            // level down records it as the level's Steal — one
+            // acquire-side event per transfer.
+            const double pop_t0 = probe_.now();
             double pop_wait = 0.0;
-            if (tracing_) {
-                pop_t0 = tracer_.now();
-            }
-            if (const auto sub = local_.try_pop(tracing_ ? &pop_wait : nullptr)) {
-                m_pops_->inc();
-                if (tracing_) {
-                    close_wait(pop_t0);
-                    // Every pop is a LocalPop at this level, its wait the
-                    // access's contention (failed claims or lock grant); a pop
-                    // that carved a sibling's shard (sharded relay) keeps
-                    // its `stolen` flag on the returned chunk, and the
-                    // *puller* one level down records it as the level's
-                    // Steal — one acquire-side event per transfer.
-                    tracer_.record(trace::EventKind::LocalPop, pop_t0, tracer_.now(),
-                                   sub->begin, sub->end, pop_wait, level_);
-                }
+            const auto sub = local_.try_pop(probe_.wait_out(pop_wait));
+            probe_.pop(pop_t0, sub, pop_wait);
+            if (sub) {
                 return as_chunk(*sub);
-            }
-            if (record_probe) {
-                tracer_.record(trace::EventKind::LocalPop, pop_t0, tracer_.now(), -1, -1,
-                               pop_wait, level_);
             }
             // Queue drained: this rank happens to be the fastest — refill.
             const Refill r = refill(/*async=*/false);
@@ -240,10 +199,7 @@ private:
             if (!local_.refills_in_flight() && !local_.has_pending()) {
                 return std::nullopt;
             }
-            if (tracing_ && wait_start_ < 0.0) {
-                wait_start_ = tracer_.now();
-            }
-            metrics::rt().termination_spins->inc();
+            probe_.termination_spin();
             std::this_thread::yield();
         }
     }
@@ -261,15 +217,11 @@ private:
     /// stays synchronous, after the flush — feedback-flush ordering is
     /// exactly the synchronous run's.
     void fill_slot() {
-        const double fill_t0 = tracing_ ? tracer_.now() : 0.0;
+        const double fill_t0 = probe_.now();
         double pop_wait = 0.0;
-        if (const auto sub = local_.try_pop(tracing_ ? &pop_wait : nullptr)) {
-            m_pops_->inc();
-            if (tracing_) {
-                tracer_.record(trace::EventKind::LocalPop, fill_t0, tracer_.now(), sub->begin,
-                               sub->end, pop_wait, level_);
-                slot_fill_seconds_ = tracer_.now() - fill_t0;
-            }
+        if (const auto sub = local_.try_pop(probe_.wait_out(pop_wait))) {
+            probe_.pop(fill_t0, sub, pop_wait);
+            slot_fill_seconds_ = probe_.now() - fill_t0;
             slot_ = as_chunk(*sub);
             return;
         }
@@ -277,9 +229,7 @@ private:
             return;  // adaptive root: the refill must follow the flush
         }
         const Refill r = refill(/*async=*/true);
-        if (tracing_) {
-            slot_fill_seconds_ = tracer_.now() - fill_t0;
-        }
+        slot_fill_seconds_ = probe_.now() - fill_t0;
         if (r.sub) {
             slot_ = as_chunk(*r.sub);
         }
@@ -303,58 +253,33 @@ private:
     /// callback run (the prefetch path); otherwise it is the blocking
     /// begin_refill().
     [[nodiscard]] Refill refill(bool async) {
-        // Probes stay muted during a coalesced termination wait (see
-        // acquire_sync); fill_slot never runs inside one.
-        const bool record_probe = tracing_ && wait_start_ < 0.0;
         minimpi::AtomicUpdateRequest<std::int64_t> announce;
         if (async) {
             announce = local_.begin_refill_async();
         } else {
             local_.begin_refill();
         }
-        if (record_probe) {
-            tracer_.instant(trace::EventKind::RefillBegin, tracer_.now(), 0, 0, level_);
-        }
+        probe_.refill_begin();
         if (before_refill_) {
             before_refill_();
         }
         (void)announce.wait();
-        const double acq_t0 = tracing_ ? tracer_.now() : 0.0;
+        const double acq_t0 = probe_.now();
         const auto par_t0 = clock_.now();
         const auto chunk = parent_.try_acquire();
+        probe_.parent_acquire(chunk, acq_t0, util::elapsed(par_t0, clock_.now()));
         if (!chunk) {
-            if (record_probe) {
-                tracer_.record(trace::EventKind::GlobalAcquire, acq_t0, tracer_.now(), 0, 0,
-                               0.0, level_ - 1);
-            }
             local_.end_refill();
-            if (record_probe) {
-                tracer_.instant(trace::EventKind::RefillEnd, tracer_.now(), 0, 0, level_);
-            }
+            probe_.refill_end(chunk);
             return {.parent_exhausted = true, .sub = std::nullopt};
         }
-        observe_parent_acquire(*chunk, par_t0);
-        if (tracing_) {
-            close_wait(acq_t0);
-            tracer_.record(chunk->stolen ? trace::EventKind::Steal
-                                         : trace::EventKind::GlobalAcquire,
-                           acq_t0, tracer_.now(), chunk->start, chunk->size, 0.0, level_ - 1);
-        }
         ++refills_;
-        m_refills_->inc();
-        const double push_t0 = tracing_ ? tracer_.now() : 0.0;
+        const double push_t0 = probe_.now();
         double push_wait = 0.0;
         auto sub =
-            local_.push_and_pop(chunk->start, chunk->size, tracing_ ? &push_wait : nullptr);
-        if (tracing_) {
-            tracer_.record(trace::EventKind::LocalPop, push_t0, tracer_.now(),
-                           sub ? sub->begin : -1, sub ? sub->end : -1, push_wait, level_);
-            tracer_.instant(trace::EventKind::RefillEnd, tracer_.now(), chunk->start,
-                            chunk->size, level_);
-        }
-        if (sub) {
-            m_pops_->inc();
-        }
+            local_.push_and_pop(chunk->start, chunk->size, probe_.wait_out(push_wait));
+        probe_.pop(push_t0, sub, push_wait);
+        probe_.refill_end(chunk);
         return {.parent_exhausted = false, .sub = std::move(sub)};
     }
 
@@ -376,7 +301,7 @@ public:
     }
 
     /// This source's depth in the hierarchy (the root is 0).
-    [[nodiscard]] int level() const noexcept { return level_; }
+    [[nodiscard]] int level() const noexcept { return probe_.level(); }
 
     /// True while the prefetch slot holds a chunk awaiting execution (the
     /// stall watchdog reports it as "outstanding prefetch").
@@ -385,15 +310,9 @@ public:
     /// Parent chunks this handle pulled down (the rank's refill count).
     [[nodiscard]] std::int64_t refills() const noexcept { return refills_; }
 
-    /// Closes any open wait span and, when `terminate` is set, marks the
-    /// worker's departure from the scheduling loop; call once per source
-    /// after the final try_acquire() (Terminate only on the chain's top).
-    void finish(bool terminate = true) {
-        close_wait(tracer_.now());
-        if (tracing_ && terminate) {
-            tracer_.instant(trace::EventKind::Terminate, tracer_.now());
-        }
-    }
+    /// Closes any open wait span; call once per source after the final
+    /// try_acquire().
+    void finish() { probe_.finish(); }
 
     /// Frees the whole chain: this level's queue, then the parent.
     void free() override {
@@ -412,40 +331,16 @@ private:
         return Chunk{sub.begin, sub.end - sub.begin, local_.popped() - 1, sub.stolen};
     }
 
-    [[nodiscard]] static std::size_t midx(int level) noexcept {
-        return static_cast<std::size_t>(metrics::RuntimeMetrics::level_index(level));
-    }
-
-    /// Successful parent acquisition: latency histogram plus the owned /
-    /// stolen counter, all at the parent's level.
-    void observe_parent_acquire(const Chunk& chunk, util::ChunkClock::time_point t0) noexcept {
-        m_acquire_latency_->observe(
-            static_cast<std::uint64_t>(util::elapsed(t0, clock_.now()).count()));
-        (chunk.stolen ? m_steals_ : m_acquires_)->inc();
-    }
-
-    /// `end` is the start of the transaction that found work, so the wait
-    /// span never overlaps the recorded LocalPop/GlobalAcquire epoch.
-    void close_wait(double end) {
-        if (tracing_ && wait_start_ >= 0.0) {
-            tracer_.record(trace::EventKind::BarrierWait, wait_start_, end);
-            wait_start_ = -1.0;
-        }
-    }
-
     LevelQueue& local_;
     WorkSource& parent_;
-    trace::WorkerTracer& tracer_;
+    Probe::Level probe_;
     /// Times parent acquisitions (durations only, so its base needs no
     /// start-line rebase). A clock of its own: the executor's clock then
     /// counts exactly the per-chunk stamps, while a termination spin's
     /// failed parent probes read this one.
     util::ChunkClock clock_;
-    bool tracing_ = false;
-    int level_ = 1;
     std::function<void()> before_refill_;
     std::int64_t refills_ = 0;
-    double wait_start_ = -1.0;
     /// Double-buffered prefetching (set_prefetch): the slot holds the next
     /// chunk, acquired while the previous one executed; fill_seconds is
     /// the acquisition time the slot hid off the critical path (traced on
@@ -456,14 +351,6 @@ private:
     /// Fault-tolerance lease board (null = lease mode off; see
     /// set_lease_board).
     LeaseBoard* lease_board_ = nullptr;
-    // Resolved metric handles (see constructor).
-    metrics::Counter* m_pops_;
-    metrics::Counter* m_refills_;
-    metrics::Counter* m_acquires_;
-    metrics::Counter* m_steals_;
-    metrics::Histogram* m_acquire_latency_;
-    metrics::Counter* m_prefetch_hits_;
-    metrics::Counter* m_prefetch_misses_;
 };
 
 }  // namespace hdls::core

@@ -44,11 +44,6 @@ void StallWatchdog::leave(int worker) noexcept {
                                                           std::memory_order_relaxed);
 }
 
-void StallWatchdog::beat(int worker, int level, std::int64_t chunk_start,
-                         bool prefetch_outstanding, double chunk_seconds) noexcept {
-    beat_at(now_ns(), worker, level, chunk_start, prefetch_outstanding, chunk_seconds);
-}
-
 void StallWatchdog::beat_at(std::uint64_t now, int worker, int level,
                             std::int64_t chunk_start, bool prefetch_outstanding,
                             double chunk_seconds) noexcept {
@@ -193,54 +188,6 @@ std::string StallWatchdog::format_stall(const Stall& s) {
         oss << ']';
     }
     return oss.str();
-}
-
-namespace {
-// The install registry: a stack of live watchdogs plus an atomic cache of
-// the top entry, so active_watchdog() stays one relaxed load on the hot
-// path while install/uninstall from overlapping runs can interleave in any
-// order without ever leaving the hook pointing at a destroyed watchdog
-// (the PR 6 single-pointer guard restored its *saved* predecessor, which a
-// concurrent run may have already torn down).
-std::mutex g_watchdog_mutex;
-std::vector<StallWatchdog*> g_watchdog_stack;
-std::atomic<StallWatchdog*> g_watchdog{nullptr};
-
-void refresh_top_locked() noexcept {
-    g_watchdog.store(g_watchdog_stack.empty() ? nullptr : g_watchdog_stack.back(),
-                     std::memory_order_release);
-}
-}  // namespace
-
-void install_watchdog(StallWatchdog* wd) noexcept {
-    const std::lock_guard<std::mutex> lock(g_watchdog_mutex);
-    if (wd == nullptr) {
-        // Legacy set-style uninstall: drop the most recent installation.
-        if (!g_watchdog_stack.empty()) {
-            g_watchdog_stack.pop_back();
-        }
-    } else {
-        g_watchdog_stack.push_back(wd);
-    }
-    refresh_top_locked();
-}
-
-void uninstall_watchdog(StallWatchdog* wd) noexcept {
-    if (wd == nullptr) {
-        return;
-    }
-    const std::lock_guard<std::mutex> lock(g_watchdog_mutex);
-    for (auto it = g_watchdog_stack.rbegin(); it != g_watchdog_stack.rend(); ++it) {
-        if (*it == wd) {
-            g_watchdog_stack.erase(std::next(it).base());
-            break;
-        }
-    }
-    refresh_top_locked();
-}
-
-StallWatchdog* active_watchdog() noexcept {
-    return g_watchdog.load(std::memory_order_acquire);
 }
 
 }  // namespace hdls::metrics

@@ -24,8 +24,6 @@
 #include <thread>
 #include <vector>
 
-#include "metrics/metrics.hpp"
-
 namespace hdls::metrics {
 
 class StallWatchdog {
@@ -65,13 +63,9 @@ public:
     /// Marks a worker finished — it is exempt from stall checks.
     void leave(int worker) noexcept;
 
-    /// Heartbeat: one call per executed chunk. Wait-free, allocation-free.
-    void beat(int worker, int level, std::int64_t chunk_start, bool prefetch_outstanding,
-              double chunk_seconds) noexcept;
-
-    /// Like beat() but with an explicit timestamp on the now_ns() clock:
-    /// the executors pass their body-end stamp (through ns_at), tests a
-    /// deterministic time.
+    /// Heartbeat: one call per executed chunk, stamped `now` on the
+    /// now_ns() clock (the executors pass their body-end stamp through
+    /// ns_at, tests a deterministic time). Wait-free, allocation-free.
     void beat_at(std::uint64_t now, int worker, int level, std::int64_t chunk_start,
                  bool prefetch_outstanding, double chunk_seconds) noexcept;
 
@@ -134,67 +128,5 @@ private:
     bool running_ = false;
     bool stop_requested_ = false;
 };
-
-/// Global watchdog hook, now a *registry*: installations stack, and
-/// active_watchdog() returns the most recent live one (a single relaxed
-/// pointer load on the hot path). Overlapping runs each install their own
-/// watchdog and remove exactly their own entry with uninstall_watchdog(),
-/// so no interleaving of run lifetimes can leave the hook pointing at a
-/// destroyed watchdog — the failure mode of the old save/restore guard.
-/// install_watchdog(nullptr) keeps its legacy meaning: uninstall the most
-/// recent installation.
-void install_watchdog(StallWatchdog* wd) noexcept;
-/// Removes this specific watchdog from the registry (idempotent; nullptr
-/// is a no-op). The preferred uninstall for scoped installations.
-void uninstall_watchdog(StallWatchdog* wd) noexcept;
-[[nodiscard]] StallWatchdog* active_watchdog() noexcept;
-
-/// RAII installation — the exception-safe way to scope a watchdog to a
-/// run. Removal targets exactly this watchdog, so overlapping scopes may
-/// unwind in any order.
-class WatchdogInstallation {
-public:
-    explicit WatchdogInstallation(StallWatchdog* wd) noexcept : wd_(wd) {
-        if (wd_ != nullptr) {
-            install_watchdog(wd_);
-        }
-    }
-    ~WatchdogInstallation() { uninstall_watchdog(wd_); }
-    WatchdogInstallation(const WatchdogInstallation&) = delete;
-    WatchdogInstallation& operator=(const WatchdogInstallation&) = delete;
-
-private:
-    StallWatchdog* wd_;
-};
-
-/// The explicit-watchdog entry points: executors thread the run's own
-/// watchdog through these (see core::RankHooks) so concurrent runs beat
-/// their own instance instead of whichever happens to top the global
-/// registry. `wd == nullptr` keeps only the always-on gauge updates.
-inline void worker_enter(int worker, StallWatchdog* wd) noexcept {
-    rt().workers_active->add(1);  // gauge is always-on, watchdog opt-in
-    if (wd != nullptr) {
-        wd->enter(worker);
-    }
-}
-
-inline void worker_leave(int worker, StallWatchdog* wd) noexcept {
-    rt().workers_active->add(-1);
-    if (wd != nullptr) {
-        wd->leave(worker);
-    }
-}
-
-/// One beat stamped `at`, a time the caller already read (the chunk's
-/// body-end stamp): a steady_clock time point, e.g. a util::ChunkClock
-/// stamp.
-inline void worker_beat(int worker, int level, std::int64_t chunk_start,
-                        bool prefetch_outstanding, double chunk_seconds,
-                        std::chrono::steady_clock::time_point at, StallWatchdog* wd) noexcept {
-    if (wd != nullptr) {
-        wd->beat_at(wd->ns_at(at), worker, level, chunk_start, prefetch_outstanding,
-                    chunk_seconds);
-    }
-}
 
 }  // namespace hdls::metrics

@@ -10,8 +10,6 @@ std::string_view schedule_name(Schedule s) noexcept {
     switch (s) {
         case Schedule::Static:
             return "static";
-        case Schedule::StaticChunk:
-            return "static_chunk";
         case Schedule::Dynamic:
             return "dynamic";
         case Schedule::Guided:
@@ -28,8 +26,8 @@ std::optional<Schedule> schedule_from_string(std::string_view name) noexcept {
     std::string lower(name);
     std::transform(lower.begin(), lower.end(), lower.begin(),
                    [](unsigned char c) { return static_cast<char>(std::tolower(c)); });
-    for (const Schedule s : {Schedule::Static, Schedule::StaticChunk, Schedule::Dynamic,
-                             Schedule::Guided, Schedule::Tss, Schedule::Fac2}) {
+    for (const Schedule s : {Schedule::Static, Schedule::Dynamic, Schedule::Guided,
+                             Schedule::Tss, Schedule::Fac2}) {
         if (lower == schedule_name(s)) {
             return s;
         }

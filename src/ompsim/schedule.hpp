@@ -7,7 +7,7 @@
 /// OpenMP 5 `schedule` clause with the semantics the paper's Table 1 maps
 /// onto DLS techniques:
 ///
-///     STATIC -> schedule(static)        Static / StaticChunk
+///     STATIC -> schedule(static)        Static (chunk 0: blocks; k: round-robin)
 ///     SS     -> schedule(dynamic,1)     Dynamic with chunk 1
 ///     GSS    -> schedule(guided,1)      Guided with chunk 1
 ///
@@ -26,12 +26,11 @@ namespace hdls::ompsim {
 
 /// Schedule kinds for ThreadTeam::for_each / for_chunks.
 enum class Schedule {
-    Static,       ///< schedule(static): one contiguous block per thread
-    StaticChunk,  ///< schedule(static, k): round-robin k-sized chunks
-    Dynamic,      ///< schedule(dynamic, k): shared-counter self-scheduling
-    Guided,       ///< schedule(guided, k): chunk = max(ceil(remaining/P), k)
-    Tss,          ///< extension: trapezoid self-scheduling (LaPeSD-libGOMP)
-    Fac2,         ///< extension: practical factoring (LaPeSD-libGOMP)
+    Static,   ///< schedule(static[, k]): one block per thread, or round-robin k-chunks
+    Dynamic,  ///< schedule(dynamic, k): shared-counter self-scheduling
+    Guided,   ///< schedule(guided, k): chunk = max(ceil(remaining/P), k)
+    Tss,      ///< extension: trapezoid self-scheduling (LaPeSD-libGOMP)
+    Fac2,     ///< extension: practical factoring (LaPeSD-libGOMP)
 };
 
 /// Options of one worksharing construct (the `schedule(...)` [nowait] part).

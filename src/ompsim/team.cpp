@@ -195,13 +195,6 @@ void ThreadTeam::dispatch(Workshare& ws, const ForOptions& opts, const ChunkBody
             }
             break;
         }
-        case Schedule::StaticChunk: {
-            const std::int64_t k = std::max<std::int64_t>(ws.chunk, 1);
-            for (std::int64_t s = ws.begin + thread_id * k; s < ws.end; s += team * k) {
-                body(s, std::min(s + k, ws.end), thread_id);
-            }
-            break;
-        }
         case Schedule::Dynamic: {
             const std::int64_t k = std::max<std::int64_t>(ws.chunk, 1);
             for (;;) {

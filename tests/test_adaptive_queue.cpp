@@ -290,6 +290,26 @@ TEST(AdaptiveExecutorTest, AdaptiveRunSurvivesASlowedNode) {
     EXPECT_TRUE(saw_feedback);
 }
 
+/// Both executors count each feedback flush they trace: the run's
+/// hdls_exec_feedback_flushes_total delta equals its FeedbackReport events.
+TEST(AdaptiveExecutorTest, FeedbackFlushCounterMatchesFeedbackReports) {
+    HierConfig cfg;
+    cfg.inter = Technique::AWFB;
+    cfg.intra = Technique::SS;
+    cfg.trace = true;
+    for (const Approach approach : {Approach::MpiMpi, Approach::MpiOpenMp}) {
+        SCOPED_TRACE(approach_name(approach));
+        const auto report = hdls::parallel_for(ClusterShape{2, 2}, approach, cfg, 2000,
+                                               [](std::int64_t, std::int64_t) {});
+        ASSERT_EQ(report.executed_iterations(), 2000);
+        ASSERT_NE(report.trace, nullptr);
+        const auto reports = report.trace->count(hdls::trace::EventKind::FeedbackReport);
+        EXPECT_GT(reports, 0);
+        EXPECT_EQ(report.metrics.counter_total("hdls_exec_feedback_flushes_total"),
+                  static_cast<std::uint64_t>(reports));
+    }
+}
+
 TEST(AdaptiveSimTest, SimRejectsWhatTheRealPathRejects) {
     // Sim/real parity on bad adaptive inputs: FAC with mu=0 would divide
     // by zero (NaN chunks) and negative WF weights would starve a node.

@@ -787,8 +787,8 @@ TEST(ChunkExecutorTest, CommittedRunAccountsTimesAndTracesEveryChunk) {
     std::int64_t ran = 0;
     const ChunkBody body = [&ran](std::int64_t b, std::int64_t e) { ran += e - b; };
     const hdls::metrics::Snapshot before = hdls::metrics::registry().snapshot();
-    ChunkExecutor exec(body, clock, stats, session.tracer(0, 0), /*board=*/nullptr,
-                       /*worker=*/0, /*watchdog=*/nullptr);
+    ChunkExecutor exec(body, clock, stats, /*board=*/nullptr,
+                       Probe(session.tracer(0, 0), /*watchdog=*/nullptr, /*worker=*/0));
     const ChunkExecutor::Result r1 = exec.run(0, 10, /*level=*/1, false);
     const ChunkExecutor::Result r2 = exec.run(10, 5, /*level=*/1, false);
     const hdls::metrics::Snapshot delta =
@@ -837,8 +837,8 @@ TEST(ChunkExecutorTest, LostFenceCommitsNothingButStillTraces) {
                 world.barrier();
                 world.barrier();
             };
-            ChunkExecutor exec(body, clock, owner_stats, session.tracer(0, 0), &board,
-                               /*worker=*/0, /*watchdog=*/nullptr);
+            ChunkExecutor exec(body, clock, owner_stats, &board,
+                               Probe(session.tracer(0, 0), /*watchdog=*/nullptr, /*worker=*/0));
             board.lease(0, 100);
             owner_committed = exec.run(0, 100, /*level=*/1, false).committed;
         } else {

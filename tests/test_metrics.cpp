@@ -365,7 +365,7 @@ TEST(MetricsTest, IncrementPathDoesNotAllocate) {
     // Warm up thread-local shard indices outside the counted region.
     c.inc();
     h.observe(1);
-    wd.beat(0, 1, 0, false, 1e-6);
+    wd.beat_at(wd.now_ns(), 0, 1, 0, false, 1e-6);
 
     g_allocations.store(0);
     g_count_allocations.store(true);
@@ -373,7 +373,7 @@ TEST(MetricsTest, IncrementPathDoesNotAllocate) {
         c.inc();
         g.add(1);
         h.observe(static_cast<std::uint64_t>(i));
-        wd.beat(0, 1, i, false, 1e-6);
+        wd.beat_at(wd.now_ns(), 0, 1, i, false, 1e-6);
     }
     g_count_allocations.store(false);
     EXPECT_EQ(g_allocations.load(), 0u)
@@ -466,16 +466,19 @@ TEST(WatchdogTest, RequiresMinimumBeatsAndActiveWorkers) {
 
 TEST(WatchdogTest, NoFalsePositiveOnImbalancedRealRun) {
     // A deliberately imbalanced real run: the last node's chunks are ~20x
-    // slower. The default EMA/floor config must not flag anyone.
-    StallWatchdog wd(4);
-    metrics::install_watchdog(&wd);
-    wd.start(std::chrono::milliseconds(5));
-    core::ClusterShape shape;
-    shape.nodes = 2;
-    shape.workers_per_node = 2;
+    // slower. The default EMA/floor config of the run's own watchdog,
+    // checking every 5 ms inside the ~30 ms loop, must not flag anyone.
+    const std::string file = (std::filesystem::temp_directory_path() /
+                              ("hdls_imbalanced_" + std::to_string(::getpid()) + ".prom"))
+                                 .string();
+    const core::ClusterShape shape{2, 2};
     core::HierConfig cfg;
     cfg.inter = dls::Technique::SS;
     cfg.intra = dls::Technique::SS;
+    core::RunOptions opts;
+    opts.metrics = true;
+    opts.metrics_file = file;
+    ::setenv("HDLS_METRICS_PERIOD_MS", "5", 1);
     const auto report = core::run_hierarchical(
         shape, core::Approach::MpiMpi, cfg, 200,
         [](std::int64_t begin, std::int64_t end) {
@@ -483,11 +486,12 @@ TEST(WatchdogTest, NoFalsePositiveOnImbalancedRealRun) {
                 std::this_thread::sleep_for(
                     std::chrono::microseconds(i % 4 == 3 ? 2000 : 100));
             }
-        });
-    metrics::install_watchdog(nullptr);
-    wd.stop();
+        },
+        opts);
+    ::unsetenv("HDLS_METRICS_PERIOD_MS");
+    std::remove(file.c_str());
     EXPECT_EQ(report.executed_iterations(), 200);
-    EXPECT_EQ(wd.stalls_reported(), 0u);
+    EXPECT_EQ(report.metrics.counter_total("hdls_watchdog_stalls_total"), 0u);
 }
 
 // --------------------------------------------------------------- end-to-end
@@ -565,35 +569,10 @@ TEST(MetricsTest, SimulationsLeaveTheExecutedWorkFamiliesUntouched) {
 
 // ---------------------------------------------------------- overlapping runs
 
-/// PR 6 installed the watchdog into a single global slot with save/restore
-/// semantics, which assumed one run at a time: two overlapping runs could
-/// restore a dangling pointer on staggered exits. The registry is now a
-/// refcounted install stack with removal by identity. The install/uninstall
-/// dance below interleaves lifetimes in the worst order (A installs, B
-/// installs, A uninstalls) — under the old guard, A's exit would have
-/// reinstated its saved nullptr over B's live watchdog.
-TEST(WatchdogTest, InstallRegistrySurvivesInterleavedLifetimes) {
-    StallWatchdog a(2);
-    StallWatchdog b(2);
-    metrics::install_watchdog(&a);
-    EXPECT_EQ(metrics::active_watchdog(), &a);
-    metrics::install_watchdog(&b);
-    EXPECT_EQ(metrics::active_watchdog(), &b);
-    metrics::uninstall_watchdog(&a);  // out-of-order exit
-    EXPECT_EQ(metrics::active_watchdog(), &b);
-    metrics::uninstall_watchdog(&b);
-    EXPECT_EQ(metrics::active_watchdog(), nullptr);
-    // Idempotent: a second uninstall (the runner's RAII + explicit path)
-    // is a no-op, not corruption.
-    metrics::uninstall_watchdog(&b);
-    EXPECT_EQ(metrics::active_watchdog(), nullptr);
-}
-
 /// Two metrics-enabled runs overlapping in time, each with its own
 /// watchdog, sampler and exposition file — the multi-tenant shape the
-/// JobService produces. Runs in CI under TSan: any lost-update or
-/// dangling-watchdog race in the registry or the beat path is caught
-/// here. Staggered starts/finishes exercise both install orders.
+/// JobService produces. Runs in CI under TSan, which catches any
+/// lost-update or dangling-watchdog race in the registry or the beat path.
 TEST(WatchdogTest, OverlappingMetricsRunsStayIndependent) {
     // Per-process paths: concurrent test processes on one host (two ctest
     // runs of the same build) must not share the exposition files.
@@ -636,8 +615,6 @@ TEST(WatchdogTest, OverlappingMetricsRunsStayIndependent) {
     tb.join();
     EXPECT_EQ(ra.executed_iterations(), 300);
     EXPECT_EQ(rb.executed_iterations(), 150);
-    // Both watchdogs uninstalled by identity: the registry is empty.
-    EXPECT_EQ(metrics::active_watchdog(), nullptr);
     // Each run wrote its own exposition file.
     for (const std::string& file : {file_a, file_b}) {
         std::ifstream in(file);

@@ -11,6 +11,7 @@
 #include <mutex>
 #include <set>
 #include <thread>
+#include <utility>
 
 #include "dls/chunk_formulas.hpp"
 #include "dls/scheduler.hpp"
@@ -140,11 +141,12 @@ TEST_P(ScheduleCoverage, EveryIterationExecutedExactlyOnce) {
 
 std::vector<CoverageCase> coverage_cases() {
     std::vector<CoverageCase> cases;
-    for (const Schedule s : {Schedule::Static, Schedule::StaticChunk, Schedule::Dynamic,
-                             Schedule::Guided, Schedule::Tss, Schedule::Fac2}) {
+    for (const auto& [s, chunk] : std::vector<std::pair<Schedule, std::int64_t>>{
+             {Schedule::Static, 0}, {Schedule::Static, 3}, {Schedule::Dynamic, 0},
+             {Schedule::Guided, 0}, {Schedule::Tss, 0}, {Schedule::Fac2, 0}}) {
         for (const int threads : {1, 2, 4, 7}) {
             for (const std::int64_t n : {0LL, 1LL, 13LL, 1000LL}) {
-                cases.push_back({s, s == Schedule::StaticChunk ? 3 : 0, threads, n});
+                cases.push_back({s, chunk, threads, n});
             }
         }
     }
@@ -186,7 +188,7 @@ TEST(ScheduleLayoutTest, StaticBlockPartition) {
 
 TEST(ScheduleLayoutTest, StaticChunkRoundRobin) {
     ThreadTeam team(2);
-    const auto chunks = run_and_record(team, 8, ForOptions{Schedule::StaticChunk, 2, false});
+    const auto chunks = run_and_record(team, 8, ForOptions{Schedule::Static, 2, false});
     ASSERT_EQ(chunks.size(), 4u);
     EXPECT_EQ(chunks[0].thread, 0);  // [0,2)
     EXPECT_EQ(chunks[1].thread, 1);  // [2,4)
@@ -341,8 +343,8 @@ TEST(Table1Test, ExtendedEquivalentsCoverPaperIntraTechniques) {
 }
 
 TEST(Table1Test, ScheduleNameRoundTrip) {
-    for (const Schedule s : {Schedule::Static, Schedule::StaticChunk, Schedule::Dynamic,
-                             Schedule::Guided, Schedule::Tss, Schedule::Fac2}) {
+    for (const Schedule s : {Schedule::Static, Schedule::Dynamic, Schedule::Guided,
+                             Schedule::Tss, Schedule::Fac2}) {
         EXPECT_EQ(schedule_from_string(schedule_name(s)), s);
     }
     EXPECT_EQ(schedule_from_string("bogus"), std::nullopt);
