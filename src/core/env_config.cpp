@@ -306,14 +306,6 @@ std::chrono::milliseconds metrics_period_from_env(std::chrono::milliseconds fall
         "HDLS_METRICS_PERIOD_MS", fallback.count(), 1, "a positive integer (milliseconds)"));
 }
 
-int max_jobs_from_env(int fallback) {
-    return strict_int_from_env("HDLS_MAX_JOBS", fallback, 1, "a positive integer");
-}
-
-int job_queue_depth_from_env(int fallback) {
-    return strict_int_from_env("HDLS_JOB_QUEUE_DEPTH", fallback, 0, "a non-negative integer");
-}
-
 simd::SimdMode simd_mode_from_env(simd::SimdMode fallback) {
     const char* value = std::getenv("HDLS_SIMD");
     if (value == nullptr) {

@@ -34,11 +34,6 @@
 ///                           policy for the batch kernels (src/simd/)
 ///     HDLS_PIN            — "none" | "compact" | "scatter" thread/rank
 ///                           placement over the host's sockets
-///     HDLS_MAX_JOBS       — JobService: max jobs running concurrently
-///                           (default 4)
-///     HDLS_JOB_QUEUE_DEPTH — JobService: bounded pending-job queue depth;
-///                           submit() beyond it throws ErrorCode::Resource
-///                           (default 16)
 ///     HDLS_LEASE          — "1"/"on"/"true" enables lease-based fault
 ///                           tolerance under MPI+MPI (docs/fault-tolerance.md)
 ///     HDLS_LEASE_K        — lease-deadline multiplier over the chunk-time
@@ -146,19 +141,6 @@ namespace hdls::core {
 /// every throughput number the run produces).
 [[nodiscard]] simd::SimdMode simd_mode_from_env(
     simd::SimdMode fallback = simd::SimdMode::Auto);
-
-/// Reads HDLS_MAX_JOBS (a positive integer): the JobService's default
-/// concurrent-job limit. Returns `fallback` when unset; throws
-/// std::invalid_argument when set but not a positive integer (no silent
-/// fallback — a typo'd limit would change the service's whole admission
-/// behaviour).
-[[nodiscard]] int max_jobs_from_env(int fallback = 4);
-
-/// Reads HDLS_JOB_QUEUE_DEPTH (an integer >= 0): the JobService's bounded
-/// pending-job queue depth (0 = reject any job that cannot start at
-/// once). Returns `fallback` when unset; throws std::invalid_argument
-/// when set but not a non-negative integer.
-[[nodiscard]] int job_queue_depth_from_env(int fallback = 16);
 
 /// Reads HDLS_LEASE ("1"/"on"/"true"/"yes" enable, "0"/"off"/"false"/"no"
 /// disable, case-insensitive): lease-based fault tolerance for MPI+MPI

@@ -23,14 +23,12 @@
 #include "core/hierarchy.hpp"         // IWYU pragma: export
 #include "core/inter_queue.hpp"       // IWYU pragma: export
 #include "core/hybrid_executor.hpp"   // IWYU pragma: export
-#include "core/job_service.hpp"       // IWYU pragma: export
 #include "core/local_queue.hpp"       // IWYU pragma: export
 #include "core/mpi_mpi_executor.hpp"  // IWYU pragma: export
 #include "core/report.hpp"            // IWYU pragma: export
 #include "core/runner.hpp"            // IWYU pragma: export
 #include "core/sharded_queue.hpp"     // IWYU pragma: export
 #include "core/sharded_relay.hpp"     // IWYU pragma: export
-#include "core/slot_governor.hpp"     // IWYU pragma: export
 #include "core/types.hpp"             // IWYU pragma: export
 #include "core/work_source.hpp"       // IWYU pragma: export
 #include "trace/analysis.hpp"         // IWYU pragma: export

@@ -106,9 +106,9 @@ std::vector<WorkerStats> run_hybrid_rank(minimpi::Context& ctx, std::int64_t n,
                 const double acq_t0 = probe.now();
                 const Clock::time_point a0 = clock.now();
                 current = chain.try_acquire();
-                // Multi-tenant gate: one slot covers the whole team while
-                // it workshares this chunk (funneled model). A refusal
-                // cancels the run — dropping the chunk ends the team loop.
+                // The gate: one call covers the whole team while it
+                // workshares this chunk (funneled model). A refusal drops
+                // the chunk and ends the team loop.
                 if (current && gate != nullptr && !gate->begin_chunk(ctx.rank())) {
                     current.reset();
                 }
@@ -143,7 +143,7 @@ std::vector<WorkerStats> run_hybrid_rank(minimpi::Context& ctx, std::int64_t n,
             probe.span(trace::EventKind::BarrierWait, last_busy);
             if (tid == 0 && gate != nullptr) {
                 // The worksharing construct's implicit barrier has passed:
-                // the chunk is fully executed, release the team's slot.
+                // the chunk is fully executed.
                 gate->end_chunk(ctx.rank(), chunk.size);
             }
         }

@@ -39,7 +39,7 @@ public:
 /// technique. Returns one WorkerStats per thread of this node. Thread t
 /// reports every scheduling event to probes[t] (the master's chain
 /// included, through probes[0]). `gate`, when set, is consulted by the
-/// master around each team chunk (the whole team counts as one slot — the
+/// master around each team chunk (the whole team counts as one rank — the
 /// funneled model admits no finer grain).
 [[nodiscard]] std::vector<WorkerStats> run_hybrid_rank(minimpi::Context& ctx, std::int64_t n,
                                                        const HierConfig& cfg,

@@ -17,6 +17,9 @@ namespace hdls::core {
 
 namespace {
 using Clock = std::chrono::steady_clock;
+
+/// Least time between two reads of the lease board in the drain.
+constexpr std::chrono::microseconds kBoardReadGap{20};
 }  // namespace
 
 WorkerStats run_mpi_mpi_rank(minimpi::Context& ctx, std::int64_t n, const HierConfig& cfg,
@@ -130,9 +133,9 @@ WorkerStats run_mpi_mpi_rank(minimpi::Context& ctx, std::int64_t n, const HierCo
     // trace bracket, body stamps, completion fence, accounting, beat.
     ChunkExecutor exec(body, clock, stats, board.get(), probe);
 
-    // Failure detection (lease mode): the loop polls at most once per
-    // heartbeat_timeout / 16, so a death is noticed at most that much
-    // later than the timeout alone implies; the drain polls every round.
+    // Failure detection (lease mode): the loop and the drain poll at most
+    // once per heartbeat_timeout / 16, so a death is noticed at most that
+    // much later than the timeout alone implies.
     const auto poll_period =
         std::chrono::duration_cast<Clock::duration>(cfg.heartbeat_timeout) / 16;
     const auto poll_liveness = [&] {
@@ -146,7 +149,7 @@ WorkerStats run_mpi_mpi_rank(minimpi::Context& ctx, std::int64_t n, const HierCo
     sched_mark = t0;
     Clock::time_point next_poll = t0;
 
-    bool cancelled = false;
+    bool refused = false;
     while (const auto sub = source.try_acquire()) {
         // Chaos seam: fail-stop at the first own chunk whose start crosses
         // the progress trigger. The chunk just acquired (and anything in
@@ -168,12 +171,11 @@ WorkerStats run_mpi_mpi_rank(minimpi::Context& ctx, std::int64_t n, const HierCo
         if (board != nullptr) {
             world.beat();  // liveness: one heartbeat tick per chunk boundary
         }
-        // Multi-tenant gate: the chunk is acquired (the chain's refill /
-        // termination protocol is done), now wait for a fair-share slot
-        // before burning CPU on it. A refusal means the job was cancelled:
-        // drop the chunk and leave; peers drain the same way.
+        // The gate sees the chunk after the chain's refill / termination
+        // protocol is done. A refusal drops the chunk and leaves the loop;
+        // peers leave the same way when refused.
         if (gate != nullptr && !gate->begin_chunk(world.rank())) {
-            cancelled = true;
+            refused = true;
             break;
         }
         const ChunkExecutor::Result r =
@@ -197,7 +199,6 @@ WorkerStats run_mpi_mpi_rank(minimpi::Context& ctx, std::int64_t n, const HierCo
             sched_mark = r.b1;
         }
     }
-    (void)cancelled;  // the partial WorkerStats already tell the story
 
     // Reclamation drain: a survivor's own leases are all committed by now
     // (each chunk is fenced right after its body), but peers may still
@@ -206,21 +207,35 @@ WorkerStats run_mpi_mpi_rank(minimpi::Context& ctx, std::int64_t n, const HierCo
     // lease, exactly once (the claim CAS has a single winner). The loop
     // ends when every slot board-wide is FREE: every acquired chunk of the
     // run is then committed. Survivors keep beating so they never suspect
-    // each other while waiting.
-    if (board != nullptr && !killed && !cancelled) {
+    // each other while waiting. Detection, sweeping and claiming keep the
+    // loop's poll cadence: each scans every peer's board slots, lines that
+    // live peers rewrite per chunk. Between them a round reads the board
+    // only up to the first outstanding lease, then yields for kBoardReadGap
+    // before the next read: the rank stays runnable, so it leaves within
+    // that gap of the run's last commit (a sleeping rank's wake-up can lag
+    // by milliseconds on a loaded host), while the slot lines peers
+    // rewrite per chunk are read at most once per gap.
+    if (board != nullptr && !killed && !refused) {
         while (!board->quiescent()) {
             world.beat();
             world.poll_abort();
-            poll_liveness();
-            board->sweep();
-            while (const auto rc = board->claim_one()) {
-                board->lease(rc->start, rc->size);
-                probe.instant(trace::EventKind::Reclaim, rc->start, rc->size);
-                (void)exec.run(rc->start, rc->size, source.level(), source.has_prefetched());
+            if (const Clock::time_point now = Clock::now(); now >= next_poll) {
+                poll_liveness();
+                board->sweep();
+                while (const auto rc = board->claim_one()) {
+                    board->lease(rc->start, rc->size);
+                    probe.instant(trace::EventKind::Reclaim, rc->start, rc->size);
+                    (void)exec.run(rc->start, rc->size, source.level(),
+                                   source.has_prefetched());
+                }
+                next_poll = now + poll_period;
             }
             probe.drain_round(world.size() - world.alive(), source.level(),
                               source.has_prefetched());
-            std::this_thread::sleep_for(std::chrono::microseconds(200));
+            const Clock::time_point next_read = Clock::now() + kBoardReadGap;
+            do {
+                std::this_thread::yield();
+            } while (Clock::now() < next_read);
         }
     }
 

@@ -29,9 +29,8 @@ namespace hdls::core {
 /// `probe`: a default-constructed one records no trace and beats no
 /// watchdog; one built over a trace session and the run's watchdog records
 /// the rank's level-tagged chunk-lifecycle events and beats its slot.
-/// `gate` (may be null) is the multi-tenant chunk gate, consulted between
-/// acquisition and execution; a false begin_chunk cancels this rank's
-/// loop.
+/// `gate` (may be null) is consulted between acquisition and execution;
+/// a false begin_chunk drops the chunk and ends this rank's loop.
 [[nodiscard]] WorkerStats run_mpi_mpi_rank(minimpi::Context& ctx, std::int64_t n,
                                            const HierConfig& cfg, const ResolvedHierarchy& rh,
                                            const ChunkBody& body, Probe probe = {},

@@ -193,11 +193,10 @@ ExecutionReport run_hierarchical(const ClusterShape& shape, Approach approach,
 
     // Opt-in event tracing: one event log per worker, merged after the
     // run. A null session means every executor carries a disabled recorder.
-    // Service runs pass a job id so every event is born job-stamped.
     std::unique_ptr<trace::TraceSession> session;
     if (cfg.trace) {
         session = std::make_unique<trace::TraceSession>(shape.total_workers(),
-                                                        cfg.trace_capacity, opts.job);
+                                                        cfg.trace_capacity);
     }
 
     // Always-on metrics: the run's delta over the process-wide registry is
@@ -208,8 +207,7 @@ ExecutionReport run_hierarchical(const ClusterShape& shape, Approach approach,
     // Concurrent runs are safe: each run owns its watchdog instance and
     // every worker's Probe beats that one (a run without metrics beats
     // none). The snapshot delta below remains process-wide — overlapping
-    // runs see each other's counts; per-job attribution lives in the
-    // JobService's job metrics and per-job traces.
+    // runs see each other's counts.
     const metrics::Snapshot metrics_before = metrics::registry().snapshot();
     std::unique_ptr<metrics::MetricsSampler> sampler;
     std::unique_ptr<metrics::StallWatchdog> watchdog;
@@ -280,10 +278,7 @@ ExecutionReport run_hierarchical(const ClusterShape& shape, Approach approach,
                                         .intra = std::string(dls::technique_name(report.intra)),
                                         .nodes = shape.nodes,
                                         .workers_per_node = shape.workers_per_node,
-                                        .total_iterations = n,
-                                        .job = opts.job,
-                                        .job_name = {},
-                                        .jobs = {}});
+                                        .total_iterations = n});
     }
 
     double max_finish = 0.0;

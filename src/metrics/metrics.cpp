@@ -307,22 +307,6 @@ RuntimeMetrics make_runtime_metrics() {
     m.liveness_polls = &reg.counter("hdls_liveness_polls_total",
                                     "Failure-detector rounds run by the MPI+MPI executor");
 
-    m.jobs_submitted =
-        &reg.counter("hdls_jobs_submitted_total", "Jobs accepted by JobService::submit");
-    m.jobs_rejected = &reg.counter("hdls_jobs_rejected_total",
-                                   "Jobs rejected by admission control (queue full)");
-    m.jobs_completed =
-        &reg.counter("hdls_jobs_completed_total", "Jobs that ran to completion");
-    m.jobs_cancelled =
-        &reg.counter("hdls_jobs_cancelled_total", "Jobs cancelled before completion");
-    m.jobs_active = &reg.gauge("hdls_jobs_active", "Jobs currently executing");
-    m.jobs_pending = &reg.gauge("hdls_jobs_pending", "Jobs waiting in the admission queue");
-    m.job_latency_ns = &reg.histogram("hdls_job_latency_ns",
-                                      "Job latency (submit to completion) in nanoseconds");
-    m.job_queue_wait_ns =
-        &reg.histogram("hdls_job_queue_wait_ns",
-                       "Job admission wait (submit to run start) in nanoseconds");
-
     return m;
 }
 

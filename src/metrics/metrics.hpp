@@ -321,16 +321,6 @@ struct RuntimeMetrics {
     Gauge* ranks_dead;            ///< ranks declared dead by the failure detector
     Counter* liveness_polls;      ///< failure-detector rounds run by the executor
 
-    // core::JobService — the multi-tenant job stream.
-    Counter* jobs_submitted;      ///< jobs accepted by submit()
-    Counter* jobs_rejected;       ///< submit() overflows (ErrorCode::Resource)
-    Counter* jobs_completed;      ///< jobs that ran to completion
-    Counter* jobs_cancelled;      ///< jobs cancelled before completion
-    Gauge* jobs_active;           ///< jobs currently executing
-    Gauge* jobs_pending;          ///< jobs waiting in the admission queue
-    Histogram* job_latency_ns;    ///< submit -> completion latency
-    Histogram* job_queue_wait_ns; ///< submit -> run start (admission wait)
-
     /// Label slot for a hierarchy level (deeper levels fold into the last).
     [[nodiscard]] static int level_index(int level) noexcept {
         return level < 0 ? 0 : (level >= kMaxLevels ? kMaxLevels - 1 : level);

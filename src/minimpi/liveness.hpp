@@ -13,9 +13,9 @@
 ///
 /// Beats are per chunk, polls are not: peers rewrite their heartbeat
 /// words every chunk, so every poll() misses in cache once per peer. The
-/// MPI+MPI executor polls at most once per `timeout / 16` inside the loop
-/// (and every round of its reclamation drain), which delays a declaration
-/// by at most that much.
+/// MPI+MPI executor polls at most once per `timeout / 16`, in the loop and
+/// in its reclamation drain alike, which delays a declaration by at most
+/// that much.
 ///
 /// The detector is deliberately *suspicion-based*: a slow-but-alive rank
 /// that stops beating long enough WILL be declared dead. Safety does not
@@ -25,6 +25,8 @@
 
 #include <chrono>
 #include <cstdint>
+#include <functional>
+#include <utility>
 #include <vector>
 
 #include "minimpi/comm.hpp"
@@ -33,23 +35,28 @@ namespace minimpi {
 
 class FailureDetector {
 public:
+    using Clock = std::chrono::steady_clock;
+    /// The time source poll() reads; tests pass a fake one.
+    using Now = std::function<Clock::time_point()>;
+
     /// `timeout`: how long a peer's heartbeat word may stay unchanged
     /// before the peer is declared dead. Must comfortably exceed the
     /// longest chunk body plus scheduling gaps (HDLS_HEARTBEAT_TIMEOUT_MS;
     /// the lease deadline — k x the chunk-time EMA — bounds the damage of
     /// a too-tight choice to a fenced double *attempt*, never a double
-    /// commit).
-    FailureDetector(Comm comm, std::chrono::nanoseconds timeout)
+    /// commit). `now` is the clock poll() reads, steady_clock by default.
+    FailureDetector(Comm comm, std::chrono::nanoseconds timeout, Now now = &Clock::now)
         : comm_(std::move(comm)),
           timeout_(timeout),
+          now_(std::move(now)),
           seen_(static_cast<std::size_t>(comm_.size())) {}
 
     /// One detection round: re-reads every peer's heartbeat word and marks
     /// peers stale past the timeout dead. Returns the number of peers
     /// *newly* declared dead by this call. O(ranks) atomic reads of words
-    /// peers keep rewriting — cheap for a drain round, too dear per chunk.
+    /// peers keep rewriting — cheap at a timed cadence, too dear per chunk.
     int poll() {
-        const auto now = std::chrono::steady_clock::now();
+        const Clock::time_point now = now_();
         int newly_dead = 0;
         for (int r = 0; r < comm_.size(); ++r) {
             if (r == comm_.rank() || comm_.is_dead(r)) {
@@ -78,12 +85,13 @@ public:
 private:
     struct Seen {
         std::uint64_t value = 0;
-        std::chrono::steady_clock::time_point first{};
+        Clock::time_point first{};
         bool valid = false;
     };
 
     Comm comm_;
     std::chrono::nanoseconds timeout_;
+    Now now_;
     std::vector<Seen> seen_;
 };
 

@@ -46,10 +46,7 @@ public:
              .intra = std::string(dls::technique_name(config.intra)),
              .nodes = cluster.nodes,
              .workers_per_node = cluster.workers_per_node,
-             .total_iterations = total_iterations,
-             .job = -1,
-             .job_name = {},
-             .jobs = {}});
+             .total_iterations = total_iterations});
     }
 
 private:

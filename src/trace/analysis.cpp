@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <map>
-#include <set>
 #include <utility>
 
 #include "util/table.hpp"
@@ -25,29 +24,8 @@ struct ExecPairing {
 TraceAnalysis analyze(const Trace& trace) {
     TraceAnalysis out;
     std::map<int, std::size_t> index_of;  // worker id -> index in out.workers
-    // Exec pairing is keyed by (worker, job): in a merged multi-job trace
-    // the same worker-slot lane carries several jobs' Begin/End streams,
-    // which interleave in time but stay strictly nested *within* a job.
-    std::map<std::pair<int, int>, ExecPairing> pending;
+    std::map<int, ExecPairing> pending;  // worker id -> its open ChunkExecBegin
     std::vector<double> lock_waits;
-
-    std::map<int, JobBreakdown> jobs;
-    std::map<int, std::set<int>> job_workers;
-    const auto job_slot = [&](const Event& e) -> JobBreakdown* {
-        if (e.job < 0) {
-            return nullptr;
-        }
-        const auto [it, inserted] = jobs.try_emplace(e.job);
-        JobBreakdown& jb = it->second;
-        if (inserted) {
-            jb.job = e.job;
-            jb.first_event = e.t0;
-        }
-        jb.first_event = std::min(jb.first_event, e.t0);
-        jb.last_event = std::max(jb.last_event, e.t1);
-        job_workers[e.job].insert(e.worker);
-        return &jb;
-    };
 
     std::map<int, LevelOverhead> levels;
     const auto level_slot = [&](const Event& e) -> LevelOverhead& {
@@ -69,16 +47,12 @@ TraceAnalysis analyze(const Trace& trace) {
 
     for (const Event& e : trace.events) {
         WorkerBreakdown& w = slot(e);
-        ExecPairing& pair = pending[{e.worker, e.job}];
-        JobBreakdown* const jb = job_slot(e);
+        ExecPairing& pair = pending[e.worker];
         w.finish = std::max(w.finish, e.t1);
         switch (e.kind) {
             case EventKind::GlobalAcquire:
             case EventKind::Steal: {
                 w.sched_overhead += e.duration();
-                if (jb != nullptr) {
-                    jb->sched_overhead += e.duration();
-                }
                 LevelOverhead& lo = level_slot(e);
                 lo.acquire_seconds += e.duration();
                 if (e.b > 0) {
@@ -93,10 +67,6 @@ TraceAnalysis analyze(const Trace& trace) {
             case EventKind::LocalPop: {
                 w.sched_overhead += e.duration();
                 w.lock_wait += e.wait;
-                if (jb != nullptr) {
-                    jb->sched_overhead += e.duration();
-                    jb->lock_wait += e.wait;
-                }
                 lock_waits.push_back(e.wait);
                 LevelOverhead& lo = level_slot(e);
                 lo.pop_seconds += e.duration();
@@ -113,23 +83,13 @@ TraceAnalysis analyze(const Trace& trace) {
             case EventKind::ChunkExecEnd:
                 if (pair.open) {
                     w.compute += e.t1 - pair.begin_time;
-                    if (jb != nullptr) {
-                        jb->compute += e.t1 - pair.begin_time;
-                    }
                     pair.open = false;
                 } // an unmatched End (Begin dropped on overflow) adds nothing
                 ++w.chunks;
                 w.iterations += e.b - e.a;
-                if (jb != nullptr) {
-                    ++jb->chunks;
-                    jb->iterations += e.b - e.a;
-                }
                 break;
             case EventKind::BarrierWait:
                 w.barrier_wait += e.duration();
-                if (jb != nullptr) {
-                    jb->barrier_wait += e.duration();
-                }
                 break;
             case EventKind::Prefetch:
                 if (e.a != 0) {
@@ -177,17 +137,6 @@ TraceAnalysis analyze(const Trace& trace) {
     for (const auto& [level, lo] : levels) {
         out.levels.push_back(lo);  // std::map iterates in level order
     }
-    out.jobs.reserve(jobs.size());
-    for (auto& [id, jb] : jobs) {  // std::map iterates in job-id order
-        jb.workers = static_cast<int>(job_workers[id].size());
-        for (const auto& [jid, name] : trace.meta.jobs) {
-            if (jid == id) {
-                jb.name = name;
-                break;
-            }
-        }
-        out.jobs.push_back(std::move(jb));
-    }
     return out;
 }
 
@@ -223,22 +172,6 @@ void TraceAnalysis::print(std::ostream& os) const {
         }
         os << "per-level scheduling overhead (level 0 = root):\n";
         per_level.print(os);
-    }
-    if (!jobs.empty()) {
-        util::TextTable per_job({"job", "name", "workers", "span (ms)", "compute (ms)",
-                                 "overhead (ms)", "barrier wait (ms)", "chunks",
-                                 "iterations"});
-        for (const JobBreakdown& j : jobs) {
-            per_job.add_row({std::to_string(j.job), j.name.empty() ? "-" : j.name,
-                             std::to_string(j.workers),
-                             util::format_double(j.span() * 1e3, 3),
-                             util::format_double(j.compute * 1e3, 3),
-                             util::format_double(j.sched_overhead * 1e3, 3),
-                             util::format_double(j.barrier_wait * 1e3, 3),
-                             std::to_string(j.chunks), std::to_string(j.iterations)});
-        }
-        os << "per-job breakdown (multi-tenant trace):\n";
-        per_job.print(os);
     }
     if (!reclaimed.empty()) {
         os << "reclaimed: " << reclaimed.size() << " chunk(s), " << reclaimed_iterations

@@ -49,34 +49,9 @@ struct LevelOverhead {
     }
 };
 
-/// Per-job time decomposition of a multi-job (JobService) trace: the same
-/// compute/overhead/wait split as WorkerBreakdown, aggregated over every
-/// event carrying one job id, plus the job's observed span — so one job's
-/// imbalance or queueing is never blamed on its neighbours.
-struct JobBreakdown {
-    int job = -1;
-    std::string name;             ///< from meta.jobs when available
-    double first_event = 0.0;     ///< earliest event start (trace clock)
-    double last_event = 0.0;      ///< latest event end
-    double compute = 0.0;
-    double sched_overhead = 0.0;
-    double lock_wait = 0.0;
-    double barrier_wait = 0.0;
-    std::int64_t chunks = 0;
-    std::int64_t iterations = 0;
-    int workers = 0;              ///< distinct worker slots that served the job
-
-    /// The job's wall-clock footprint on the shared timeline.
-    [[nodiscard]] double span() const noexcept { return last_event - first_event; }
-};
-
 /// Whole-run diagnostics.
 struct TraceAnalysis {
     std::vector<WorkerBreakdown> workers;
-
-    /// Per-job breakdown, sorted by job id. Empty for single-tenant
-    /// traces (no event carries a job tag).
-    std::vector<JobBreakdown> jobs;
 
     /// Per-level overhead breakdown, sorted by level (empty for traces
     /// with no scheduling events).

@@ -85,8 +85,8 @@ inline constexpr int kEventKinds = 12;
 }
 
 /// One recorded event. Kept POD and small: it is the unit the per-worker
-/// event logs store on the executors' hot path (the `level` and `job`
-/// tags fit the existing padding, so the struct stays 56 bytes).
+/// event logs store on the executors' hot path (the `level` tag fits the
+/// existing padding, so the struct stays 56 bytes).
 struct Event {
     double t0 = 0.0;        ///< seconds since trace origin (start of the span)
     double t1 = 0.0;        ///< end of the span (== t0 for instant events)
@@ -95,9 +95,6 @@ struct Event {
     std::int64_t b = 0;     ///< payload: iteration-range end / chunk size
     std::int32_t worker = 0;
     std::int32_t node = 0;
-    /// Job the event belongs to: -1 for single-tenant runs, the JobService
-    /// job id in merged multi-job traces (see trace::merge_job_traces).
-    std::int32_t job = -1;
     EventKind kind{};
     /// Scheduling-hierarchy level the event belongs to: the level of the
     /// queue acquired from (GlobalAcquire/Steal) or popped/refilled

@@ -170,36 +170,35 @@ private:
 
 [[nodiscard]] double us(double seconds) { return seconds * 1e6; }
 
-/// Marks the first event of every (pid, worker) lane: a flat table over
+/// Marks the first event of every (node, worker) lane: a flat table over
 /// the lanes' id ranges, falling back to a set for sparse ids.
 class LaneSet {
 public:
-    template <typename PidOf>
-    LaneSet(const std::vector<Event>& events, const PidOf& pid_of) {
+    explicit LaneSet(const std::vector<Event>& events) {
         if (events.empty()) {
             return;
         }
-        int pid_hi = pid_lo_ = pid_of(events.front());
+        int node_hi = node_lo_ = events.front().node;
         int worker_hi = worker_lo_ = events.front().worker;
         for (const Event& e : events) {
-            pid_lo_ = std::min(pid_lo_, pid_of(e));
-            pid_hi = std::max(pid_hi, pid_of(e));
+            node_lo_ = std::min(node_lo_, e.node);
+            node_hi = std::max(node_hi, e.node);
             worker_lo_ = std::min(worker_lo_, e.worker);
             worker_hi = std::max(worker_hi, e.worker);
         }
-        const auto pids = static_cast<std::size_t>(std::int64_t{pid_hi} - pid_lo_ + 1);
+        const auto nodes = static_cast<std::size_t>(std::int64_t{node_hi} - node_lo_ + 1);
         workers_ = static_cast<std::size_t>(std::int64_t{worker_hi} - worker_lo_ + 1);
-        if (pids <= kMaxFlat / workers_) {
-            flat_.assign(pids * workers_, 0);
+        if (nodes <= kMaxFlat / workers_) {
+            flat_.assign(nodes * workers_, 0);
         }
     }
 
     /// True the first time a lane is inserted.
-    bool insert(int pid, int worker) {
+    bool insert(int node, int worker) {
         if (flat_.empty()) {
-            return sparse_.insert({pid, worker}).second;
+            return sparse_.insert({node, worker}).second;
         }
-        unsigned char& seen = flat_[static_cast<std::size_t>(pid - pid_lo_) * workers_ +
+        unsigned char& seen = flat_[static_cast<std::size_t>(node - node_lo_) * workers_ +
                                     static_cast<std::size_t>(worker - worker_lo_)];
         const bool fresh = seen == 0;
         seen = 1;
@@ -208,7 +207,7 @@ public:
 
 private:
     static constexpr std::size_t kMaxFlat = std::size_t{1} << 22;
-    int pid_lo_ = 0;
+    int node_lo_ = 0;
     int worker_lo_ = 0;
     std::size_t workers_ = 1;
     std::vector<unsigned char> flat_;
@@ -233,29 +232,12 @@ void export_chrome_json(const Trace& trace, std::ostream& os) {
         first = false;
     };
 
-    // Multi-job (JobService) traces group by job: each job becomes a
-    // Chrome "process" so one job's lanes sit together and carry its name;
-    // classic single-tenant traces keep pid = node.
-    const bool by_job = !trace.meta.jobs.empty();
-    const auto pid_of = [&](const Event& e) { return by_job ? e.job : e.node; };
-    if (by_job) {
-        for (const auto& [job, name] : trace.meta.jobs) {
-            next_entry();
-            w.put("{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":", job,
-                  ",\"args\":{\"name\":\"job ", job);
-            if (!name.empty()) {
-                w.put(": ", Escaped{name});
-            }
-            w.put("\"}}");
-        }
-    }
-
-    // Thread-name metadata: label every worker lane.
-    LaneSet lanes(trace.events, pid_of);
+    // Thread-name metadata: label every worker lane (pid = node).
+    LaneSet lanes(trace.events);
     for (const Event& e : trace.events) {
-        if (lanes.insert(pid_of(e), e.worker)) {
+        if (lanes.insert(e.node, e.worker)) {
             next_entry();
-            w.put("{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":", pid_of(e),
+            w.put("{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":", e.node,
                   ",\"tid\":", e.worker, ",\"args\":{\"name\":\"worker ", e.worker, "\"}}");
         }
     }
@@ -264,32 +246,22 @@ void export_chrome_json(const Trace& trace, std::ostream& os) {
         next_entry();
         const int level = e.level;
         const auto head = [&](std::string_view name_ph) {
-            w.put("{\"name\":\"", name_ph, ",\"pid\":", pid_of(e), ",\"tid\":", e.worker,
+            w.put("{\"name\":\"", name_ph, ",\"pid\":", e.node, ",\"tid\":", e.worker,
                   ",\"ts\":", Fixed3{us(e.t0)});
         };
         const auto dur = [&] { w.put(",\"dur\":", Fixed3{us(e.duration())}); };
-        // Every tagged event names its job in args so job identity
-        // survives re-grouping in the viewer.
-        const auto job_arg = [&] {
-            if (e.job >= 0) {
-                w.put(",\"job\":", e.job);
-            }
-        };
         switch (e.kind) {
             case EventKind::GlobalAcquire:
                 head("GlobalAcquire\",\"ph\":\"X\"");
                 dur();
-                w.put(",\"args\":{\"start\":", e.a, ",\"size\":", e.b, ",\"level\":", level);
-                job_arg();
-                w.put("}}");
+                w.put(",\"args\":{\"start\":", e.a, ",\"size\":", e.b, ",\"level\":", level,
+                      "}}");
                 break;
             case EventKind::LocalPop:
                 head("LocalPop\",\"ph\":\"X\"");
                 dur();
                 w.put(",\"args\":{\"begin\":", e.a, ",\"end\":", e.b,
-                      ",\"lock_wait_us\":", Fixed3{us(e.wait)}, ",\"level\":", level);
-                job_arg();
-                w.put("}}");
+                      ",\"lock_wait_us\":", Fixed3{us(e.wait)}, ",\"level\":", level, "}}");
                 break;
             case EventKind::BarrierWait:
                 head("BarrierWait\",\"ph\":\"X\"");
@@ -298,9 +270,7 @@ void export_chrome_json(const Trace& trace, std::ostream& os) {
                 break;
             case EventKind::ChunkExecBegin:
                 head("ChunkExec\",\"ph\":\"B\"");
-                w.put(",\"args\":{\"begin\":", e.a, ",\"end\":", e.b);
-                job_arg();
-                w.put("}}");
+                w.put(",\"args\":{\"begin\":", e.a, ",\"end\":", e.b, "}}");
                 break;
             case EventKind::ChunkExecEnd:
                 head("ChunkExec\",\"ph\":\"E\"");
@@ -345,11 +315,11 @@ void export_chrome_json(const Trace& trace, std::ostream& os) {
 
 void export_csv(const Trace& trace, std::ostream& os) {
     Writer w(os);
-    w.put("kind,worker,node,level,job,t0,t1,wait,a,b\n");
+    w.put("kind,worker,node,level,t0,t1,wait,a,b\n");
     for (const Event& e : trace.events) {
         w.put(event_kind_name(e.kind), ",", e.worker, ",", e.node, ",", int{e.level}, ",",
-              e.job, ",", General9{e.t0}, ",", General9{e.t1}, ",", General9{e.wait}, ",",
-              e.a, ",", e.b, "\n");
+              General9{e.t0}, ",", General9{e.t1}, ",", General9{e.wait}, ",", e.a, ",", e.b,
+              "\n");
     }
     w.flush();
 }

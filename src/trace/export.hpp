@@ -17,7 +17,7 @@ namespace hdls::trace {
 /// Terminate to an instant ("i") event.
 void export_chrome_json(const Trace& trace, std::ostream& os);
 
-/// Writes one CSV row per event: kind,worker,node,t0,t1,wait,a,b
+/// Writes one CSV row per event: kind,worker,node,level,t0,t1,wait,a,b
 /// (times in seconds since the trace origin).
 void export_csv(const Trace& trace, std::ostream& os);
 

@@ -58,8 +58,8 @@ void radix_sort(std::vector<Slot>& slots) {
 
 }  // namespace
 
-TraceSession::TraceSession(int workers, std::size_t capacity_per_worker, std::int32_t job)
-    : epoch_(WorkerTracer::Clock::now()), job_(job) {
+TraceSession::TraceSession(int workers, std::size_t capacity_per_worker)
+    : epoch_(WorkerTracer::Clock::now()) {
     if (workers < 1) {
         throw std::invalid_argument("TraceSession: need at least one worker");
     }
@@ -73,7 +73,7 @@ WorkerTracer TraceSession::tracer(int worker, int node) noexcept {
     if (worker < 0 || worker >= workers()) {
         return WorkerTracer{};
     }
-    return WorkerTracer(logs_[static_cast<std::size_t>(worker)].get(), epoch_, worker, node, job_);
+    return WorkerTracer(logs_[static_cast<std::size_t>(worker)].get(), epoch_, worker, node);
 }
 
 Trace TraceSession::merge() {

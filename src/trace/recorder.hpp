@@ -57,7 +57,6 @@ public:
         e.b = b;
         e.worker = worker_;
         e.node = node_;
-        e.job = job_;
         e.kind = kind;
         e.level = static_cast<std::int8_t>(level);
         (void)log_->append(e);
@@ -71,15 +70,14 @@ public:
 
 private:
     friend class TraceSession;
-    WorkerTracer(EventLog* log, Clock::time_point epoch, std::int32_t worker, std::int32_t node,
-                 std::int32_t job) noexcept
-        : log_(log), epoch_(epoch), worker_(worker), node_(node), job_(job) {}
+    WorkerTracer(EventLog* log, Clock::time_point epoch, std::int32_t worker,
+                 std::int32_t node) noexcept
+        : log_(log), epoch_(epoch), worker_(worker), node_(node) {}
 
     EventLog* log_ = nullptr;
     Clock::time_point epoch_{};
     std::int32_t worker_ = -1;
     std::int32_t node_ = -1;
-    std::int32_t job_ = -1;
 };
 
 /// Owns the per-worker event logs of one traced run.
@@ -92,12 +90,8 @@ public:
     static constexpr std::size_t kDefaultCapacity = 1 << 14;  ///< event cap per worker
 
     /// Each worker keeps at most `capacity_per_worker` events; its log
-    /// allocates nothing until the worker records. `job` >= 0 makes this
-    /// a per-job session: every recorded event is stamped with the id, so
-    /// merge_job_traces needs no rewriting pass and partial traces stay
-    /// attributable.
-    explicit TraceSession(int workers, std::size_t capacity_per_worker = kDefaultCapacity,
-                          std::int32_t job = -1);
+    /// allocates nothing until the worker records.
+    explicit TraceSession(int workers, std::size_t capacity_per_worker = kDefaultCapacity);
 
     [[nodiscard]] int workers() const noexcept { return static_cast<int>(logs_.size()); }
 
@@ -116,7 +110,6 @@ public:
 private:
     std::vector<std::unique_ptr<EventLog>> logs_;
     WorkerTracer::Clock::time_point epoch_;
-    std::int32_t job_ = -1;
 };
 
 }  // namespace hdls::trace

@@ -50,59 +50,4 @@ std::vector<Event> Trace::worker_events(int worker) const {
     return out;
 }
 
-std::vector<Event> Trace::job_events(int job) const {
-    std::vector<Event> out;
-    for (const Event& e : events) {
-        if (e.job == job || (job < 0 && e.job < 0)) {
-            out.push_back(e);
-        }
-    }
-    return out;
-}
-
-Trace merge_job_traces(const std::vector<JobTraceInput>& inputs) {
-    Trace merged;
-    std::size_t max_workers = 0;
-    for (const JobTraceInput& in : inputs) {
-        if (in.trace == nullptr) {
-            continue;
-        }
-        if (merged.meta.approach.empty()) {
-            merged.meta = in.trace->meta;
-            merged.meta.job = -1;
-            merged.meta.job_name.clear();
-            merged.meta.jobs.clear();
-        }
-        merged.meta.jobs.emplace_back(in.job, in.name);
-        for (Event e : in.trace->events) {
-            e.job = in.job;
-            e.t0 += in.t_offset;
-            e.t1 += in.t_offset;
-            merged.events.push_back(e);
-        }
-        max_workers = std::max(max_workers, in.trace->dropped_per_worker.size());
-    }
-    merged.dropped_per_worker.assign(max_workers, 0);
-    for (const JobTraceInput& in : inputs) {
-        if (in.trace == nullptr) {
-            continue;
-        }
-        for (std::size_t w = 0; w < in.trace->dropped_per_worker.size(); ++w) {
-            merged.dropped_per_worker[w] += in.trace->dropped_per_worker[w];
-        }
-    }
-    std::stable_sort(merged.events.begin(), merged.events.end(),
-                     [](const Event& x, const Event& y) {
-                         return x.t0 != y.t0 ? x.t0 < y.t0 : x.worker < y.worker;
-                     });
-    if (!merged.events.empty()) {
-        const double origin = merged.events.front().t0;
-        for (Event& e : merged.events) {
-            e.t0 -= origin;
-            e.t1 -= origin;
-        }
-    }
-    return merged;
-}
-
 }  // namespace hdls::trace

@@ -4,7 +4,6 @@
 
 #include <cstdint>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "trace/event.hpp"
@@ -20,14 +19,6 @@ struct TraceMeta {
     int nodes = 0;
     int workers_per_node = 0;
     std::int64_t total_iterations = 0;
-    /// Job identity when this trace belongs to one JobService job
-    /// (-1 / "" for classic single-tenant runs).
-    int job = -1;
-    std::string job_name;
-    /// For multi-job traces built by merge_job_traces: the ids and names
-    /// of every job present, in merge order. Exporters switch to per-job
-    /// grouping when this is non-empty.
-    std::vector<std::pair<int, std::string>> jobs;
 };
 
 /// Merged trace: events of every worker, sorted by (t0, worker) and
@@ -59,29 +50,6 @@ public:
 
     /// Events of one worker, in time order.
     [[nodiscard]] std::vector<Event> worker_events(int worker) const;
-
-    /// Events of one job, in time order (job < 0 selects untagged events).
-    [[nodiscard]] std::vector<Event> job_events(int job) const;
 };
-
-/// One per-job trace feeding a multi-job merge. `t_offset` realigns the
-/// job's private origin (each TraceSession normalizes t=0 to its own
-/// earliest event) onto a shared service clock — typically the job's run
-/// start measured from the service epoch.
-struct JobTraceInput {
-    int job = 0;
-    std::string name;
-    const Trace* trace = nullptr;
-    double t_offset = 0.0;
-};
-
-/// Merges per-job traces into one multi-job timeline: every event is
-/// stamped with its job id, shifted by its job's offset, the union is
-/// re-sorted and re-normalized to the earliest event, and meta.jobs lists
-/// the jobs present (meta.approach/... are taken from the first input).
-/// Worker ids are kept as-is — concurrent jobs share the physical worker
-/// slots, so lane w shows every job's activity on that slot; use
-/// Event::job (or analyze()'s per-job breakdown) to disentangle them.
-[[nodiscard]] Trace merge_job_traces(const std::vector<JobTraceInput>& inputs);
 
 }  // namespace hdls::trace

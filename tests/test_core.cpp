@@ -621,6 +621,71 @@ TEST(BehaviourTest, HybridBarrierHoldsWholeTeam) {
     }
 }
 
+// ------------------------------------------------------------ chunk gate
+
+/// Admits the first `limit` chunks of the run, then refuses every later
+/// one, and counts what it saw.
+class RefusingGate final : public ChunkGate {
+public:
+    explicit RefusingGate(int limit) : limit_(limit) {}
+
+    bool begin_chunk(int /*rank*/) override {
+        const bool admit = begun_.fetch_add(1, std::memory_order_relaxed) < limit_;
+        (admit ? admitted_ : refused_).fetch_add(1, std::memory_order_relaxed);
+        return admit;
+    }
+    void end_chunk(int /*rank*/, std::int64_t iterations) override {
+        ended_.fetch_add(1, std::memory_order_relaxed);
+        ended_iterations_.fetch_add(iterations, std::memory_order_relaxed);
+    }
+
+    const int limit_;
+    std::atomic<int> begun_{0};
+    std::atomic<int> admitted_{0};
+    std::atomic<int> refused_{0};
+    std::atomic<int> ended_{0};
+    std::atomic<std::int64_t> ended_iterations_{0};
+};
+
+/// A gate that refuses after k chunks ends the run early on both
+/// executors: every rank leaves at its next chunk, the call returns, each
+/// admitted chunk ran its body once, and no iteration ran twice.
+TEST(ChunkGateTest, RefusalAfterKChunksEndsTheRunOnBothExecutors) {
+    constexpr std::int64_t kN = 4000;
+    constexpr int kAdmit = 5;
+    HierConfig cfg;
+    cfg.inter = Technique::GSS;
+    cfg.intra = Technique::SS;
+    for (const Approach approach : {Approach::MpiMpi, Approach::MpiOpenMp}) {
+        SCOPED_TRACE(std::string(approach_name(approach)));
+        std::vector<std::atomic<int>> hits(static_cast<std::size_t>(kN));
+        RefusingGate gate(kAdmit);
+        RunOptions opts;
+        opts.gate = &gate;
+        const auto report = run_hierarchical(
+            ClusterShape{2, 2}, approach, cfg, kN,
+            [&](std::int64_t b, std::int64_t e) {
+                for (std::int64_t i = b; i < e; ++i) {
+                    hits[static_cast<std::size_t>(i)].fetch_add(1, std::memory_order_relaxed);
+                }
+            },
+            opts);
+        std::int64_t ran = 0;
+        for (std::int64_t i = 0; i < kN; ++i) {
+            const int h = hits[static_cast<std::size_t>(i)].load();
+            ASSERT_LE(h, 1) << "iteration " << i;
+            ran += h;
+        }
+        EXPECT_EQ(gate.admitted_.load(), kAdmit);
+        EXPECT_GE(gate.refused_.load(), 1);
+        EXPECT_EQ(gate.ended_.load(), kAdmit);
+        EXPECT_EQ(gate.ended_iterations_.load(), ran);
+        EXPECT_EQ(report.executed_iterations(), ran);
+        EXPECT_GT(ran, 0);
+        EXPECT_LT(ran, kN);
+    }
+}
+
 // ------------------------------------------------------------- validation
 
 TEST(ValidationTest, CombinationRulesEnforced) {

@@ -3,8 +3,7 @@
 /// fence, single-winner reclamation, prefetch-slot coverage), heartbeat
 /// failure detection on both transports, the HDLS_CHAOS fail-stop drill
 /// proving every iteration commits exactly once despite a mid-loop kill,
-/// SlotGovernor membership re-apportionment, and the simulator's
-/// kill-node failure pricing.
+/// and the simulator's kill-node failure pricing.
 
 #include <gtest/gtest.h>
 
@@ -281,38 +280,54 @@ TEST(LeaseBoardTest, SweepNeverTouchesLiveOwners) {
 
 // -------------------------------------------------- heartbeat detection
 
+/// The detector reads a fake clock that only the polling rank advances,
+/// and the two ranks alternate through barriers, so every poll sees a
+/// known number of beats and a known elapsed time: no wall clock, no
+/// sleep, no dependence on how the host schedules the threads.
 TEST(FailureDetectorTest, SilentPeerIsDeclaredDeadOnBothTransports) {
+    using FakeClock = minimpi::FailureDetector::Clock;
+    constexpr int kBeats = 20;
     for (const TransportKind kind : kBothTransports) {
+        std::atomic<std::int64_t> fake_ns{0};
         std::atomic<bool> done{false};
-        Runtime::run(2, kind, [&done](Context& ctx) {
+        const auto advance = [&fake_ns](std::chrono::milliseconds by) {
+            fake_ns.fetch_add(std::chrono::nanoseconds(by).count(), std::memory_order_relaxed);
+        };
+        Runtime::run(2, kind, [&](Context& ctx) {
             const minimpi::Comm& world = ctx.world();
             if (world.rank() == 1) {
-                // Beats for a while, then goes silent (fail-stop).
-                for (int i = 0; i < 20; ++i) {
+                // Beats once per round, then goes silent (fail-stop).
+                for (int i = 0; i < kBeats; ++i) {
                     world.beat();
-                    std::this_thread::sleep_for(std::chrono::milliseconds(2));
+                    world.barrier();  // beat i lands before poll i
+                    world.barrier();  // poll i is done
                 }
                 while (!done.load(std::memory_order_acquire)) {
-                    std::this_thread::sleep_for(std::chrono::milliseconds(2));
+                    std::this_thread::yield();  // silent until detection is over
                 }
                 return;
             }
-            FailureDetector detector(world, std::chrono::milliseconds(60));
-            // While the peer beats, it must never be suspected.
-            const auto beating_until =
-                std::chrono::steady_clock::now() + std::chrono::milliseconds(30);
-            while (std::chrono::steady_clock::now() < beating_until) {
+            FailureDetector detector(world, std::chrono::milliseconds(60), [&fake_ns] {
+                return FakeClock::time_point(
+                    std::chrono::nanoseconds(fake_ns.load(std::memory_order_relaxed)));
+            });
+            // While the peer beats (one beat per 2 ms of the fake clock),
+            // it must never be suspected.
+            for (int i = 0; i < kBeats; ++i) {
+                world.barrier();
+                advance(std::chrono::milliseconds(2));
                 EXPECT_EQ(detector.poll(), 0);
-                std::this_thread::sleep_for(std::chrono::milliseconds(2));
+                world.barrier();
             }
             EXPECT_FALSE(world.is_dead(1));
             // Once it goes silent, detection must land within the timeout
-            // (plus generous slack for CI).
-            const auto deadline =
-                std::chrono::steady_clock::now() + std::chrono::seconds(10);
-            while (!world.is_dead(1) && std::chrono::steady_clock::now() < deadline) {
+            // (plus generous slack).
+            const std::int64_t deadline =
+                fake_ns.load(std::memory_order_relaxed) +
+                std::chrono::nanoseconds(std::chrono::seconds(10)).count();
+            while (!world.is_dead(1) && fake_ns.load(std::memory_order_relaxed) < deadline) {
                 detector.poll();
-                std::this_thread::sleep_for(std::chrono::milliseconds(5));
+                advance(std::chrono::milliseconds(5));
             }
             EXPECT_TRUE(world.is_dead(1));
             EXPECT_EQ(world.alive(), 1);
@@ -546,30 +561,6 @@ TEST(LeaseEnvTest, StrictKnobsThrowOnGarbageAndFallBackWhenUnset) {
     EXPECT_THROW((void)hdls::core::chaos_from_env(), std::invalid_argument);
     ::unsetenv("HDLS_CHAOS");
     EXPECT_FALSE(hdls::core::chaos_from_env().enabled());
-}
-
-// --------------------------------------------- SlotGovernor membership
-
-TEST(SlotGovernorCapacityTest, ShrinkingCapacityReapportionsEntitlements) {
-    hdls::core::SlotGovernor gov(4);
-    EXPECT_EQ(gov.capacity(), 4);
-    const auto a = gov.add_job(1.0, 1000);
-    const auto b = gov.add_job(1.0, 1000);
-    EXPECT_EQ(gov.share(a).entitlement + gov.share(b).entitlement, 4);
-
-    gov.set_capacity(2);  // two of four workers died
-    EXPECT_EQ(gov.capacity(), 2);
-    EXPECT_EQ(gov.share(a).entitlement + gov.share(b).entitlement, 2);
-    EXPECT_GE(gov.share(a).entitlement, 1);  // the progress floor holds
-    EXPECT_GE(gov.share(b).entitlement, 1);
-
-    gov.set_capacity(4);  // recovery restores the full pool
-    EXPECT_EQ(gov.share(a).entitlement + gov.share(b).entitlement, 4);
-
-    EXPECT_THROW(gov.set_capacity(0), std::invalid_argument);
-    EXPECT_THROW(gov.set_capacity(5), std::invalid_argument);
-    gov.remove_job(a);
-    gov.remove_job(b);
 }
 
 // ----------------------------------------------------- simulator pricing

@@ -570,9 +570,10 @@ TEST(MetricsTest, SimulationsLeaveTheExecutedWorkFamiliesUntouched) {
 // ---------------------------------------------------------- overlapping runs
 
 /// Two metrics-enabled runs overlapping in time, each with its own
-/// watchdog, sampler and exposition file — the multi-tenant shape the
-/// JobService produces. Runs in CI under TSan, which catches any
-/// lost-update or dangling-watchdog race in the registry or the beat path.
+/// watchdog, sampler and exposition file: two threads of one process
+/// calling run_hierarchical at once. Runs in CI under TSan, which catches
+/// any lost-update or dangling-watchdog race in the registry or the beat
+/// path.
 TEST(WatchdogTest, OverlappingMetricsRunsStayIndependent) {
     // Per-process paths: concurrent test processes on one host (two ctest
     // runs of the same build) must not share the exposition files.

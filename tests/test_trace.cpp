@@ -260,7 +260,7 @@ TEST(ExportTest, CsvHasOneRowPerEvent) {
     std::ostringstream oss;
     trace::export_csv(tr, oss);
     const std::string csv = oss.str();
-    EXPECT_EQ(csv.rfind("kind,worker,node,level,job,t0,t1,wait,a,b\n", 0), 0u);
+    EXPECT_EQ(csv.rfind("kind,worker,node,level,t0,t1,wait,a,b\n", 0), 0u);
     const auto lines = static_cast<std::size_t>(
         std::count(csv.begin(), csv.end(), '\n'));
     EXPECT_EQ(lines, tr.events.size() + 1);
@@ -284,7 +284,7 @@ TEST(ExportTest, AsciiGanttRendersEveryWorkerRow) {
 /// recorder so the exporters see exactly these values).
 trace::Event make_event(EventKind kind, int worker, int node, double t0, double t1,
                         std::int64_t a = 0, std::int64_t b = 0, double wait = 0.0,
-                        int level = 0, int job = -1) {
+                        int level = 0) {
     trace::Event e;
     e.t0 = t0;
     e.t1 = t1;
@@ -293,7 +293,6 @@ trace::Event make_event(EventKind kind, int worker, int node, double t0, double 
     e.b = b;
     e.worker = worker;
     e.node = node;
-    e.job = job;
     e.kind = kind;
     e.level = static_cast<std::int8_t>(level);
     return e;
@@ -333,34 +332,7 @@ trace::Trace golden_single_tenant_trace() {
     return tr;
 }
 
-/// A merged multi-job trace: meta.jobs switches the Chrome export to one
-/// process per job (an unnamed job and an untagged event included).
-trace::Trace golden_multi_job_trace() {
-    trace::Trace tr;
-    tr.meta.approach = "MPI+MPI";
-    tr.meta.inter = "FAC2";
-    tr.meta.intra = "SS";
-    tr.meta.nodes = 1;
-    tr.meta.workers_per_node = 2;
-    tr.meta.total_iterations = 96;
-    tr.meta.jobs = {{0, "alpha"}, {3, ""}};
-    tr.dropped_per_worker = {0, 0};
-    tr.events = {
-        make_event(EventKind::GlobalAcquire, 0, 0, 0.0, 1e-6, 0, 64, 0.0, 0, 0),
-        make_event(EventKind::GlobalAcquire, 1, 0, 0.5e-6, 2e-6, 0, 32, 0.0, 0, 3),
-        make_event(EventKind::LocalPop, 0, 0, 1e-6, 1.25e-6, 0, 8, 0.5e-6, 1, 0),
-        make_event(EventKind::ChunkExecBegin, 0, 0, 1.25e-6, 1.25e-6, 0, 8, 0.0, 0, 0),
-        make_event(EventKind::ChunkExecBegin, 1, 0, 2e-6, 2e-6, 0, 32, 0.0, 0, 3),
-        make_event(EventKind::ChunkExecEnd, 0, 0, 9e-6, 9e-6, 0, 8, 0.0, 0, 0),
-        make_event(EventKind::BarrierWait, 1, 0, 9.5e-6, 11e-6, 0, 0, 0.0, 0, -1),
-        make_event(EventKind::ChunkExecEnd, 1, 0, 12e-6, 12e-6, 0, 32, 0.0, 0, 3),
-        make_event(EventKind::Terminate, 0, 0, 13e-6, 13e-6, 0, 0, 0.0, 0, 0),
-        make_event(EventKind::Terminate, 1, 0, 13e-6, 13e-6, 0, 0, 0.0, 0, 3),
-    };
-    return tr;
-}
-
-/// The exporters' exact bytes for the traces above, pinned so the output
+/// The exporters' exact bytes for the trace above, pinned so the output
 /// format cannot drift. Chrome values are printf("%.3f") of microseconds,
 /// CSV values printf("%.9g") of seconds; non-finite values render as 0.
 constexpr std::string_view kGoldenSingleTenantChrome = R"golden({"displayTimeUnit":"ms","otherData":{"approach":"MPI+MPI \"q\" \\ x","inter":"GSS\n\t","intra":"SS\u0001","nodes":2,"workers_per_node":2,"total_iterations":1234567890123,"dropped_events":7},"traceEvents":[
@@ -385,53 +357,21 @@ constexpr std::string_view kGoldenSingleTenantChrome = R"golden({"displayTimeUni
 ]}
 )golden";
 
-constexpr std::string_view kGoldenSingleTenantCsv = R"golden(kind,worker,node,level,job,t0,t1,wait,a,b
-GlobalAcquire,0,0,0,-1,0,1.5e-06,0,0,64
-LocalPop,0,0,1,-1,1.5e-06,2.0005e-06,-0,0,16
-RefillBegin,1,0,1,-1,2e-06,2e-06,0,0,0
-ChunkExecBegin,0,0,0,-1,2.25e-06,2.25e-06,0,0,16
-RefillEnd,1,0,1,-1,3e-06,3e-06,0,64,32
-BarrierWait,2,1,0,-1,0.0010000005,0,0,0,0
-FeedbackReport,1,0,0,-1,4e-06,4e-06,0,16,123456789012
-Steal,3,1,2,-1,-2.5e-06,1e+12,0,-1,9223372036854775807
-Prefetch,3,1,-1,-1,5e-06,5e-06,0,1,48
-Reclaim,0,0,0,-1,1e-300,1e-300,0,100,28
-ChunkExecEnd,0,0,0,-1,1,1,0,0,16
-Terminate,2,1,0,-1,0,0,0,0,0
-Prefetch,1,0,1,-1,0.0001234565,0.0001234565,6.25e-06,0,80
-LocalPop,2,1,1,-1,-1e+09,0,-100000000,-1,-1
-)golden";
-
-constexpr std::string_view kGoldenMultiJobChrome = R"golden({"displayTimeUnit":"ms","otherData":{"approach":"MPI+MPI","inter":"FAC2","intra":"SS","nodes":1,"workers_per_node":2,"total_iterations":96,"dropped_events":0},"traceEvents":[
-{"name":"process_name","ph":"M","pid":0,"args":{"name":"job 0: alpha"}},
-{"name":"process_name","ph":"M","pid":3,"args":{"name":"job 3"}},
-{"name":"thread_name","ph":"M","pid":0,"tid":0,"args":{"name":"worker 0"}},
-{"name":"thread_name","ph":"M","pid":3,"tid":1,"args":{"name":"worker 1"}},
-{"name":"thread_name","ph":"M","pid":-1,"tid":1,"args":{"name":"worker 1"}},
-{"name":"GlobalAcquire","ph":"X","pid":0,"tid":0,"ts":0.000,"dur":1.000,"args":{"start":0,"size":64,"level":0,"job":0}},
-{"name":"GlobalAcquire","ph":"X","pid":3,"tid":1,"ts":0.500,"dur":1.500,"args":{"start":0,"size":32,"level":0,"job":3}},
-{"name":"LocalPop","ph":"X","pid":0,"tid":0,"ts":1.000,"dur":0.250,"args":{"begin":0,"end":8,"lock_wait_us":0.500,"level":1,"job":0}},
-{"name":"ChunkExec","ph":"B","pid":0,"tid":0,"ts":1.250,"args":{"begin":0,"end":8,"job":0}},
-{"name":"ChunkExec","ph":"B","pid":3,"tid":1,"ts":2.000,"args":{"begin":0,"end":32,"job":3}},
-{"name":"ChunkExec","ph":"E","pid":0,"tid":0,"ts":9.000},
-{"name":"BarrierWait","ph":"X","pid":-1,"tid":1,"ts":9.500,"dur":1.500},
-{"name":"ChunkExec","ph":"E","pid":3,"tid":1,"ts":12.000},
-{"name":"Terminate","ph":"i","s":"t","pid":0,"tid":0,"ts":13.000},
-{"name":"Terminate","ph":"i","s":"t","pid":3,"tid":1,"ts":13.000}
-]}
-)golden";
-
-constexpr std::string_view kGoldenMultiJobCsv = R"golden(kind,worker,node,level,job,t0,t1,wait,a,b
-GlobalAcquire,0,0,0,0,0,1e-06,0,0,64
-GlobalAcquire,1,0,0,3,5e-07,2e-06,0,0,32
-LocalPop,0,0,1,0,1e-06,1.25e-06,5e-07,0,8
-ChunkExecBegin,0,0,0,0,1.25e-06,1.25e-06,0,0,8
-ChunkExecBegin,1,0,0,3,2e-06,2e-06,0,0,32
-ChunkExecEnd,0,0,0,0,9e-06,9e-06,0,0,8
-BarrierWait,1,0,0,-1,9.5e-06,1.1e-05,0,0,0
-ChunkExecEnd,1,0,0,3,1.2e-05,1.2e-05,0,0,32
-Terminate,0,0,0,0,1.3e-05,1.3e-05,0,0,0
-Terminate,1,0,0,3,1.3e-05,1.3e-05,0,0,0
+constexpr std::string_view kGoldenSingleTenantCsv = R"golden(kind,worker,node,level,t0,t1,wait,a,b
+GlobalAcquire,0,0,0,0,1.5e-06,0,0,64
+LocalPop,0,0,1,1.5e-06,2.0005e-06,-0,0,16
+RefillBegin,1,0,1,2e-06,2e-06,0,0,0
+ChunkExecBegin,0,0,0,2.25e-06,2.25e-06,0,0,16
+RefillEnd,1,0,1,3e-06,3e-06,0,64,32
+BarrierWait,2,1,0,0.0010000005,0,0,0,0
+FeedbackReport,1,0,0,4e-06,4e-06,0,16,123456789012
+Steal,3,1,2,-2.5e-06,1e+12,0,-1,9223372036854775807
+Prefetch,3,1,-1,5e-06,5e-06,0,1,48
+Reclaim,0,0,0,1e-300,1e-300,0,100,28
+ChunkExecEnd,0,0,0,1,1,0,0,16
+Terminate,2,1,0,0,0,0,0,0
+Prefetch,1,0,1,0.0001234565,0.0001234565,6.25e-06,0,80
+LocalPop,2,1,1,-1e+09,0,-100000000,-1,-1
 )golden";
 
 TEST(ExportGoldenTest, SingleTenantChromeJsonBytes) {
@@ -444,18 +384,6 @@ TEST(ExportGoldenTest, SingleTenantCsvBytes) {
     std::ostringstream oss;
     trace::export_csv(golden_single_tenant_trace(), oss);
     EXPECT_EQ(oss.str(), kGoldenSingleTenantCsv);
-}
-
-TEST(ExportGoldenTest, MultiJobChromeJsonBytes) {
-    std::ostringstream oss;
-    trace::export_chrome_json(golden_multi_job_trace(), oss);
-    EXPECT_EQ(oss.str(), kGoldenMultiJobChrome);
-}
-
-TEST(ExportGoldenTest, MultiJobCsvBytes) {
-    std::ostringstream oss;
-    trace::export_csv(golden_multi_job_trace(), oss);
-    EXPECT_EQ(oss.str(), kGoldenMultiJobCsv);
 }
 
 TEST(ExportGoldenTest, TracedSimulationExportsAreReproducible) {
@@ -722,142 +650,6 @@ TEST(TraceIntegrationTest, SimulatorTraceOffByDefault) {
     const auto r = simulate(sim::ExecModel::MpiMpi, sim::ClusterSpec{}, sim::SimConfig{},
                             workload);
     EXPECT_EQ(r.trace, nullptr);
-}
-
-// ------------------------------------------------------------ multi-tenant
-
-/// One job's private session: 32 iterations of compute on worker 0, a
-/// barrier wait on worker 1, all born stamped with the session's job id.
-trace::Trace job_trace(int job) {
-    trace::TraceSession session(2, 64, job);
-    auto t0 = session.tracer(0, 0);
-    auto t1 = session.tracer(1, 0);
-    t0.record(EventKind::GlobalAcquire, 0.0, 0.1e-3, 0, 32);
-    t0.instant(EventKind::ChunkExecBegin, 0.1e-3, 0, 32);
-    t0.instant(EventKind::ChunkExecEnd, 1.0e-3, 0, 32);
-    t1.record(EventKind::BarrierWait, 0.0, 0.5e-3);
-    trace::Trace tr = session.merge();
-    tr.meta.approach = "MPI+MPI";
-    tr.meta.nodes = 1;
-    tr.meta.workers_per_node = 2;
-    tr.meta.total_iterations = 32;
-    tr.meta.job = job;
-    return tr;
-}
-
-TEST(MultiTenantTraceTest, SessionStampsEveryEventWithItsJob) {
-    const trace::Trace tr = job_trace(7);
-    ASSERT_FALSE(tr.events.empty());
-    for (const auto& e : tr.events) {
-        EXPECT_EQ(e.job, 7);
-    }
-    EXPECT_EQ(tr.job_events(7).size(), tr.events.size());
-    EXPECT_TRUE(tr.job_events(3).empty());
-}
-
-TEST(MultiTenantTraceTest, MergeRealignsTagsAndSplits) {
-    const trace::Trace ta = job_trace(0);
-    const trace::Trace tb = job_trace(1);
-    const trace::Trace merged = trace::merge_job_traces({
-        {0, "alpha", &ta, 0.0},
-        {1, "beta", &tb, 0.4e-3},  // beta submitted 0.4ms later
-    });
-    ASSERT_EQ(merged.meta.jobs.size(), 2u);
-    EXPECT_EQ(merged.meta.jobs[0].second, "alpha");
-    EXPECT_EQ(merged.meta.jobs[1].second, "beta");
-    EXPECT_EQ(merged.events.size(), ta.events.size() + tb.events.size());
-    EXPECT_EQ(merged.job_events(0).size(), ta.events.size());
-    EXPECT_EQ(merged.job_events(1).size(), tb.events.size());
-    // beta's events are shifted by its offset relative to alpha's.
-    const auto alpha_events = merged.job_events(0);
-    const auto beta_events = merged.job_events(1);
-    EXPECT_NEAR(alpha_events.front().t0, 0.0, 1e-12);
-    EXPECT_NEAR(beta_events.front().t0, 0.4e-3, 1e-12);
-    // Sorted by t0 across jobs after the merge.
-    for (std::size_t i = 1; i < merged.events.size(); ++i) {
-        EXPECT_LE(merged.events[i - 1].t0, merged.events[i].t0);
-    }
-}
-
-TEST(MultiTenantTraceTest, AnalyzeBreaksDownPerJob) {
-    const trace::Trace ta = job_trace(0);
-    const trace::Trace tb = job_trace(1);
-    const trace::Trace merged = trace::merge_job_traces({
-        {0, "alpha", &ta, 0.0},
-        {1, "beta", &tb, 0.2e-3},
-    });
-    const trace::TraceAnalysis a = trace::analyze(merged);
-    ASSERT_EQ(a.jobs.size(), 2u);
-    for (const auto& jb : a.jobs) {
-        EXPECT_EQ(jb.iterations, 32);
-        EXPECT_EQ(jb.chunks, 1);
-        EXPECT_EQ(jb.workers, 2);
-        EXPECT_NEAR(jb.compute, 0.9e-3, 1e-9);
-        EXPECT_GT(jb.sched_overhead, 0.0);
-        EXPECT_GT(jb.barrier_wait, 0.0);
-    }
-    EXPECT_EQ(a.jobs[0].name, "alpha");
-    EXPECT_EQ(a.jobs[1].name, "beta");
-    std::ostringstream oss;
-    a.print(oss);
-    EXPECT_NE(oss.str().find("per-job breakdown"), std::string::npos);
-    // Single-tenant traces keep the analysis job-free.
-    const trace::TraceAnalysis solo = trace::analyze(tiny_trace());
-    EXPECT_TRUE(solo.jobs.empty());
-}
-
-TEST(MultiTenantTraceTest, ChromeExportGroupsByJob) {
-    const trace::Trace ta = job_trace(0);
-    const trace::Trace tb = job_trace(1);
-    const trace::Trace merged = trace::merge_job_traces({
-        {0, "alpha", &ta, 0.0},
-        {1, "beta", &tb, 0.1e-3},
-    });
-    std::ostringstream oss;
-    trace::export_chrome_json(merged, oss);
-    const std::string json = oss.str();
-    expect_balanced_json(json);
-    // Jobs become Chrome processes, named after the job.
-    EXPECT_NE(json.find("job 0: alpha"), std::string::npos);
-    EXPECT_NE(json.find("job 1: beta"), std::string::npos);
-    // Work events carry their job id as an argument.
-    EXPECT_NE(json.find("\"job\":0"), std::string::npos);
-    EXPECT_NE(json.find("\"job\":1"), std::string::npos);
-    // The CSV gains the job column per event row.
-    std::ostringstream csv_oss;
-    trace::export_csv(merged, csv_oss);
-    EXPECT_NE(csv_oss.str().find("GlobalAcquire,0,0,0,1,"), std::string::npos);
-}
-
-TEST(MultiTenantTraceTest, RealRunsMergeEndToEnd) {
-    core::ClusterShape shape;
-    shape.nodes = 2;
-    shape.workers_per_node = 2;
-    core::HierConfig cfg;
-    cfg.inter = dls::Technique::GSS;
-    cfg.intra = dls::Technique::Static;
-    cfg.trace = true;
-    const auto run = [&](int job, std::int64_t n) {
-        core::RunOptions opts;
-        opts.job = job;
-        return core::run_hierarchical(shape, core::Approach::MpiMpi, cfg, n,
-                                      [](std::int64_t, std::int64_t) {}, opts);
-    };
-    const auto ra = run(0, 300);
-    const auto rb = run(1, 200);
-    ASSERT_NE(ra.trace, nullptr);
-    ASSERT_NE(rb.trace, nullptr);
-
-    const trace::Trace merged = trace::merge_job_traces({
-        {0, "first", ra.trace.get(), 0.0},
-        {1, "second", rb.trace.get(), 1e-3},
-    });
-    const trace::TraceAnalysis a = trace::analyze(merged);
-    ASSERT_EQ(a.jobs.size(), 2u);
-    EXPECT_EQ(a.jobs[0].iterations, 300);
-    EXPECT_EQ(a.jobs[1].iterations, 200);
-    EXPECT_EQ(a.jobs[0].name, "first");
-    EXPECT_EQ(a.jobs[1].name, "second");
 }
 
 }  // namespace
