@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "metrics/metrics.hpp"
+#include "minimpi/backoff.hpp"
 
 namespace hdls::core {
 
@@ -18,16 +19,22 @@ LeaseBoard::LeaseBoard(const minimpi::Comm& comm, double k, int slots,
                              "LeaseBoard: deadline multiplier k must be > 0");
     }
     records_.resize(static_cast<std::size_t>(slots_));
-    window_ = minimpi::Window::allocate_shared(
-        comm_, static_cast<std::size_t>(slots_) * kSlotCells * sizeof(std::int64_t));
+    const std::size_t slot_bytes =
+        static_cast<std::size_t>(slots_) * kSlotCells * sizeof(std::int64_t);
+    window_ = minimpi::Window::allocate_shared(comm_, slot_bytes + kSignalBytes);
     own_ = window_.shared_span<std::int64_t>(comm_.rank());
-    // Every slot starts FREE at generation 0; written explicitly (the
-    // thread transport's arena is not guaranteed zeroed) and published by
-    // the barrier below.
+    signal_ = window_.shared_span<std::uint32_t>(0).data() + slot_bytes / sizeof(std::uint32_t);
+    // Every slot starts FREE at generation 0 and the signal words at 0;
+    // written explicitly (the thread transport's arena is not guaranteed
+    // zeroed) and published by the barrier below.
     for (int s = 0; s < slots_; ++s) {
         for (std::size_t c = 0; c < kSlotCells; ++c) {
             window_.atomic_write<std::int64_t>(0, comm_.rank(), cell(s, c));
         }
+    }
+    if (comm_.rank() == 0) {
+        signal(kWaiters).store(0, std::memory_order_relaxed);
+        signal(kEpoch).store(0, std::memory_order_relaxed);
     }
     window_.sync();
     comm_.barrier();
@@ -81,16 +88,22 @@ bool LeaseBoard::complete(std::int64_t start, Clock::time_point done) {
     }
     it->in_use = false;
     const int slot = static_cast<int>(it - records_.begin());
-    const std::int64_t expected = pack(kActive, it->gen);
-    const std::int64_t freed = pack(kFree, it->gen);
-    const std::int64_t prev = window_.compare_and_swap<std::int64_t>(
-        expected, freed, comm_.rank(), cell(slot, kState));
-    if (prev != expected) {
+    std::int64_t prev = pack(kActive, it->gen);
+    if (!own_cell(slot, kState)
+             .compare_exchange_strong(prev, pack(kFree, it->gen), std::memory_order_seq_cst)) {
         // A sweeper moved the lease to RECLAIMED(g) first: the fence is
         // lost, the execution must not be committed. The claimer's
         // RECLAIMED -> FREE CAS will release the slot.
         metrics::rt().lease_fence_losses->inc();
         return false;
+    }
+    if (signal(kWaiters).load(std::memory_order_seq_cst) != 0 && outstanding() == 0) {
+        // This commit may have settled the board: if so, bump the epoch
+        // the waiters poll.
+        std::atomic_thread_fence(std::memory_order_seq_cst);
+        if (quiescent()) {
+            signal(kEpoch).fetch_add(1, std::memory_order_release);
+        }
     }
     const double took = util::elapsed_seconds(it->acquired, done);
     ema_seconds_ = ema_seconds_ == 0.0 ? took : 0.7 * ema_seconds_ + 0.3 * took;
@@ -154,6 +167,33 @@ bool LeaseBoard::quiescent() const {
         }
     }
     return true;
+}
+
+bool LeaseBoard::wait_quiescent(Clock::time_point until) {
+    if (!waiting_) {
+        waiting_ = true;
+        signal(kWaiters).fetch_add(1, std::memory_order_seq_cst);
+        // Orders the registration before every later board read: a commit
+        // these reads miss is one whose committer sees the waiter.
+        std::atomic_thread_fence(std::memory_order_seq_cst);
+    }
+    // The epoch is read before the board, so a settling commit the board
+    // read misses bumps it past `seen`.
+    const std::uint32_t seen = signal(kEpoch).load(std::memory_order_acquire);
+    if (quiescent()) {
+        return true;
+    }
+    // Spin on the epoch's line, which stays in this core's cache until the
+    // settling commit bumps it; the clock is read once per 64 pauses.
+    while (Clock::now() < until) {
+        for (int i = 0; i < 64; ++i) {
+            if (signal(kEpoch).load(std::memory_order_acquire) != seen) {
+                return quiescent();
+            }
+            minimpi::cpu_relax();
+        }
+    }
+    return quiescent();
 }
 
 void LeaseBoard::abandon_all() noexcept {

@@ -21,6 +21,9 @@
 ///   cell 2  chunk size
 ///   cell 3  lease deadline (steady-clock nanoseconds)
 ///
+/// followed by one 64-byte line of drain signal words (used in rank 0's
+/// segment only; see "Drain wake-up" below).
+///
 /// The slot state machine (gen = g throughout one occupancy; the
 /// generation bumps only on FREE -> ACTIVE, so a recycled slot can never
 /// satisfy a stale CAS — the ABA guard):
@@ -58,6 +61,20 @@
 /// timeline — so one rank's deadline and another's sweep agree to within
 /// microseconds, far below the 100 ms deadline floor. sweep() reads the
 /// clock only when a dead owner holds an ACTIVE lease.
+///
+/// Drain wake-up: rank 0's segment ends in one cache line holding a
+/// waiter count and a drain epoch. A rank waiting for the board to settle
+/// (wait_quiescent) registers as a waiter once, then polls the epoch.
+/// While a waiter is registered, a commit that leaves its rank with no
+/// outstanding lease checks the board and, if it is quiescent, bumps the
+/// epoch, so waiters leave right after the run's last commit. The commit
+/// CAS and the waiter-count load are seq_cst, and a seq_cst fence
+/// precedes both the committer's and the waiter's board read: of two
+/// racing final commits one sees the other, and of a commit and a
+/// registration either the committer sees the waiter or the waiter sees
+/// the commit. The line is written once per waiter and once per settled
+/// board, so a waiter's polls hit its own cache and a commit pays one
+/// cached load more.
 ///
 /// The board is transport-agnostic: it speaks only Window atomics and
 /// shared-window addressing, so the same protocol runs over the threads
@@ -126,9 +143,16 @@ public:
 
     /// True when every slot of every rank is FREE — no lease outstanding
     /// anywhere, i.e. every acquired chunk was committed exactly once.
-    /// The executor's drain loop spins on this (sweeping and claiming)
-    /// until the board settles.
     [[nodiscard]] bool quiescent() const;
+
+    /// Returns quiescent() as soon as it holds, or at `until` (a deadline
+    /// already past only checks). The first call registers this rank as a
+    /// drain waiter; from then on the wait polls the drain epoch, which
+    /// the commit that settles the board bumps, so the executor's drain
+    /// leaves right after the run's last commit. The wait spins: a rank
+    /// blocked in the kernel can resume milliseconds after its wake-up on
+    /// a loaded host.
+    [[nodiscard]] bool wait_quiescent(Clock::time_point until);
 
     /// Fail-stop: forgets every outstanding local lease WITHOUT touching
     /// the window — the slots stay ACTIVE for survivors to reclaim. The
@@ -155,6 +179,12 @@ private:
     static constexpr std::size_t kDeadline = 3;
     static constexpr std::size_t kSlotCells = 4;
 
+    /// The drain signal line (uint32 words, rank 0's segment, after the
+    /// slots).
+    static constexpr std::size_t kWaiters = 0;
+    static constexpr std::size_t kEpoch = 1;
+    static constexpr std::size_t kSignalBytes = 64;
+
     static constexpr std::int64_t kFree = 0;
     static constexpr std::int64_t kActive = 1;
     static constexpr std::int64_t kReclaimed = 2;
@@ -177,6 +207,10 @@ private:
     /// A cell of this rank's own slot, for direct atomic access.
     [[nodiscard]] std::atomic_ref<std::int64_t> own_cell(int slot, std::size_t c) const noexcept {
         return std::atomic_ref<std::int64_t>(own_[cell(slot, c)]);
+    }
+
+    [[nodiscard]] std::atomic_ref<std::uint32_t> signal(std::size_t word) const noexcept {
+        return std::atomic_ref<std::uint32_t>(signal_[word]);
     }
 
     [[nodiscard]] static std::int64_t to_ns(Clock::time_point t) noexcept {
@@ -208,6 +242,9 @@ private:
     minimpi::Window window_;
     /// This rank's own board segment, addressed directly by lease().
     std::span<std::int64_t> own_;
+    /// Rank 0's signal line, shared by every rank's handle.
+    std::uint32_t* signal_ = nullptr;
+    bool waiting_ = false;  ///< registered as a drain waiter
     double k_ = 8.0;
     int slots_ = 8;
     double ema_seconds_ = 0.0;

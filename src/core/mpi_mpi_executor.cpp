@@ -1,8 +1,8 @@
 #include "core/mpi_mpi_executor.hpp"
 
+#include <algorithm>
 #include <chrono>
 #include <memory>
-#include <thread>
 
 #include "core/chunk_exec.hpp"
 #include "core/hierarchy.hpp"
@@ -18,8 +18,12 @@ namespace hdls::core {
 namespace {
 using Clock = std::chrono::steady_clock;
 
-/// Least time between two reads of the lease board in the drain.
-constexpr std::chrono::microseconds kBoardReadGap{20};
+/// Longest wait of a drain round: the rank still beats the stall
+/// watchdog well within its 200 ms floor under long heartbeat timeouts.
+constexpr std::chrono::microseconds kDrainBeatPeriod{50'000};
+/// Drain period while a peer is declared dead: its expired leases are
+/// swept and claimed this often, not only once per liveness poll.
+constexpr std::chrono::microseconds kDeadPeerSweepPeriod{200};
 }  // namespace
 
 WorkerStats run_mpi_mpi_rank(minimpi::Context& ctx, std::int64_t n, const HierConfig& cfg,
@@ -206,21 +210,27 @@ WorkerStats run_mpi_mpi_rank(minimpi::Context& ctx, std::int64_t n, const HierCo
     // stale, get swept to RECLAIMED and are re-executed here under a fresh
     // lease, exactly once (the claim CAS has a single winner). The loop
     // ends when every slot board-wide is FREE: every acquired chunk of the
-    // run is then committed. Survivors keep beating so they never suspect
-    // each other while waiting. Detection, sweeping and claiming keep the
-    // loop's poll cadence: each scans every peer's board slots, lines that
-    // live peers rewrite per chunk. Between them a round reads the board
-    // only up to the first outstanding lease, then yields for kBoardReadGap
-    // before the next read: the rank stays runnable, so it leaves within
-    // that gap of the run's last commit (a sleeping rank's wake-up can lag
-    // by milliseconds on a loaded host), while the slot lines peers
-    // rewrite per chunk are read at most once per gap.
+    // run is then committed. Between rounds the rank waits on the board
+    // (wait_quiescent), which the commit that settles the board ends, so
+    // the rank leaves right after the run's last commit. Rounds otherwise
+    // come at the loop's poll cadence (at least every kDrainBeatPeriod):
+    // survivors keep beating so they never suspect each other, and
+    // detection scans every peer's heartbeat line. Once a peer is declared
+    // dead, rounds come every kDeadPeerSweepPeriod and each one sweeps and
+    // claims, so a dead rank's lease is reclaimed soon after its deadline
+    // passes.
     if (board != nullptr && !killed && !refused) {
-        while (!board->quiescent()) {
+        Clock::time_point until = Clock::now();  // the first check does not wait
+        while (!board->wait_quiescent(until)) {
             world.beat();
             world.poll_abort();
-            if (const Clock::time_point now = Clock::now(); now >= next_poll) {
+            const Clock::time_point now = Clock::now();
+            if (now >= next_poll) {
                 poll_liveness();
+                next_poll = now + poll_period;
+            }
+            const int dead = world.size() - world.alive();
+            if (dead > 0) {
                 board->sweep();
                 while (const auto rc = board->claim_one()) {
                     board->lease(rc->start, rc->size);
@@ -228,14 +238,10 @@ WorkerStats run_mpi_mpi_rank(minimpi::Context& ctx, std::int64_t n, const HierCo
                     (void)exec.run(rc->start, rc->size, source.level(),
                                    source.has_prefetched());
                 }
-                next_poll = now + poll_period;
             }
-            probe.drain_round(world.size() - world.alive(), source.level(),
-                              source.has_prefetched());
-            const Clock::time_point next_read = Clock::now() + kBoardReadGap;
-            do {
-                std::this_thread::yield();
-            } while (Clock::now() < next_read);
+            probe.drain_round(dead, source.level(), source.has_prefetched());
+            until = std::min(next_poll, Clock::now() + (dead > 0 ? kDeadPeerSweepPeriod
+                                                                 : kDrainBeatPeriod));
         }
     }
 

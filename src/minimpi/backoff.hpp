@@ -44,6 +44,18 @@ enum class LockPolicy {
 /// Replaces the policy for subsequent Window::lock calls.
 void set_lock_policy(LockPolicy policy) noexcept;
 
+/// One spin-wait hint to the core (x86 pause, AArch64 yield): a polling
+/// loop calls it between reads of the word it waits on.
+inline void cpu_relax() noexcept {
+#if defined(__x86_64__) || defined(__i386__)
+    __builtin_ia32_pause();
+#elif defined(__aarch64__)
+    asm volatile("yield" ::: "memory");
+#else
+    std::this_thread::yield();
+#endif
+}
+
 /// The exponential backoff ladder: call pause() after every failed
 /// acquisition attempt. Stateful and cheap — a handful of on-core pause
 /// instructions first, then scheduler yields, then exponentially growing
@@ -79,16 +91,6 @@ public:
     }
 
 private:
-    static void cpu_relax() noexcept {
-#if defined(__x86_64__) || defined(__i386__)
-        __builtin_ia32_pause();
-#elif defined(__aarch64__)
-        asm volatile("yield" ::: "memory");
-#else
-        std::this_thread::yield();
-#endif
-    }
-
     static constexpr int kPauseAttempts = 64;
     static constexpr int kYieldAttempts = 32;
     static constexpr int kMaxSleepUs = 256;

@@ -105,6 +105,40 @@ TEST(LeaseBoardTest, LeaseCompleteLifecycleOnBothTransports) {
     }
 }
 
+TEST(LeaseBoardTest, TheSettlingCommitWakesADrainWaiterOnBothTransports) {
+    // wait_quiescent returns false at its deadline while a lease is
+    // outstanding, and returns as soon as the last lease commits, long
+    // before a far deadline: the commit that settles the board wakes it.
+    using Clock = LeaseBoard::Clock;
+    for (const TransportKind kind : kBothTransports) {
+        Runtime::run(2, kind, [](Context& ctx) {
+            const minimpi::Comm& world = ctx.world();
+            LeaseBoard board(world, 8.0);
+            if (world.rank() == 1) {
+                board.lease(0, 10);
+            }
+            world.barrier();
+            if (world.rank() == 0) {
+                EXPECT_FALSE(board.wait_quiescent(Clock::now() + std::chrono::milliseconds(5)));
+            }
+            world.barrier();
+            if (world.rank() == 0) {
+                const Clock::time_point t0 = Clock::now();
+                const Clock::time_point deadline = t0 + std::chrono::seconds(10);
+                while (!board.wait_quiescent(deadline) && Clock::now() < deadline) {
+                }
+                EXPECT_TRUE(board.quiescent());
+                EXPECT_LT(Clock::now() - t0, std::chrono::seconds(5));
+            } else {
+                std::this_thread::sleep_for(std::chrono::milliseconds(20));
+                EXPECT_TRUE(board.complete(0));
+            }
+            world.barrier();
+            board.free();
+        });
+    }
+}
+
 TEST(LeaseBoardTest, CompletingAnUnknownStartIsANoOpCommit) {
     Runtime::run(1, [](Context& ctx) {
         LeaseBoard board(ctx.world(), 8.0);
