@@ -80,9 +80,9 @@ int main(int argc, char** argv) {
         bool expressible;
     };
     const std::vector<Row> rows = {
-        {Technique::Static, "schedule(static)", {hdls::ompsim::Schedule::Static, 0, false}, true},
-        {Technique::SS, "schedule(dynamic,1)", {hdls::ompsim::Schedule::Dynamic, 1, false}, true},
-        {Technique::GSS, "schedule(guided,1)", {hdls::ompsim::Schedule::Guided, 1, false}, true},
+        {Technique::Static, "schedule(static)", {hdls::ompsim::Schedule::Static, 0}, true},
+        {Technique::SS, "schedule(dynamic,1)", {hdls::ompsim::Schedule::Dynamic, 1}, true},
+        {Technique::GSS, "schedule(guided,1)", {hdls::ompsim::Schedule::Guided, 1}, true},
         {Technique::TSS, "- (extension: schedule tss)", {}, false},
         {Technique::FAC2, "- (extension: schedule fac2)", {}, false},
     };

@@ -135,7 +135,7 @@ void AdaptiveGlobalQueue::free() {
     window_.free();
 }
 
-std::unique_ptr<InterQueue> make_inter_queue(const minimpi::Comm& comm,
+std::unique_ptr<WorkSource> make_inter_queue(const minimpi::Comm& comm,
                                              std::int64_t total_iterations,
                                              const HierConfig& cfg, int level_workers,
                                              int node) {

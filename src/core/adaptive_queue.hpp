@@ -34,9 +34,9 @@
 
 namespace hdls::core {
 
-class AdaptiveGlobalQueue final : public InterQueue {
+class AdaptiveGlobalQueue final : public WorkSource {
 public:
-    using Chunk = InterQueue::Chunk;
+    using Chunk = WorkSource::Chunk;
 
     /// Collective over `comm`. `level_workers` is P in the chunk formulas
     /// (the paper uses the node count); `node` is the caller's level-1

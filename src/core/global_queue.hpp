@@ -33,10 +33,10 @@
 
 namespace hdls::core {
 
-class GlobalWorkQueue final : public InterQueue {
+class GlobalWorkQueue final : public WorkSource {
 public:
     /// One level-1 chunk.
-    using Chunk = InterQueue::Chunk;
+    using Chunk = WorkSource::Chunk;
 
     /// Collective over `comm`. `level_workers` is P in the chunk formulas
     /// (the paper uses the node count). Rank 0 hosts and zero-initializes

@@ -90,7 +90,7 @@ private:
                                      const ResolvedHierarchy&, const HierConfig&,
                                      const Probe&, bool);
 
-    std::unique_ptr<InterQueue> root_;
+    std::unique_ptr<WorkSource> root_;
     std::vector<std::unique_ptr<LevelQueue>> queues_;
     std::vector<std::unique_ptr<ComposedWorkSource>> composed_;
 };

@@ -2,7 +2,6 @@
 
 #include <chrono>
 #include <optional>
-#include <string>
 
 #include "core/chunk_exec.hpp"
 #include "core/hierarchy.hpp"
@@ -13,31 +12,17 @@ namespace hdls::core {
 
 namespace {
 using Clock = std::chrono::steady_clock;
-
-[[nodiscard]] ompsim::ForOptions intra_schedule_or_throw(dls::Technique intra) {
-    if (const auto std_opt = ompsim::openmp_equivalent(intra)) {
-        return *std_opt;
-    }
-    if (const auto ext = ompsim::extended_equivalent(intra)) {
-        return *ext;
-    }
-    throw UnsupportedCombination(
-        std::string("MPI+OpenMP cannot schedule ") + std::string(dls::technique_name(intra)) +
-        " at the intra-node level (neither the OpenMP schedule clause nor the libGOMP-style "
-        "extensions express it)");
-}
 }  // namespace
 
 std::vector<WorkerStats> run_hybrid_rank(minimpi::Context& ctx, std::int64_t n,
                                          const HierConfig& cfg, const ResolvedHierarchy& rh,
+                                         const ompsim::ForOptions& schedule,
                                          const ChunkBody& body, const std::vector<Probe>& probes,
                                          ChunkGate* gate) {
     if (ctx.topology().ranks_per_node != 1) {
         throw UnsupportedCombination(
             "run_hybrid_rank: the MPI+OpenMP model maps exactly one rank per leaf group");
     }
-    const dls::Technique intra = rh.levels.back().technique;
-    const ompsim::ForOptions schedule = intra_schedule_or_throw(intra);
     const minimpi::Comm& world = ctx.world();
     const int threads_per_node = static_cast<int>(probes.size());
 
@@ -124,23 +109,27 @@ std::vector<WorkerStats> run_hybrid_rank(minimpi::Context& ctx, std::int64_t n,
             // Chunk bounds published to the team; non-masters idle here
             // while the master fetches (part of Figure 2's sync time).
             const double publish_t0 = probe.now();
-            team.barrier();
+            std::chrono::nanoseconds idle = team.barrier();
             probe.span(trace::EventKind::BarrierWait, publish_t0);
             if (!current) {
+                probe.team_round(0, idle);
                 break;
             }
             const auto chunk = *current;
+            const std::int64_t chunks_before = mine.chunks;
             // #pragma omp for schedule(...) over the chunk — implicit
             // barrier at the end (Figure 2's synchronization points). The
             // time between a thread's last sub-chunk and the construct's
             // return is its barrier wait.
             double last_busy = probe.now();
-            team.for_chunks(chunk.start, chunk.start + chunk.size, schedule,
-                            [&](std::int64_t b, std::int64_t e, int /*thread_id*/) {
-                                (void)exec.run(b, e - b, pull_level, /*prefetch=*/false);
-                                last_busy = probe.now();
-                            });
+            idle += team.for_chunks(chunk.start, chunk.start + chunk.size, schedule,
+                                    [&](std::int64_t b, std::int64_t e, int /*thread_id*/) {
+                                        (void)exec.run(b, e - b, pull_level,
+                                                       /*prefetch=*/false);
+                                        last_busy = probe.now();
+                                    });
             probe.span(trace::EventKind::BarrierWait, last_busy);
+            probe.team_round(mine.chunks - chunks_before, idle);
             if (tid == 0 && gate != nullptr) {
                 // The worksharing construct's implicit barrier has passed:
                 // the chunk is fully executed.

@@ -18,6 +18,7 @@
 #include "core/report.hpp"
 #include "core/types.hpp"
 #include "minimpi/minimpi.hpp"
+#include "ompsim/schedule.hpp"
 
 namespace hdls::core {
 
@@ -35,15 +36,17 @@ public:
 /// ranks_per_node == 1). The masters pull chunks through the scheduling
 /// chain of `rh` truncated above its leaf (for the classic depth-2 tree
 /// that is just the root backend; deeper trees add relay levels between
-/// the masters), and the thread team workshares each chunk under the leaf
-/// technique. Returns one WorkerStats per thread of this node. Thread t
-/// reports every scheduling event to probes[t] (the master's chain
-/// included, through probes[0]). `gate`, when set, is consulted by the
-/// master around each team chunk (the whole team counts as one rank — the
-/// funneled model admits no finer grain).
+/// the masters), and the thread team workshares each chunk under
+/// `schedule`, the leaf technique's worksharing schedule
+/// (ompsim::extended_equivalent). Returns one WorkerStats per thread of
+/// this node. Thread t reports every scheduling event to probes[t] (the
+/// master's chain included, through probes[0]). `gate`, when set, is
+/// consulted by the master around each team chunk (the whole team counts
+/// as one rank — the funneled model admits no finer grain).
 [[nodiscard]] std::vector<WorkerStats> run_hybrid_rank(minimpi::Context& ctx, std::int64_t n,
                                                        const HierConfig& cfg,
                                                        const ResolvedHierarchy& rh,
+                                                       const ompsim::ForOptions& schedule,
                                                        const ChunkBody& body,
                                                        const std::vector<Probe>& probes,
                                                        ChunkGate* gate = nullptr);

@@ -26,10 +26,6 @@
 
 namespace hdls::core {
 
-/// Historical name of the level-1 source; every inter-node backend
-/// implements the WorkSource interface directly.
-using InterQueue = WorkSource;
-
 /// Creates the level-1 queue for `cfg.inter` under `cfg.inter_backend`.
 /// Collective over `comm`. `level_workers` is P in the chunk formulas (the
 /// paper uses the node count) and `node` the caller's level-1 entity id in
@@ -39,7 +35,7 @@ using InterQueue = WorkSource;
 /// to the centralized queue (dls::effective_backend; every rank decides
 /// alike, so the fallback stays collective). Throws minimpi::Error for
 /// techniques with no distributed form at all.
-[[nodiscard]] std::unique_ptr<InterQueue> make_inter_queue(const minimpi::Comm& comm,
+[[nodiscard]] std::unique_ptr<WorkSource> make_inter_queue(const minimpi::Comm& comm,
                                                            std::int64_t total_iterations,
                                                            const HierConfig& cfg,
                                                            int level_workers, int node);

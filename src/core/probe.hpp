@@ -115,6 +115,14 @@ public:
         instant(trace::EventKind::FeedbackReport, iterations, dls::feedback_ns(busy_seconds));
     }
 
+    /// One round of an MPI+OpenMP team thread: the `chunks` sub-chunks it
+    /// executed in the round's worksharing construct and the time it
+    /// waited at the team's barriers.
+    void team_round(std::int64_t chunks, std::chrono::nanoseconds idle) noexcept {
+        metrics::rt().team_chunks->inc(static_cast<std::uint64_t>(chunks));
+        metrics::rt().team_idle_ns->inc(static_cast<std::uint64_t>(idle.count()));
+    }
+
     /// One failure-detector round (the lease loop's timed polls and every
     /// drain round).
     void liveness_poll() noexcept { metrics::rt().liveness_polls->inc(); }

@@ -55,16 +55,13 @@ void validate_resolved(Approach approach, const HierConfig& cfg, const ResolvedH
                     " lacks a step-indexed form (required by the MPI+MPI local queue)");
             }
             break;
-        case Approach::MpiOpenMp: {
-            const bool expressible = ompsim::openmp_equivalent(leaf).has_value() ||
-                                     ompsim::extended_equivalent(leaf).has_value();
-            if (!expressible) {
+        case Approach::MpiOpenMp:
+            if (!ompsim::extended_equivalent(leaf)) {
                 throw UnsupportedCombination(
                     std::string("run_hierarchical: MPI+OpenMP cannot schedule ") +
                     std::string(dls::technique_name(leaf)) + " at the intra-node level");
             }
             break;
-        }
     }
 }
 
@@ -246,13 +243,16 @@ ExecutionReport run_hierarchical(const ClusterShape& shape, Approach approach,
         case Approach::MpiOpenMp: {
             minimpi::Topology topo;  // one master rank per leaf group
             topo.ranks_per_node = 1;
+            // Validated above: the leaf's worksharing schedule exists.
+            const ompsim::ForOptions schedule = *ompsim::extended_equivalent(report.intra);
             minimpi::Runtime::run(shape.nodes, topo, transport, [&](minimpi::Context& ctx) {
                 std::vector<Probe> probes;
                 for (int t = 0; t < shape.workers_per_node; ++t) {
                     probes.push_back(
                         probe_for(ctx.rank() * shape.workers_per_node + t, ctx.node()));
                 }
-                const auto stats = run_hybrid_rank(ctx, n, effective, rh, body, probes, opts.gate);
+                const auto stats =
+                    run_hybrid_rank(ctx, n, effective, rh, schedule, body, probes, opts.gate);
                 const std::lock_guard<std::mutex> lock(merge_mutex);
                 for (int t = 0; t < shape.workers_per_node; ++t) {
                     report.workers[static_cast<std::size_t>(

@@ -42,9 +42,9 @@
 
 namespace hdls::core {
 
-class ShardedInterQueue final : public InterQueue {
+class ShardedInterQueue final : public WorkSource {
 public:
-    using Chunk = InterQueue::Chunk;
+    using Chunk = WorkSource::Chunk;
 
     /// Collective over `comm`. `level_workers` is the node (= shard) count;
     /// `node` is the caller's shard in [0, level_workers). `node_weights`

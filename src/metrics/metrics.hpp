@@ -302,7 +302,7 @@ struct RuntimeMetrics {
     Counter* feedback_flushes;
     Histogram* chunk_exec_ns;
 
-    // ompsim::ThreadTeam.
+    // MPI+OpenMP team threads (core::Probe::team_round).
     Counter* team_chunks;
     Counter* team_idle_ns;
 

@@ -13,18 +13,18 @@
 ///
 /// plus, as the extension the paper cites from LaPeSD-libGOMP (Ciorba,
 /// Iwainsky & Buder, iWomp'18) and plans as future work, the TSS and FAC2
-/// schedules, and a `nowait` mode that skips the implicit end-of-loop
-/// barrier.
+/// schedules. Every construct ends with the implicit barrier; the paper's
+/// other future-work item, `nowait`, is modelled only by the simulator
+/// (sim::ExecModel::MpiOpenMpNowait).
 
 #include <cstdint>
 #include <optional>
-#include <string_view>
 
 #include "dls/technique.hpp"
 
 namespace hdls::ompsim {
 
-/// Schedule kinds for ThreadTeam::for_each / for_chunks.
+/// Schedule kinds for ThreadTeam::for_chunks.
 enum class Schedule {
     Static,   ///< schedule(static[, k]): one block per thread, or round-robin k-chunks
     Dynamic,  ///< schedule(dynamic, k): shared-counter self-scheduling
@@ -33,26 +33,21 @@ enum class Schedule {
     Fac2,     ///< extension: practical factoring (LaPeSD-libGOMP)
 };
 
-/// Options of one worksharing construct (the `schedule(...)` [nowait] part).
+/// Options of one worksharing construct (its `schedule(...)` clause).
 struct ForOptions {
     Schedule schedule = Schedule::Static;
     /// Chunk size parameter of the clause; 0 = kind-specific default
     /// (static: block partition; dynamic/guided: 1).
     std::int64_t chunk = 0;
-    /// Skip the implicit barrier at the end of the construct.
-    bool nowait = false;
 };
-
-[[nodiscard]] std::string_view schedule_name(Schedule s) noexcept;
-[[nodiscard]] std::optional<Schedule> schedule_from_string(std::string_view name) noexcept;
 
 /// Table 1 of the paper: the OpenMP schedule equivalent to a DLS technique,
 /// or std::nullopt for techniques the (Intel) OpenMP runtime cannot express
 /// (TSS, FAC2, ... — expressible here only through the extension kinds).
 [[nodiscard]] std::optional<ForOptions> openmp_equivalent(dls::Technique t) noexcept;
 
-/// The extended mapping including the LaPeSD-libGOMP-style schedules; used
-/// by the nowait/extension ablations.
+/// The extended mapping including the LaPeSD-libGOMP-style schedules: the
+/// schedule the MPI+OpenMP baseline's team runs for a leaf technique.
 [[nodiscard]] std::optional<ForOptions> extended_equivalent(dls::Technique t) noexcept;
 
 }  // namespace hdls::ompsim

@@ -567,6 +567,47 @@ TEST(MetricsTest, SimulationsLeaveTheExecutedWorkFamiliesUntouched) {
     EXPECT_GE(exec_families, 2u);
 }
 
+/// The MPI+OpenMP team's two families: one team chunk per executed
+/// sub-chunk, barrier idle time once a construct is imbalanced, and
+/// nothing at all from MPI+MPI runs.
+TEST(MetricsTest, TeamFamiliesCountOnlyTheMpiOpenMpTeam) {
+    core::ClusterShape shape;
+    shape.nodes = 2;
+    shape.workers_per_node = 2;
+    core::HierConfig cfg;
+    cfg.inter = dls::Technique::GSS;
+    const auto noop = [](std::int64_t, std::int64_t) {};
+    for (const dls::Technique leaf : {dls::Technique::SS, dls::Technique::Static}) {
+        SCOPED_TRACE(std::string(dls::technique_name(leaf)));
+        cfg.intra = leaf;
+        const auto report =
+            core::run_hierarchical(shape, core::Approach::MpiOpenMp, cfg, 1000, noop);
+        const std::uint64_t team = report.metrics.counter_total("hdls_team_chunks_total");
+        EXPECT_GT(team, 0u);
+        EXPECT_EQ(team, report.metrics.counter_total("hdls_exec_chunks_total"));
+        EXPECT_EQ(team, static_cast<std::uint64_t>(report.executed_chunks()));
+    }
+
+    // STATIC splits each team chunk into one block per thread; the block
+    // holding iteration 0 is slow, so its teammate waits at the implicit
+    // barrier.
+    cfg.intra = dls::Technique::Static;
+    const auto slow = core::run_hierarchical(
+        shape, core::Approach::MpiOpenMp, cfg, 1000, [](std::int64_t b, std::int64_t) {
+            if (b == 0) {
+                std::this_thread::sleep_for(std::chrono::milliseconds(5));
+            }
+        });
+    EXPECT_GT(slow.metrics.counter_total("hdls_team_idle_ns_total"), 0u);
+
+    for (const dls::Technique leaf : {dls::Technique::SS, dls::Technique::Static}) {
+        cfg.intra = leaf;
+        const auto mpi = core::run_hierarchical(shape, core::Approach::MpiMpi, cfg, 1000, noop);
+        EXPECT_EQ(mpi.metrics.counter_total("hdls_team_chunks_total"), 0u);
+        EXPECT_EQ(mpi.metrics.counter_total("hdls_team_idle_ns_total"), 0u);
+    }
+}
+
 // ---------------------------------------------------------- overlapping runs
 
 /// Two metrics-enabled runs overlapping in time, each with its own

@@ -1,7 +1,8 @@
 /// \file test_ompsim.cpp
 /// Tests for the OpenMP-like shim: schedule coverage/layout semantics,
-/// Table-1 equivalences against the DLS library, implicit barriers and the
-/// nowait extension.
+/// Table-1 equivalences against the DLS library and the implicit barrier
+/// (the team has no nowait; only the simulator's MpiOpenMpNowait models
+/// it).
 
 #include <gtest/gtest.h>
 
@@ -78,7 +79,7 @@ TEST(TeamTest, TeamIsReusableAcrossRegions) {
 TEST(TeamTest, SingleThreadTeamWorks) {
     ThreadTeam team(1);
     std::atomic<std::int64_t> sum{0};
-    team.parallel_for(0, 100, ForOptions{Schedule::Dynamic, 1, false},
+    team.parallel_for(0, 100, ForOptions{Schedule::Dynamic, 1},
                       [&](std::int64_t b, std::int64_t e, int) { sum.fetch_add(e - b); });
     EXPECT_EQ(sum.load(), 100);
 }
@@ -131,8 +132,12 @@ TEST_P(ScheduleCoverage, EveryIterationExecutedExactlyOnce) {
     ThreadTeam team(threads);
     std::vector<std::atomic<int>> hits(static_cast<std::size_t>(n));
     team.parallel([&](int) {
-        team.for_each(0, n, ForOptions{schedule, chunk, false},
-                      [&](std::int64_t i) { hits[static_cast<std::size_t>(i)].fetch_add(1); });
+        team.for_chunks(0, n, ForOptions{schedule, chunk},
+                        [&](std::int64_t b, std::int64_t e, int) {
+                            for (std::int64_t i = b; i < e; ++i) {
+                                hits[static_cast<std::size_t>(i)].fetch_add(1);
+                            }
+                        });
     });
     for (std::int64_t i = 0; i < n; ++i) {
         ASSERT_EQ(hits[static_cast<std::size_t>(i)].load(), 1) << "iteration " << i;
@@ -156,8 +161,24 @@ std::vector<CoverageCase> coverage_cases() {
     return cases;
 }
 
+std::string schedule_name(Schedule s) {
+    switch (s) {
+        case Schedule::Static:
+            return "static";
+        case Schedule::Dynamic:
+            return "dynamic";
+        case Schedule::Guided:
+            return "guided";
+        case Schedule::Tss:
+            return "tss";
+        case Schedule::Fac2:
+            return "fac2";
+    }
+    return "?";
+}
+
 std::string coverage_name(const ::testing::TestParamInfo<CoverageCase>& info) {
-    return std::string(schedule_name(info.param.schedule)) + "_c" +
+    return schedule_name(info.param.schedule) + "_c" +
            std::to_string(info.param.chunk) + "_t" + std::to_string(info.param.threads) + "_n" +
            std::to_string(info.param.n);
 }
@@ -169,7 +190,7 @@ INSTANTIATE_TEST_SUITE_P(AllSchedules, ScheduleCoverage, ::testing::ValuesIn(cov
 
 TEST(ScheduleLayoutTest, StaticBlockPartition) {
     ThreadTeam team(4);
-    const auto chunks = run_and_record(team, 10, ForOptions{Schedule::Static, 0, false});
+    const auto chunks = run_and_record(team, 10, ForOptions{Schedule::Static, 0});
     // OpenMP schedule(static): blocks of ceil/floor with leftovers first.
     ASSERT_EQ(chunks.size(), 4u);
     EXPECT_EQ(chunks[0].begin, 0);
@@ -188,7 +209,7 @@ TEST(ScheduleLayoutTest, StaticBlockPartition) {
 
 TEST(ScheduleLayoutTest, StaticChunkRoundRobin) {
     ThreadTeam team(2);
-    const auto chunks = run_and_record(team, 8, ForOptions{Schedule::Static, 2, false});
+    const auto chunks = run_and_record(team, 8, ForOptions{Schedule::Static, 2});
     ASSERT_EQ(chunks.size(), 4u);
     EXPECT_EQ(chunks[0].thread, 0);  // [0,2)
     EXPECT_EQ(chunks[1].thread, 1);  // [2,4)
@@ -199,7 +220,7 @@ TEST(ScheduleLayoutTest, StaticChunkRoundRobin) {
 
 TEST(ScheduleLayoutTest, DynamicOneIsSelfScheduling) {
     ThreadTeam team(4);
-    const auto chunks = run_and_record(team, 100, ForOptions{Schedule::Dynamic, 1, false});
+    const auto chunks = run_and_record(team, 100, ForOptions{Schedule::Dynamic, 1});
     EXPECT_EQ(chunks.size(), 100u);
     for (const auto& c : chunks) {
         EXPECT_EQ(c.end - c.begin, 1);
@@ -212,7 +233,7 @@ TEST(ScheduleLayoutTest, GuidedMatchesGssSequenceExactly) {
     // deterministic function of the shared cursor, independent of which
     // thread wins each update — so it must equal the GSS master sequence.
     ThreadTeam team(4);
-    const auto chunks = run_and_record(team, 1000, ForOptions{Schedule::Guided, 1, false});
+    const auto chunks = run_and_record(team, 1000, ForOptions{Schedule::Guided, 1});
     hdls::dls::LoopParams p;
     p.total_iterations = 1000;
     p.workers = 4;
@@ -227,7 +248,7 @@ TEST(ScheduleLayoutTest, GuidedMatchesGssSequenceExactly) {
 
 TEST(ScheduleLayoutTest, GuidedHonorsMinChunk) {
     ThreadTeam team(4);
-    const auto chunks = run_and_record(team, 1000, ForOptions{Schedule::Guided, 32, false});
+    const auto chunks = run_and_record(team, 1000, ForOptions{Schedule::Guided, 32});
     for (std::size_t i = 0; i + 1 < chunks.size(); ++i) {  // tail may clamp
         EXPECT_GE(chunks[i].end - chunks[i].begin, 32);
     }
@@ -236,7 +257,7 @@ TEST(ScheduleLayoutTest, GuidedHonorsMinChunk) {
 
 TEST(ScheduleLayoutTest, TssSingleThreadMatchesFormulas) {
     ThreadTeam team(1);
-    const auto chunks = run_and_record(team, 1000, ForOptions{Schedule::Tss, 0, false});
+    const auto chunks = run_and_record(team, 1000, ForOptions{Schedule::Tss, 0});
     hdls::dls::LoopParams p;
     p.total_iterations = 1000;
     p.workers = 1;
@@ -253,7 +274,7 @@ TEST(ScheduleLayoutTest, TssSingleThreadMatchesFormulas) {
 
 TEST(ScheduleLayoutTest, Fac2BatchesHalve) {
     ThreadTeam team(4);
-    const auto chunks = run_and_record(team, 1024, ForOptions{Schedule::Fac2, 0, false});
+    const auto chunks = run_and_record(team, 1024, ForOptions{Schedule::Fac2, 0});
     expect_partition(chunks, 1024);
     // First batch chunk must be ceil(N/2P) = 128.
     std::int64_t max_size = 0;
@@ -272,7 +293,7 @@ TEST(BarrierSemanticsTest, ImplicitBarrierHoldsBackFastThreads) {
     std::atomic<bool> slow_done{false};
     std::atomic<bool> fast_entered_second_loop_early{false};
     team.parallel([&](int) {
-        team.for_chunks(0, 2, ForOptions{Schedule::Static, 0, false},
+        team.for_chunks(0, 2, ForOptions{Schedule::Static, 0},
                         [&](std::int64_t b, std::int64_t, int tid) {
                             if (tid == 0 && b == 0) {
                                 std::this_thread::sleep_for(std::chrono::milliseconds(30));
@@ -286,34 +307,6 @@ TEST(BarrierSemanticsTest, ImplicitBarrierHoldsBackFastThreads) {
         }
     });
     EXPECT_FALSE(fast_entered_second_loop_early.load());
-}
-
-TEST(BarrierSemanticsTest, NowaitLetsFastThreadsProceed) {
-    // With nowait, thread 1 races ahead into the second loop and drains it
-    // while thread 0 is still stuck in loop 1. Thread 0's chunk waits on a
-    // flag only loop 2 can set: deadlock unless nowait really skips the
-    // barrier.
-    ThreadTeam team(2);
-    std::atomic<bool> loop2_drained{false};
-    std::atomic<std::int64_t> loop2_iters{0};
-    team.parallel([&](int) {
-        team.for_chunks(0, 2, ForOptions{Schedule::Static, 0, true},  // nowait
-                        [&](std::int64_t b, std::int64_t, int) {
-                            if (b == 0) {  // thread 0's chunk
-                                while (!loop2_drained.load()) {
-                                    std::this_thread::yield();
-                                }
-                            }
-                        });
-        team.for_chunks(0, 100, ForOptions{Schedule::Dynamic, 1, true},  // nowait
-                        [&](std::int64_t b, std::int64_t e, int) {
-                            loop2_iters.fetch_add(e - b);
-                        });
-        loop2_drained.store(true);
-        team.barrier();  // explicit sync at the very end
-    });
-    EXPECT_EQ(loop2_iters.load(), 100);
-    EXPECT_TRUE(loop2_drained.load());
 }
 
 // ---------------------------------------------------------------- Table 1
@@ -342,43 +335,22 @@ TEST(Table1Test, ExtendedEquivalentsCoverPaperIntraTechniques) {
     }
 }
 
-TEST(Table1Test, ScheduleNameRoundTrip) {
-    for (const Schedule s : {Schedule::Static, Schedule::Dynamic, Schedule::Guided,
-                             Schedule::Tss, Schedule::Fac2}) {
-        EXPECT_EQ(schedule_from_string(schedule_name(s)), s);
-    }
-    EXPECT_EQ(schedule_from_string("bogus"), std::nullopt);
-}
-
 // ----------------------------------------------------- workshare recycling
 
 TEST(WorkshareTest, ManySequentialConstructsRecycleSlots) {
     ThreadTeam team(4);
     std::atomic<std::int64_t> total{0};
     team.parallel([&](int) {
-        for (int i = 0; i < 200; ++i) {  // > kWorkshareSlots
-            team.for_chunks(0, 8, ForOptions{Schedule::Dynamic, 1, false},
+        // Back-to-back constructs share one set of cursors, which each
+        // implicit barrier resets.
+        for (int i = 0; i < 200; ++i) {
+            team.for_chunks(0, 8, ForOptions{Schedule::Dynamic, 1},
                             [&](std::int64_t b, std::int64_t e, int) {
                                 total.fetch_add(e - b);
                             });
         }
     });
     EXPECT_EQ(total.load(), 200 * 8);
-}
-
-TEST(WorkshareTest, MixedNowaitSequencesStayConsistent) {
-    ThreadTeam team(4);
-    std::atomic<std::int64_t> total{0};
-    team.parallel([&](int) {
-        for (int i = 0; i < 50; ++i) {
-            team.for_chunks(0, 16, ForOptions{Schedule::Guided, 1, i % 2 == 0},
-                            [&](std::int64_t b, std::int64_t e, int) {
-                                total.fetch_add(e - b);
-                            });
-        }
-        team.barrier();
-    });
-    EXPECT_EQ(total.load(), 50 * 16);
 }
 
 }  // namespace
