@@ -17,7 +17,7 @@
 ///      [N - R, N - R + size) — exact tiling with no master process.
 ///
 /// The same formulas drive core::AdaptiveGlobalQueue (real RMA window) and
-/// sim::InterChunkSource (virtual time), so the simulator and the real
+/// sim::CentralizedInterSource (virtual time), so the simulator and the real
 /// executors schedule identically.
 ///
 /// Because every request recomputes its share from the *current* R, the
@@ -89,7 +89,7 @@ struct NodeFeedback {
 /// Canonicalizes WF's static weights: empty -> `workers` equal weights;
 /// all-zero -> equal weights; otherwise mean-1 normalized. Throws
 /// std::invalid_argument on a size mismatch or negative entries. Both the
-/// real AdaptiveGlobalQueue and the simulator's InterChunkSource go
+/// real AdaptiveGlobalQueue and the simulator's CentralizedInterSource go
 /// through here, so the two schedule identically.
 [[nodiscard]] std::vector<double> normalize_static_weights(std::vector<double> weights,
                                                            int workers);

@@ -1,6 +1,7 @@
 #pragma once
 /// \file inter_source.hpp
-/// Virtual-time inter-node chunk sources shared by both simulation engines.
+/// Virtual-time chunk sources and level queues shared by both simulation
+/// engines.
 ///
 /// InterSource is the level-1 counterpart of the real executors'
 /// WorkSource: one `acquire()` performs a complete level-1 acquisition in
@@ -12,9 +13,9 @@
 ///    is two RMA-priced atomic ops serialized at one FCFS server (probe =
 ///    step fetch-and-op / feedback read + size hint; commit = scheduled
 ///    fetch-and-op / remaining CAS), exactly the pricing the engines used
-///    before the backends were pluggable. Wraps InterChunkSource for the
-///    chunk math. (The real GlobalWorkQueue now derives the start from
-///    the step locally, one op; the model still prices ref [15]'s two.)
+///    before the backends were pluggable. (The real GlobalWorkQueue now
+///    derives the start from the step locally, one op; the model still
+///    prices ref [15]'s two.)
 ///
 ///  * ShardedInterSource — the per-node shard windows (ShardedInterQueue).
 ///    While a node's shard lasts, an acquisition is two atomics on the
@@ -25,6 +26,11 @@
 ///    plus the CAS at the victim's server. The shard math comes from
 ///    dls/sharding.hpp, the same functions the real queue executes, so the
 ///    virtual and real chunk sequences cannot drift.
+///
+/// SlicedChunkQueue is the one unpriced level queue below the root: the
+/// chunks pushed into a relay or a node's leaf queue, sliced into
+/// sub-chunks. HierarchicalSource chains the root and the relays of a deep
+/// tree into one priced acquisition.
 ///
 /// Adaptive feedback (report) is accounted at event-processing time, which
 /// can precede the sub-chunk's virtual completion; the accumulated rates
@@ -48,99 +54,6 @@
 
 namespace hdls::sim::detail {
 
-/// Chunk math of the centralized queues (no pricing): the step-indexed
-/// (GlobalWorkQueue) and remaining-based (AdaptiveGlobalQueue) protocols
-/// behind probe/commit pairs. The engines serialize global accesses in
-/// virtual-time order, so the remaining-cell CAS always succeeds.
-class InterChunkSource {
-public:
-    struct Take {
-        std::int64_t start = 0;
-        std::int64_t size = 0;
-        std::int64_t step = 0;
-    };
-
-    InterChunkSource(dls::Technique technique, const dls::LoopParams& params, int nodes,
-                     const std::vector<double>& wf_weights)
-        : tech_(technique),
-          params_(params),
-          total_(params.total_iterations),
-          remaining_(params.total_iterations),
-          remaining_form_(dls::supports_remaining_based(technique)),
-          feedback_(static_cast<std::size_t>(nodes)),
-          weights_(dls::normalize_static_weights(wf_weights, nodes)),
-          caches_(static_cast<std::size_t>(nodes)) {}
-
-    /// First RMA op of an acquisition by `node`: the size hint. A value
-    /// <= 0 means the technique ran dry (permanently).
-    [[nodiscard]] std::int64_t probe(int node) {
-        if (remaining_form_) {
-            if (remaining_ <= 0) {
-                return 0;
-            }
-            return dls::remaining_based_chunk(tech_, params_, remaining_, weight_of(node));
-        }
-        probe_step_ = step_++;
-        return dls::chunk_size_for_step(tech_, params_, probe_step_);
-    }
-
-    /// Second RMA op: allocates `hint` iterations (clamped). std::nullopt
-    /// when the loop is exhausted despite a positive hint.
-    [[nodiscard]] std::optional<Take> commit(std::int64_t hint) {
-        if (remaining_form_) {
-            const std::int64_t size = std::min(hint, remaining_);
-            if (size <= 0) {
-                return std::nullopt;
-            }
-            const std::int64_t start = total_ - remaining_;
-            remaining_ -= size;
-            return Take{start, size, step_++};
-        }
-        const std::int64_t start = scheduled_;
-        scheduled_ += hint;
-        if (start >= total_) {
-            return std::nullopt;
-        }
-        return Take{start, std::min(hint, total_ - start), probe_step_};
-    }
-
-    /// Accumulates execution feedback for `node` (the three fetch-and-op
-    /// sums of the real adaptive queue).
-    void report(int node, std::int64_t iterations, double compute_seconds,
-                double overhead_seconds) {
-        auto& f = feedback_[static_cast<std::size_t>(node)];
-        f.iterations += iterations;
-        f.compute_seconds += compute_seconds;
-        f.overhead_seconds += overhead_seconds;
-    }
-
-    /// True when report() influences future chunk sizes (AWF-*): the
-    /// engines then charge the report's RMA cost.
-    [[nodiscard]] bool wants_feedback() const noexcept { return dls::is_adaptive(tech_); }
-
-private:
-    [[nodiscard]] double weight_of(int node) {
-        if (!dls::is_adaptive(tech_)) {
-            return weights_[static_cast<std::size_t>(node)];  // WF static / FAC ignored
-        }
-        return caches_[static_cast<std::size_t>(node)].weight(
-            tech_, node, total_, remaining_,
-            [&] { return std::span<const dls::NodeFeedback>(feedback_); });
-    }
-
-    dls::Technique tech_;
-    dls::LoopParams params_;
-    std::int64_t total_ = 0;
-    std::int64_t remaining_ = 0;   // remaining-based forms
-    std::int64_t step_ = 0;        // shared step counter
-    std::int64_t scheduled_ = 0;   // step-indexed forms
-    std::int64_t probe_step_ = 0;  // step consumed by the last probe
-    bool remaining_form_ = false;
-    std::vector<dls::NodeFeedback> feedback_;
-    std::vector<double> weights_;
-    std::vector<dls::AwfWeightCache> caches_;  // per-node AWF refresh cadence
-};
-
 /// One complete, RMA-priced level-1 acquisition per call — the simulator's
 /// view of core::WorkSource.
 class InterSource {
@@ -148,7 +61,6 @@ public:
     struct Take {
         std::int64_t start = 0;
         std::int64_t size = 0;
-        std::int64_t step = 0;
         bool stolen = false;  ///< carved from a peer shard (sharded backend)
     };
 
@@ -174,41 +86,52 @@ public:
     [[nodiscard]] virtual bool wants_feedback() const noexcept { return false; }
 };
 
-/// The rank-0-hosted backends: two RMA ops through one FCFS server.
-/// `rma_latency_s` overrides the per-op RMA latency (per-level pricing of
-/// deep trees); negative means the cost model's internode default.
+/// The rank-0-hosted backends: the step-indexed (GlobalWorkQueue) and
+/// remaining-based (AdaptiveGlobalQueue) protocols as a probe/commit pair
+/// of RMA ops through one FCFS server. The engines serialize global
+/// accesses in virtual-time order, so the remaining-cell CAS always
+/// succeeds. `rma_latency_s` overrides the per-op RMA latency (per-level
+/// pricing of deep trees); negative means the cost model's internode
+/// default.
 class CentralizedInterSource final : public InterSource {
 public:
     CentralizedInterSource(dls::Technique technique, const dls::LoopParams& params, int nodes,
                            const std::vector<double>& wf_weights, const CostModel& costs,
                            double rma_latency_s = -1.0)
-        : src_(technique, params, nodes, wf_weights),
+        : tech_(technique),
+          params_(params),
+          total_(params.total_iterations),
+          remaining_(params.total_iterations),
+          remaining_form_(dls::supports_remaining_based(technique)),
+          feedback_(static_cast<std::size_t>(nodes)),
+          weights_(dls::normalize_static_weights(wf_weights, nodes)),
+          caches_(static_cast<std::size_t>(nodes)),
           server_(costs.global_service_s()),
           rma_(rma_latency_s >= 0.0 ? rma_latency_s : costs.rma_s()) {}
 
     [[nodiscard]] std::optional<Take> acquire(int node, double t, double* done) override {
         const double t1 = op(t);
-        const std::int64_t hint = src_.probe(node);
+        const std::int64_t hint = probe(node);
         if (hint <= 0) {
             *done = t1;
             return std::nullopt;
         }
-        const double t2 = op(t1);
-        *done = t2;
-        const auto take = src_.commit(hint);
-        if (!take) {
-            return std::nullopt;
-        }
-        return Take{take->start, take->size, take->step, false};
+        *done = op(t1);
+        return commit(hint);
     }
 
+    /// Accumulates execution feedback for `node` (the three fetch-and-op
+    /// sums of the real adaptive queue).
     void report(int node, std::int64_t iterations, double compute_seconds,
                 double overhead_seconds) override {
-        src_.report(node, iterations, compute_seconds, overhead_seconds);
+        auto& f = feedback_[static_cast<std::size_t>(node)];
+        f.iterations += iterations;
+        f.compute_seconds += compute_seconds;
+        f.overhead_seconds += overhead_seconds;
     }
 
     [[nodiscard]] bool wants_feedback() const noexcept override {
-        return src_.wants_feedback();
+        return dls::is_adaptive(tech_);
     }
 
 private:
@@ -218,7 +141,57 @@ private:
         return server_.acquire(t + rma_ / 2.0) + rma_ / 2.0;
     }
 
-    InterChunkSource src_;
+    /// First RMA op of an acquisition by `node`: the size hint. A value
+    /// <= 0 means the technique ran dry (permanently).
+    [[nodiscard]] std::int64_t probe(int node) {
+        if (remaining_form_) {
+            if (remaining_ <= 0) {
+                return 0;
+            }
+            return dls::remaining_based_chunk(tech_, params_, remaining_, weight_of(node));
+        }
+        return dls::chunk_size_for_step(tech_, params_, step_++);
+    }
+
+    /// Second RMA op: allocates `hint` iterations (clamped). std::nullopt
+    /// when the loop is exhausted despite a positive hint.
+    [[nodiscard]] std::optional<Take> commit(std::int64_t hint) {
+        if (remaining_form_) {
+            const std::int64_t size = std::min(hint, remaining_);
+            if (size <= 0) {
+                return std::nullopt;
+            }
+            const std::int64_t start = total_ - remaining_;
+            remaining_ -= size;
+            return Take{start, size};
+        }
+        const std::int64_t start = scheduled_;
+        scheduled_ += hint;
+        if (start >= total_) {
+            return std::nullopt;
+        }
+        return Take{start, std::min(hint, total_ - start)};
+    }
+
+    [[nodiscard]] double weight_of(int node) {
+        if (!dls::is_adaptive(tech_)) {
+            return weights_[static_cast<std::size_t>(node)];  // WF static / FAC ignored
+        }
+        return caches_[static_cast<std::size_t>(node)].weight(
+            tech_, node, total_, remaining_,
+            [&] { return std::span<const dls::NodeFeedback>(feedback_); });
+    }
+
+    dls::Technique tech_;
+    dls::LoopParams params_;
+    std::int64_t total_ = 0;
+    std::int64_t remaining_ = 0;  // remaining-based forms
+    std::int64_t step_ = 0;       // step-indexed forms: the shared step counter
+    std::int64_t scheduled_ = 0;  // step-indexed forms
+    bool remaining_form_ = false;
+    std::vector<dls::NodeFeedback> feedback_;
+    std::vector<double> weights_;
+    std::vector<dls::AwfWeightCache> caches_;  // per-node AWF refresh cadence
     FcfsResource server_;
     double rma_;
 };
@@ -251,22 +224,23 @@ public:
     }
 
     [[nodiscard]] std::optional<Take> acquire(int node, double t, double* done) override {
-        if (remaining_[static_cast<std::size_t>(node)] > 0) {
+        const auto own = static_cast<std::size_t>(node);
+        if (remaining_[own] > 0) {
             // Own shard: step fetch-and-op + remaining CAS, both on the
             // node-local window.
             const double t1 = op(node, t, shm_);
             *done = op(node, t1, shm_);
-            return take_from(node, false);
+            const std::int64_t hint =
+                dls::shard_chunk_hint(tech_, sizes_[own], workers_, min_chunk_, step_[own]++);
+            return carve(node, hint > 0 ? std::min(hint, remaining_[own]) : remaining_[own],
+                         false);
         }
         // Steal: one fabric RTT for the pipelined scan of the peer shards'
         // remaining counters, then the half-remainder CAS at the victim.
         int victim = -1;
         std::int64_t best = 0;
         for (std::size_t j = 0; j < remaining_.size(); ++j) {
-            if (static_cast<int>(j) == node) {
-                continue;
-            }
-            if (remaining_[j] > best) {
+            if (j != own && remaining_[j] > best) {
                 best = remaining_[j];
                 victim = static_cast<int>(j);
             }
@@ -277,8 +251,7 @@ public:
             return std::nullopt;  // every shard is dry: the loop is tiled
         }
         *done = op(victim, scanned, rma_);
-        auto take = steal_from(victim, node);
-        return take;
+        return carve(victim, dls::steal_amount(best, min_chunk_), true);
     }
 
 private:
@@ -290,32 +263,12 @@ private:
                latency / 2.0;
     }
 
-    [[nodiscard]] std::optional<Take> take_from(int shard, bool stolen) {
-        std::int64_t& r = remaining_[static_cast<std::size_t>(shard)];
-        if (r <= 0) {
-            return std::nullopt;
-        }
-        const std::int64_t step = step_[static_cast<std::size_t>(shard)]++;
-        const std::int64_t hint = dls::shard_chunk_hint(
-            tech_, sizes_[static_cast<std::size_t>(shard)], workers_, min_chunk_, step);
-        const std::int64_t take = hint > 0 ? std::min(hint, r) : r;
-        const std::int64_t start =
-            lo_[static_cast<std::size_t>(shard)] + sizes_[static_cast<std::size_t>(shard)] - r;
-        r -= take;
-        return Take{start, take, step, stolen};
-    }
-
-    [[nodiscard]] std::optional<Take> steal_from(int victim, int thief) {
-        std::int64_t& r = remaining_[static_cast<std::size_t>(victim)];
-        const std::int64_t take = dls::steal_amount(r, min_chunk_);
-        if (take <= 0) {
-            return std::nullopt;
-        }
-        const std::int64_t start = lo_[static_cast<std::size_t>(victim)] +
-                                   sizes_[static_cast<std::size_t>(victim)] - r;
-        r -= take;
-        // The thief's own step counter supplies the id (telemetry only).
-        return Take{start, take, step_[static_cast<std::size_t>(thief)]++, true};
+    /// Takes `size` iterations off the front of `shard`'s remainder.
+    [[nodiscard]] Take carve(int shard, std::int64_t size, bool stolen) {
+        const auto j = static_cast<std::size_t>(shard);
+        const std::int64_t start = lo_[j] + sizes_[j] - remaining_[j];
+        remaining_[j] -= size;
+        return Take{start, size, stolen};
     }
 
     dls::Technique tech_;
@@ -364,9 +317,156 @@ struct PrefetchCharge {
     bool hit = false;      ///< the acquisition completed within the window
 };
 
+/// One level queue in virtual time: the chunks pushed into it from the
+/// level above, each sliced into sub-chunks for the level's `fan_out`
+/// children and visible to pops from its push's completion time on. It
+/// prices nothing: a relay wraps it with its FCFS server and latency, the
+/// shared-queue engine's node with its PollingLock or dequeue counter.
+///
+/// The centralized form is one FIFO sliced by the level's step-indexed
+/// technique: the sub-chunks NodeWorkQueue carves (dls::StepStarts). The
+/// sharded form splits each push into one segment per child
+/// (dls::shard_partition), sliced by the shard formula; a child whose
+/// segments are dry steals half the front remainder of the most loaded
+/// sibling, as ShardedRelayQueue::pop_locked does.
+class SlicedChunkQueue {
+public:
+    struct Slice {
+        std::int64_t begin = 0;
+        std::int64_t end = 0;
+        bool stolen = false;  ///< carved from a sibling's segment (sharded form)
+    };
+
+    SlicedChunkQueue(dls::Technique technique, int fan_out, std::int64_t min_chunk,
+                     bool sharded = false)
+        : sharded_(sharded),
+          slicer_(sharded ? dls::shard_formula(technique) : technique),
+          fan_out_(fan_out),
+          min_chunk_(min_chunk) {}
+
+    void push(std::int64_t start, std::int64_t size, double at) {
+        unassigned_ += size;
+        if (!sharded_) {
+            segs_.push_back({-1, start, size, 0, 0, at});
+            return;
+        }
+        const std::vector<std::int64_t> parts = dls::shard_partition(size, {}, fan_out_);
+        std::int64_t off = 0;
+        for (int c = 0; c < fan_out_; ++c) {
+            if (parts[static_cast<std::size_t>(c)] > 0) {
+                segs_.push_back({c, start + off, parts[static_cast<std::size_t>(c)], 0, 0, at});
+            }
+            off += parts[static_cast<std::size_t>(c)];
+        }
+    }
+
+    /// Allocates the next sub-chunk visible at `at` for `child` (ignored
+    /// by the centralized form).
+    [[nodiscard]] std::optional<Slice> pop(int child, double at) {
+        while (head_ < segs_.size() && segs_[head_].taken >= segs_[head_].size) {
+            ++head_;  // retire fully-assigned front segments
+        }
+        if (!sharded_) {
+            for (std::size_t i = head_; i < segs_.size(); ++i) {
+                Segment& s = segs_[i];
+                if (s.taken < s.size && s.visible_at <= at) {
+                    dls::LoopParams p;
+                    p.total_iterations = s.size;
+                    p.workers = fan_out_;
+                    p.min_chunk = min_chunk_;
+                    return slice(s, dls::chunk_size_for_step(slicer_, p, s.step));
+                }
+            }
+            return std::nullopt;
+        }
+        // Own shard first.
+        for (std::size_t i = head_; i < segs_.size(); ++i) {
+            Segment& s = segs_[i];
+            if (s.child == child && s.taken < s.size && s.visible_at <= at) {
+                return slice(s, dls::shard_chunk_hint(slicer_, s.size, fan_out_, min_chunk_,
+                                                      s.step));
+            }
+        }
+        // Steal half the front remainder of the most loaded sibling.
+        int victim = -1;
+        std::int64_t most = 0;
+        for (int c = 0; c < fan_out_; ++c) {
+            if (c == child) {
+                continue;
+            }
+            std::int64_t remaining = 0;
+            for (std::size_t i = head_; i < segs_.size(); ++i) {
+                const Segment& s = segs_[i];
+                if (s.child == c && s.visible_at <= at) {
+                    remaining += s.size - s.taken;
+                }
+            }
+            if (remaining > most) {
+                most = remaining;
+                victim = c;
+            }
+        }
+        for (std::size_t i = head_; victim >= 0 && i < segs_.size(); ++i) {
+            Segment& s = segs_[i];
+            if (s.child == victim && s.taken < s.size && s.visible_at <= at) {
+                return carve(s, dls::steal_amount(s.size - s.taken, min_chunk_), true);
+            }
+        }
+        return std::nullopt;
+    }
+
+    /// True while some pushed iteration is unassigned, visible or not.
+    [[nodiscard]] bool unfinished() const noexcept { return unassigned_ > 0; }
+
+    /// Earliest visibility time among segments with unassigned work
+    /// (+infinity when there are none).
+    [[nodiscard]] double earliest_visible() const {
+        double earliest = std::numeric_limits<double>::infinity();
+        for (std::size_t i = head_; i < segs_.size(); ++i) {
+            if (segs_[i].taken < segs_[i].size) {
+                earliest = std::min(earliest, segs_[i].visible_at);
+            }
+        }
+        return earliest;
+    }
+
+private:
+    struct Segment {
+        int child = -1;  ///< owning child (sharded form); -1 for the shared FIFO
+        std::int64_t start = 0;
+        std::int64_t size = 0;
+        std::int64_t taken = 0;
+        std::int64_t step = 0;
+        double visible_at = 0.0;
+    };
+
+    /// The next step-indexed sub-chunk of `s`: `hint` iterations, or the
+    /// rest of the segment when the formula gives none.
+    [[nodiscard]] Slice slice(Segment& s, std::int64_t hint) {
+        const std::int64_t rest = s.size - s.taken;
+        ++s.step;
+        return carve(s, hint > 0 ? std::min(hint, rest) : rest, false);
+    }
+
+    [[nodiscard]] Slice carve(Segment& s, std::int64_t take, bool stolen) {
+        const std::int64_t begin = s.start + s.taken;
+        s.taken += take;
+        unassigned_ -= take;
+        return {begin, begin + take, stolen};
+    }
+
+    bool sharded_ = false;
+    dls::Technique slicer_;  ///< step-indexed slicer / shard formula
+    int fan_out_ = 1;
+    std::int64_t min_chunk_ = 1;
+    std::vector<Segment> segs_;
+    std::size_t head_ = 0;
+    std::int64_t unassigned_ = 0;
+};
+
 /// The whole upper scheduling hierarchy of a deep tree, priced per level —
-/// the one place both engines take acquire costs from (the leaf queue
-/// models stay engine-side: PollingLock / dequeue counter / thread team).
+/// the one place both engines take acquire costs from (the leaf queue's
+/// pricing stays engine-side: PollingLock / dequeue counter / thread team).
 ///
 /// One acquire() emulates the real ComposedWorkSource chain above the
 /// leaf: pop the level-(L-2) relay of the caller's group; on empty, refill
@@ -378,9 +478,8 @@ struct PrefetchCharge {
 /// (one compare-and-swap per pop, an epoch per push) and so runs cheaper
 /// than priced here. The classic depth-2 tree has no relays, so
 /// acquire() degenerates to the root InterSource with byte-identical
-/// pricing to the pre-hierarchy engines. Relay chunk math reuses the same
-/// dls functions as the real NodeWorkQueue / ShardedRelayQueue, so the
-/// virtual and real chunk sequences cannot drift.
+/// pricing to the pre-hierarchy engines. Each relay's chunk math is a
+/// SlicedChunkQueue.
 class HierarchicalSource {
 public:
     struct Take {
@@ -423,17 +522,13 @@ public:
             auto& level = relays_[static_cast<std::size_t>(d - 1)];
             level.reserve(static_cast<std::size_t>(groups));
             const auto& lv = plan.levels[static_cast<std::size_t>(d)];
-            const bool sharded = lv.backend == dls::InterBackend::Sharded;
             for (int g = 0; g < groups; ++g) {
-                level.emplace_back(Relay{sharded,
-                                         sharded ? dls::shard_formula(lv.technique)
-                                                 : lv.technique,
-                                         fan_[static_cast<std::size_t>(d)],
-                                         config.min_chunk,
-                                         FcfsResource(cluster.costs.global_service_s()),
-                                         cluster.costs.level_rma_s(d),
-                                         {},
-                                         0});
+                level.push_back(Relay{
+                    SlicedChunkQueue(lv.technique, fan_[static_cast<std::size_t>(d)],
+                                     config.min_chunk,
+                                     lv.backend == dls::InterBackend::Sharded),
+                    FcfsResource(cluster.costs.global_service_s()),
+                    cluster.costs.level_rma_s(d)});
             }
         }
     }
@@ -481,7 +576,7 @@ public:
             return false;
         }
         for (int d = 1; d <= depth_ - 2; ++d) {
-            if (relay_of(d, leaf).unfinished()) {
+            if (relay_of(d, leaf).queue.unfinished()) {
                 return false;
             }
         }
@@ -498,148 +593,19 @@ public:
     [[nodiscard]] bool wants_feedback() const noexcept { return root_->wants_feedback(); }
 
 private:
-    struct RelaySeg {
-        int child = -1;  ///< owning child (sharded); -1 for the shared FIFO
-        std::int64_t start = 0;
-        std::int64_t size = 0;
-        std::int64_t taken = 0;
-        std::int64_t step = 0;
-        double visible_at = 0.0;
-    };
-
+    /// A relay: its group's queue behind one serialized lock epoch per
+    /// access on the group window. Carves the same sub-chunks as
+    /// NodeWorkQueue and ShardedRelayQueue; only the pricing (one lock
+    /// epoch per pop, the paper's protocol) differs from the lock-free
+    /// real queue.
     struct Relay {
-        bool sharded = false;
-        dls::Technique slicer{};  ///< step-indexed slicer / shard formula
-        int fan_out = 1;
-        std::int64_t min_chunk = 1;
+        SlicedChunkQueue queue;
         FcfsResource server;
         double lat = 0.0;  ///< one-way RMA latency of this level's window
-        std::vector<RelaySeg> segs;
-        std::size_t head = 0;
 
         /// One lock epoch on the relay window: half the latency out,
         /// serialized service at the group host, half back.
         [[nodiscard]] double op(double t) { return server.acquire(t + lat / 2.0) + lat / 2.0; }
-
-        [[nodiscard]] bool unfinished() const {
-            for (std::size_t i = head; i < segs.size(); ++i) {
-                if (segs[i].taken < segs[i].size) {
-                    return true;
-                }
-            }
-            return false;
-        }
-
-        [[nodiscard]] double earliest_visible() const {
-            double earliest = std::numeric_limits<double>::infinity();
-            for (std::size_t i = head; i < segs.size(); ++i) {
-                if (segs[i].taken < segs[i].size) {
-                    earliest = std::min(earliest, segs[i].visible_at);
-                }
-            }
-            return earliest;
-        }
-
-        void push(std::int64_t start, std::int64_t size, double at) {
-            if (!sharded) {
-                segs.push_back({-1, start, size, 0, 0, at});
-                return;
-            }
-            const std::vector<std::int64_t> parts = dls::shard_partition(size, {}, fan_out);
-            std::int64_t off = 0;
-            for (int c = 0; c < fan_out; ++c) {
-                if (parts[static_cast<std::size_t>(c)] > 0) {
-                    segs.push_back(
-                        {c, start + off, parts[static_cast<std::size_t>(c)], 0, 0, at});
-                }
-                off += parts[static_cast<std::size_t>(c)];
-            }
-        }
-
-        /// Allocates the next sub-chunk visible at `at` for `child`
-        /// (ignored by the shared FIFO); sets *stolen when it carved a
-        /// sibling's shard. Carves the same sub-chunks as NodeWorkQueue's
-        /// step slicing (dls::StepStarts) and ShardedRelayQueue::pop_locked;
-        /// only the pricing (one lock epoch per pop, the paper's
-        /// protocol) differs from the lock-free real queue.
-        [[nodiscard]] std::optional<std::pair<std::int64_t, std::int64_t>> pop(int child,
-                                                                              double at,
-                                                                              bool* stolen) {
-            while (head < segs.size() && segs[head].taken >= segs[head].size) {
-                ++head;  // retire fully-assigned front segments
-            }
-            *stolen = false;
-            if (!sharded) {
-                for (std::size_t i = head; i < segs.size(); ++i) {
-                    RelaySeg& s = segs[i];
-                    if (s.taken >= s.size || s.visible_at > at) {
-                        continue;
-                    }
-                    dls::LoopParams p;
-                    p.total_iterations = s.size;
-                    p.workers = fan_out;
-                    p.min_chunk = min_chunk;
-                    const std::int64_t hint =
-                        dls::chunk_size_for_step(slicer, p, s.step);
-                    const std::int64_t take =
-                        hint > 0 ? std::min(hint, s.size - s.taken) : s.size - s.taken;
-                    const std::int64_t begin = s.start + s.taken;
-                    s.taken += take;
-                    ++s.step;
-                    return std::pair{begin, begin + take};
-                }
-                return std::nullopt;
-            }
-            // Own shard first.
-            for (std::size_t i = head; i < segs.size(); ++i) {
-                RelaySeg& s = segs[i];
-                if (s.child != child || s.taken >= s.size || s.visible_at > at) {
-                    continue;
-                }
-                const std::int64_t hint = dls::shard_chunk_hint(slicer, s.size, fan_out,
-                                                                min_chunk, s.step);
-                const std::int64_t take =
-                    hint > 0 ? std::min(hint, s.size - s.taken) : s.size - s.taken;
-                const std::int64_t begin = s.start + s.taken;
-                s.taken += take;
-                ++s.step;
-                return std::pair{begin, begin + take};
-            }
-            // Steal half the front remainder of the most loaded sibling.
-            int victim = -1;
-            std::int64_t most = 0;
-            for (int c = 0; c < fan_out; ++c) {
-                if (c == child) {
-                    continue;
-                }
-                std::int64_t remaining = 0;
-                for (std::size_t i = head; i < segs.size(); ++i) {
-                    const RelaySeg& s = segs[i];
-                    if (s.child == c && s.visible_at <= at) {
-                        remaining += s.size - s.taken;
-                    }
-                }
-                if (remaining > most) {
-                    most = remaining;
-                    victim = c;
-                }
-            }
-            if (victim < 0) {
-                return std::nullopt;
-            }
-            for (std::size_t i = head; i < segs.size(); ++i) {
-                RelaySeg& s = segs[i];
-                if (s.child != victim || s.taken >= s.size || s.visible_at > at) {
-                    continue;
-                }
-                const std::int64_t take = dls::steal_amount(s.size - s.taken, min_chunk);
-                const std::int64_t begin = s.start + s.taken;
-                s.taken += take;
-                *stolen = true;
-                return std::pair{begin, begin + take};
-            }
-            return std::nullopt;
-        }
     };
 
     /// Level-0 entity (feedback slot / root shard) of a leaf group.
@@ -683,24 +649,23 @@ private:
         Relay& r = relay_of(d, leaf);
         const int child = child_at(d, leaf);
         const double t1 = r.op(t);
-        bool stolen = false;
-        if (const auto sub = r.pop(child, t1, &stolen)) {
+        if (const auto sub = r.queue.pop(child, t1)) {
             *done = t1;
-            return Take{sub->first, sub->second - sub->first, stolen, d};
+            return Take{sub->begin, sub->end - sub->begin, sub->stolen, d};
         }
         double updone = t1;
         const auto up = walk(d - 1, leaf, t1, &updone, retry_at);
         if (!up) {
-            *retry_at = std::min(*retry_at, r.earliest_visible());
+            *retry_at = std::min(*retry_at, r.queue.earliest_visible());
             *done = updone;
             return std::nullopt;
         }
         // Push + pop own first sub-chunk in one lock epoch.
         const double t2 = r.op(updone);
-        r.push(up->start, up->size, t2);
+        r.queue.push(up->start, up->size, t2);
         *done = t2;
-        if (const auto sub = r.pop(child, t2, &stolen)) {
-            return Take{sub->first, sub->second - sub->first, stolen, d};
+        if (const auto sub = r.queue.pop(child, t2)) {
+            return Take{sub->begin, sub->end - sub->begin, sub->stolen, d};
         }
         *retry_at = std::min(*retry_at, t2);
         return std::nullopt;

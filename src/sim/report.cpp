@@ -93,9 +93,6 @@ void SimReport::print(std::ostream& os) const {
        << " (lock wait " << util::format_seconds(total_lock_wait()) << ")"
        << "  idle=" << util::format_seconds(total_idle()) << "\n"
        << "  global chunks=" << global_chunks() << "  sub-chunks=" << sub_chunks() << "\n";
-    if (reclaimed_iterations > 0) {
-        os << "  reclaimed iterations=" << reclaimed_iterations << "\n";
-    }
 }
 
 }  // namespace hdls::sim

@@ -37,10 +37,6 @@ struct SimReport {
     std::vector<minimpi::TopologyLevel> topology;
     std::int64_t total_iterations = 0;
     double parallel_time = 0.0;  ///< the paper's metric: max worker finish time
-    /// Iterations re-queued from a killed node's local queue onto the
-    /// survivors (SimConfig::failure); 0 when no failure was injected or
-    /// the model had nothing to reclaim.
-    std::int64_t reclaimed_iterations = 0;
     std::vector<SimWorker> workers;
     /// Virtual-time chunk-lifecycle events; null unless SimConfig::trace.
     std::shared_ptr<const trace::Trace> trace;

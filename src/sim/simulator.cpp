@@ -8,7 +8,6 @@
 
 #include "metrics/metrics.hpp"
 #include "sim/engines.hpp"
-#include "sim/inter_source.hpp"
 
 namespace hdls::sim {
 
@@ -115,40 +114,21 @@ SimReport simulate(ExecModel model, const ClusterSpec& cluster, const SimConfig&
     if (config.fac_mu <= 0.0) {
         throw std::invalid_argument("simulate: fac_mu must be > 0");
     }
-    if (config.failure.enabled()) {
-        if (config.failure.node >= cluster.nodes) {
-            throw std::invalid_argument("simulate: failure.node is outside the cluster");
-        }
-        if (cluster.nodes < 2) {
-            throw std::invalid_argument(
-                "simulate: failure injection needs at least one surviving node");
-        }
-        if (!(config.failure.at_fraction >= 0.0 && config.failure.at_fraction <= 1.0)) {
-            throw std::invalid_argument(
-                "simulate: failure.at_fraction must be in [0, 1]");
-        }
-        if (config.failure.detect_delay_s < 0.0) {
-            throw std::invalid_argument("simulate: failure.detect_delay_s must be >= 0");
+    detail::EngineRun run(model, cluster, config, plan, trace);
+    if (trace.iterations() > 0) {
+        switch (model) {
+            case ExecModel::MpiMpi:
+            case ExecModel::MpiOpenMpNowait:
+                detail::simulate_shared_queue(run, model, cluster, config, plan, trace);
+                break;
+            case ExecModel::MpiOpenMp:
+                detail::simulate_hybrid_barrier(run, cluster, config, plan, trace);
+                break;
+            default:
+                throw std::invalid_argument("simulate: unknown execution model");
         }
     }
-    SimReport report;
-    switch (model) {
-        case ExecModel::MpiMpi:
-            report = detail::simulate_shared_queue(cluster, config, plan, trace,
-                                                   /*polling_lock=*/true,
-                                                   /*any_rank_refills=*/true);
-            break;
-        case ExecModel::MpiOpenMpNowait:
-            report = detail::simulate_shared_queue(cluster, config, plan, trace,
-                                                   /*polling_lock=*/false,
-                                                   /*any_rank_refills=*/false);
-            break;
-        case ExecModel::MpiOpenMp:
-            report = detail::simulate_hybrid_barrier(cluster, config, plan, trace);
-            break;
-        default:
-            throw std::invalid_argument("simulate: unknown execution model");
-    }
+    SimReport report = run.finish();
     report.metrics = simulated_metrics(report);
     return report;
 }

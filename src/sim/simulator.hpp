@@ -18,6 +18,14 @@
 ///    without the implicit barrier, modelled as a node-local chunk pool
 ///    with cheap atomic dequeues; only the master thread may refill
 ///    (MPI_THREAD_FUNNELED), unlike MPI+MPI's any-rank refill.
+///
+/// simulate() resolves the level plan, sets up the run's report and trace
+/// (sim/engine_trace.hpp) and hands them to one of two engines: the
+/// worker-level shared-queue engine (MpiMpi, MpiOpenMpNowait) or the
+/// node-level team engine (MpiOpenMp). Both take every acquisition above
+/// the leaf from one HierarchicalSource (sim/inter_source.hpp). The
+/// simulated cluster never fails: fail-stop is exercised on the real
+/// executor (lease mode and its chaos drill, docs/fault-tolerance.md).
 
 #include <cstddef>
 #include <cstdint>
@@ -40,25 +48,6 @@ enum class ExecModel {
 
 [[nodiscard]] std::string_view exec_model_name(ExecModel m) noexcept;
 [[nodiscard]] std::optional<ExecModel> exec_model_from_string(std::string_view name) noexcept;
-
-/// Fail-stop fault injection for the simulated cluster — the virtual-time
-/// mirror of the real executor's HDLS_CHAOS seam. Node `node` dies at the
-/// first event after `at_fraction` of the iteration space has been
-/// assigned; its workers leave the loop at their next chunk boundary (the
-/// sub-chunk they are computing completes, matching the real seam's
-/// boundary placement). Under the shared-queue engines the unassigned
-/// remainders of the dead node's local queue are re-queued on the
-/// surviving nodes after `detect_delay_s` of virtual detection latency
-/// (the heartbeat-timeout analogue) and counted in
-/// SimReport::reclaimed_iterations. The hybrid baseline has no node-local
-/// queue content to reclaim: the dead node simply stops fetching and the
-/// remaining global work drains through the survivors.
-struct SimFailure {
-    int node = -1;  ///< node to kill; -1 disables the injection
-    double at_fraction = 0.5;   ///< progress trigger, fraction of N assigned
-    double detect_delay_s = 0.0;  ///< virtual failure-detection latency
-    [[nodiscard]] bool enabled() const noexcept { return node >= 0; }
-};
 
 /// Scheduling combination "inter + intra" (paper notation X+Y).
 struct SimConfig {
@@ -95,9 +84,6 @@ struct SimConfig {
     /// grows on demand up to it; overflow drops events and counts the
     /// drops.
     std::size_t trace_capacity = 1 << 16;
-    /// Fail-stop fault injection (disabled by default); prices the cost of
-    /// losing a node mid-loop under each execution model.
-    SimFailure failure;
 };
 
 /// Simulates one loop execution; throws std::invalid_argument for

@@ -1,9 +1,9 @@
 /// \file test_lease.cpp
 /// Lease-based fault tolerance: the LeaseBoard CAS protocol (completion
 /// fence, single-winner reclamation, prefetch-slot coverage), heartbeat
-/// failure detection on both transports, the HDLS_CHAOS fail-stop drill
-/// proving every iteration commits exactly once despite a mid-loop kill,
-/// and the simulator's kill-node failure pricing.
+/// failure detection on both transports, and the HDLS_CHAOS fail-stop
+/// drill proving every iteration commits exactly once despite a mid-loop
+/// kill.
 
 #include <gtest/gtest.h>
 
@@ -18,12 +18,10 @@
 #include <thread>
 #include <vector>
 
-#include "apps/synthetic.hpp"
 #include "core/hdls.hpp"
 #include "core/lease_board.hpp"
 #include "minimpi/liveness.hpp"
 #include "minimpi/minimpi.hpp"
-#include "sim/simulator.hpp"
 
 // Global operator new/delete replacements for this test binary: when armed,
 // every allocation on any thread is counted. The zero-allocation test arms
@@ -595,86 +593,6 @@ TEST(LeaseEnvTest, StrictKnobsThrowOnGarbageAndFallBackWhenUnset) {
     EXPECT_THROW((void)hdls::core::chaos_from_env(), std::invalid_argument);
     ::unsetenv("HDLS_CHAOS");
     EXPECT_FALSE(hdls::core::chaos_from_env().enabled());
-}
-
-// ----------------------------------------------------- simulator pricing
-
-hdls::sim::WorkloadTrace constant_trace(std::int64_t n) {
-    hdls::apps::WorkloadSpec spec;
-    spec.kind = hdls::apps::WorkloadKind::Constant;
-    spec.iterations = n;
-    spec.mean_seconds = 1e-6;
-    return hdls::sim::WorkloadTrace(hdls::apps::make_workload(spec));
-}
-
-TEST(SimFailureTest, SharedQueueKillReclaimsAndStillExecutesEverything) {
-    constexpr std::int64_t kN = 20000;
-    const auto trace = constant_trace(kN);
-    hdls::sim::ClusterSpec cluster;
-    cluster.nodes = 4;
-    cluster.workers_per_node = 4;
-    hdls::sim::SimConfig cfg;
-    cfg.inter = Technique::GSS;
-    cfg.intra = Technique::SS;  // fine sub-chunks: the dead node's queue
-                                // holds a remainder at the kill instant
-    const auto healthy = simulate(hdls::sim::ExecModel::MpiMpi, cluster, cfg, trace);
-
-    cfg.failure = hdls::sim::SimFailure{/*node=*/1, /*at_fraction=*/0.5,
-                                        /*detect_delay_s=*/1e-4};
-    const auto failed = simulate(hdls::sim::ExecModel::MpiMpi, cluster, cfg, trace);
-
-    EXPECT_EQ(failed.executed_iterations(), kN);  // nothing lost, nothing doubled
-    EXPECT_GT(failed.reclaimed_iterations, 0);
-    EXPECT_EQ(healthy.reclaimed_iterations, 0);
-    // Losing a quarter of the cluster mid-loop cannot make the run faster.
-    EXPECT_GE(failed.parallel_time, healthy.parallel_time);
-
-    // Deterministic: the same failure prices identically on a re-run.
-    const auto again = simulate(hdls::sim::ExecModel::MpiMpi, cluster, cfg, trace);
-    EXPECT_DOUBLE_EQ(again.parallel_time, failed.parallel_time);
-    EXPECT_EQ(again.reclaimed_iterations, failed.reclaimed_iterations);
-}
-
-TEST(SimFailureTest, HybridKillDrainsThroughSurvivorsWithNothingToReclaim) {
-    constexpr std::int64_t kN = 20000;
-    const auto trace = constant_trace(kN);
-    hdls::sim::ClusterSpec cluster;
-    cluster.nodes = 4;
-    cluster.workers_per_node = 4;
-    hdls::sim::SimConfig cfg;
-    const auto healthy = simulate(hdls::sim::ExecModel::MpiOpenMp, cluster, cfg, trace);
-
-    cfg.failure = hdls::sim::SimFailure{/*node=*/1, /*at_fraction=*/0.5};
-    const auto failed = simulate(hdls::sim::ExecModel::MpiOpenMp, cluster, cfg, trace);
-
-    EXPECT_EQ(failed.executed_iterations(), kN);
-    EXPECT_EQ(failed.reclaimed_iterations, 0);  // no node-local queue content
-    EXPECT_GE(failed.parallel_time, healthy.parallel_time);
-}
-
-TEST(SimFailureTest, ValidatesTheFailureSpec) {
-    const auto trace = constant_trace(100);
-    hdls::sim::ClusterSpec cluster;
-    cluster.nodes = 2;
-    cluster.workers_per_node = 2;
-    hdls::sim::SimConfig cfg;
-    cfg.failure.node = 2;  // outside the 2-node cluster
-    EXPECT_THROW((void)simulate(hdls::sim::ExecModel::MpiMpi, cluster, cfg, trace),
-                 std::invalid_argument);
-    cfg.failure.node = 0;
-    cfg.failure.at_fraction = 1.5;
-    EXPECT_THROW((void)simulate(hdls::sim::ExecModel::MpiMpi, cluster, cfg, trace),
-                 std::invalid_argument);
-    cfg.failure.at_fraction = 0.5;
-    cfg.failure.detect_delay_s = -1.0;
-    EXPECT_THROW((void)simulate(hdls::sim::ExecModel::MpiMpi, cluster, cfg, trace),
-                 std::invalid_argument);
-    cfg.failure.detect_delay_s = 0.0;
-    cluster.nodes = 1;
-    cluster.workers_per_node = 4;
-    cfg.failure.node = 0;
-    EXPECT_THROW((void)simulate(hdls::sim::ExecModel::MpiMpi, cluster, cfg, trace),
-                 std::invalid_argument);
 }
 
 }  // namespace

@@ -2,11 +2,23 @@
 /// Tests for the discrete-event cluster simulator: resource math against
 /// hand-computed schedules, conservation and accounting invariants,
 /// determinism, and the qualitative model behaviours the paper's figures
-/// rest on (barrier idle, lock-polling contention, any-rank refill).
+/// rest on (barrier idle, lock-polling contention, any-rank refill), and
+/// golden digests that pin every priced time of a fixed config set.
 
 #include <gtest/gtest.h>
 
+#include <array>
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <cstdio>
+#include <iterator>
+#include <map>
+#include <string>
+#include <string_view>
+#include <type_traits>
+#include <utility>
+#include <vector>
 
 #include "apps/mandelbrot.hpp"
 #include "apps/synthetic.hpp"
@@ -490,6 +502,413 @@ TEST(SimReportTest, PrintsSummary) {
     r.print(oss);
     EXPECT_NE(oss.str().find("T_par="), std::string::npos);
     EXPECT_NE(oss.str().find("efficiency="), std::string::npos);
+}
+
+// ----------------------------------------------------------- golden pricing
+
+/// The fields a golden digest covers, in the order a mismatch names them.
+constexpr std::array<std::string_view, 19> kGoldenFields = {
+    "parallel_time",     "worker.node",       "worker.worker_in_node",
+    "worker.busy",       "worker.overhead",   "worker.lock_wait",
+    "worker.idle",       "worker.finish",     "worker.iterations",
+    "worker.sub_chunks", "worker.global_refills", "event.kind",
+    "event.worker",      "event.level",       "event.a",
+    "event.b",           "event.t0",          "event.t1",
+    "event.wait"};
+/// parallel_time and the SimWorker fields: the part tracing must not move.
+constexpr std::size_t kReportFields = 11;
+
+/// One FNV-1a stream per field. Doubles enter by their bit pattern, so a
+/// digest pins a priced time bit for bit.
+class FieldDigests {
+public:
+    FieldDigests() { hashes_.fill(kOffset); }
+
+    template <typename T>
+    void add(std::size_t field, T value) {
+        std::uint64_t bits = 0;
+        if constexpr (std::is_floating_point_v<T>) {
+            bits = std::bit_cast<std::uint64_t>(static_cast<double>(value));
+        } else {
+            bits = static_cast<std::uint64_t>(value);
+        }
+        hashes_[field] = mix(hashes_[field], bits);
+    }
+
+    [[nodiscard]] std::uint64_t field(std::size_t f) const { return hashes_[f]; }
+
+    /// "<digest of every field>.<one byte per field>": the first part
+    /// decides equality, the bytes name the first field that differs.
+    [[nodiscard]] std::string str() const {
+        std::uint64_t all = kOffset;
+        for (const std::uint64_t h : hashes_) {
+            all = mix(all, h);
+        }
+        char buf[16 + 1 + 2 * kGoldenFields.size() + 1];
+        int at = std::snprintf(buf, sizeof buf, "%016llx.", static_cast<unsigned long long>(all));
+        for (const std::uint64_t h : hashes_) {
+            at += std::snprintf(buf + at, sizeof buf - static_cast<std::size_t>(at), "%02x",
+                                static_cast<unsigned>(h & 0xFF));
+        }
+        return buf;
+    }
+
+private:
+    static constexpr std::uint64_t kOffset = 0xcbf29ce484222325ULL;
+    static std::uint64_t mix(std::uint64_t h, std::uint64_t bits) {
+        for (int i = 0; i < 8; ++i) {
+            h = (h ^ ((bits >> (8 * i)) & 0xFF)) * 0x100000001b3ULL;
+        }
+        return h;
+    }
+    std::array<std::uint64_t, kGoldenFields.size()> hashes_{};
+};
+
+FieldDigests report_digests(const SimReport& r) {
+    FieldDigests d;
+    d.add(0, r.parallel_time);
+    for (const SimWorker& w : r.workers) {
+        d.add(1, w.node);
+        d.add(2, w.worker_in_node);
+        d.add(3, w.busy);
+        d.add(4, w.overhead);
+        d.add(5, w.lock_wait);
+        d.add(6, w.idle);
+        d.add(7, w.finish);
+        d.add(8, w.iterations);
+        d.add(9, w.sub_chunks);
+        d.add(10, w.global_refills);
+    }
+    if (r.trace) {
+        for (const hdls::trace::Event& e : r.trace->events) {
+            d.add(11, static_cast<int>(e.kind));
+            d.add(12, e.worker);
+            d.add(13, e.level);
+            d.add(14, e.a);
+            d.add(15, e.b);
+            d.add(16, e.t0);
+            d.add(17, e.t1);
+            d.add(18, e.wait);
+        }
+    }
+    return d;
+}
+
+/// Names the first field whose byte differs between two digest strings.
+std::string first_differing_field(std::string_view expected, std::string_view got) {
+    for (std::size_t f = 0; f < kGoldenFields.size(); ++f) {
+        const std::size_t at = 17 + 2 * f;
+        if (expected.substr(at, 2) != got.substr(at, 2)) {
+            return std::string(kGoldenFields[f]);
+        }
+    }
+    return "a field whose byte collides (the full digest differs)";
+}
+
+struct GoldenConfig {
+    std::string name;
+    ExecModel model;
+    ClusterSpec cluster;
+    SimConfig config;
+};
+
+/// Every execution model over the paper's 4 inter x 5 intra grid on 2 and
+/// 4 nodes, a 3-level tree with a centralized and a sharded relay (with
+/// and without prefetch), prefetch on the classic tree, a sharded root,
+/// min_chunk, and an AWF-B root on a cluster with a slow node.
+std::vector<GoldenConfig> golden_configs() {
+    using hdls::dls::InterBackend;
+    using hdls::dls::technique_name;
+    std::vector<GoldenConfig> out;
+    const auto classic = [](int nodes) {
+        ClusterSpec c;
+        c.nodes = nodes;
+        c.workers_per_node = 4;
+        return c;
+    };
+    for (const ExecModel m :
+         {ExecModel::MpiMpi, ExecModel::MpiOpenMp, ExecModel::MpiOpenMpNowait}) {
+        const auto add = [&](std::string name, ClusterSpec cluster, SimConfig config) {
+            out.push_back({std::string(exec_model_name(m)) + " " + name, m, std::move(cluster),
+                           std::move(config)});
+        };
+        for (const int nodes : {2, 4}) {
+            for (const Technique inter : hdls::dls::paper_internode_techniques()) {
+                for (const Technique intra : hdls::dls::paper_intranode_techniques()) {
+                    SimConfig cfg;
+                    cfg.inter = inter;
+                    cfg.intra = intra;
+                    add(std::string(technique_name(inter)) + "+" +
+                            std::string(technique_name(intra)) + " " +
+                            std::to_string(nodes) + "n",
+                        classic(nodes), cfg);
+                }
+            }
+        }
+        for (const InterBackend mid : {InterBackend::Centralized, InterBackend::Sharded}) {
+            for (const bool prefetch : {false, true}) {
+                ClusterSpec c;
+                c.nodes = 4;
+                c.workers_per_node = 3;
+                c.tree = {{"racks", 2}, {"nodes", 2}, {"cores", 3}};
+                c.costs.level_rma_us = {6.0, 3.0};
+                SimConfig cfg;
+                cfg.levels = {{Technique::FAC2, std::nullopt},
+                              {Technique::GSS, mid},
+                              {Technique::SS, std::nullopt}};
+                cfg.prefetch = prefetch;
+                add(std::string("tree FAC2+GSS/") +
+                        std::string(hdls::dls::inter_backend_name(mid)) + "+SS" +
+                        (prefetch ? " prefetch" : ""),
+                    c, cfg);
+            }
+        }
+        SimConfig pf;
+        pf.inter = Technique::FAC2;
+        pf.intra = Technique::GSS;
+        pf.prefetch = true;
+        add("FAC2+GSS 4n prefetch", classic(4), pf);
+        SimConfig sharded;
+        sharded.inter = Technique::GSS;
+        sharded.inter_backend = InterBackend::Sharded;
+        sharded.intra = Technique::SS;
+        add("GSS/sharded+SS 4n", classic(4), sharded);
+        SimConfig min_chunk;
+        min_chunk.inter = Technique::FAC2;
+        min_chunk.intra = Technique::SS;
+        min_chunk.min_chunk = 4;
+        add("FAC2+SS 2n min_chunk 4", classic(2), min_chunk);
+        ClusterSpec slow = classic(2);
+        slow.node_speed = {1.0, 0.5};
+        for (const Technique intra : {Technique::SS, Technique::GSS}) {
+            SimConfig awf;
+            awf.inter = Technique::AWFB;
+            awf.intra = intra;
+            awf.prefetch = intra == Technique::GSS;  // never discounts an adaptive root
+            add("AWF-B+" + std::string(technique_name(intra)) + " 2n slow node" +
+                    (awf.prefetch ? " prefetch" : ""),
+                slow, awf);
+        }
+    }
+    return out;
+}
+
+/// A small irregular trace built from integer arithmetic only: the first
+/// third of the loop is four times as expensive as the rest.
+WorkloadTrace golden_trace() {
+    constexpr std::int64_t kN = 1500;
+    std::vector<double> costs(static_cast<std::size_t>(kN));
+    for (std::int64_t i = 0; i < kN; ++i) {
+        costs[static_cast<std::size_t>(i)] =
+            1e-6 * static_cast<double>((1 + (i * 37) % 23) * (i < kN / 3 ? 4 : 1));
+    }
+    return WorkloadTrace(std::move(costs));
+}
+
+/// Digests recorded before the simulator's queue and sub-chunk code was
+/// consolidated. A mismatch prints the first field that differs and the
+/// new digest; replace a line only for a deliberate pricing change.
+constexpr std::pair<std::string_view, std::string_view> kGolden[] = {
+    {"MPI+MPI STATIC+STATIC 2n", "59528e5c3fd268f9.71e5254ada79259965a5a5646385ccbbc81ad9"},
+    {"MPI+MPI STATIC+SS 2n", "067bc86b0268847e.2de52583cb5825efededa5e42605518e5c051a"},
+    {"MPI+MPI STATIC+GSS 2n", "bd2ea584c8d4d09e.71e5257940792557f64fa56420e551be0917d9"},
+    {"MPI+MPI STATIC+TSS 2n", "8f59be170cc4b741.dee5256ab90925ab1c87a524804598378ef771"},
+    {"MPI+MPI STATIC+FAC2 2n", "72c51a96e4abf98d.7ce5253ab11e25eb7241a504c5256eb10a57bf"},
+    {"MPI+MPI GSS+STATIC 2n", "df1b08ab2b0422db.71e5254e9ff0250ce16f230445c5bb48501306"},
+    {"MPI+MPI GSS+SS 2n", "456ebf869a083fb0.3de525b67e8025e5dfdfc784e3e595563ed4fe"},
+    {"MPI+MPI GSS+GSS 2n", "3e6642ed70c33205.71e52577fd6225ed16b6e1a4a6444e9983b875"},
+    {"MPI+MPI GSS+TSS 2n", "63d8e7db79071adb.dee525bcd153250c50214724224550b3ff52a6"},
+    {"MPI+MPI GSS+FAC2 2n", "797d2a9802968635.7ce525fa7a0325e9f2e5410446457700da9105"},
+    {"MPI+MPI TSS+STATIC 2n", "c936ddd6467d2350.0ee525af087925d1f1ebc4840264b318d8b6d9"},
+    {"MPI+MPI TSS+SS 2n", "a0060cb2ea470354.2de5256710ff25732f2f66e4e5c4712a8b10f0"},
+    {"MPI+MPI TSS+GSS 2n", "63559b72884c562a.c3e5253ccaf425c5b1d6e404c02507a83ed8fa"},
+    {"MPI+MPI TSS+TSS 2n", "c725654a37b2b7e5.05e5251f936025d56d0b8644c4e496d9e48818"},
+    {"MPI+MPI TSS+FAC2 2n", "3422c6665eba248e.e7e525d1a0b3256dd2e3c4c4c4445867e18f91"},
+    {"MPI+MPI FAC2+STATIC 2n", "efb12a11e92e104a.a6e525fd743625cbe88b6464c7c4aee5e575f8"},
+    {"MPI+MPI FAC2+SS 2n", "bab8ecd95ce60147.9be525366f892504a7a78264c0c42dfa16b46e"},
+    {"MPI+MPI FAC2+GSS 2n", "273f815a405d7825.69e52584e87325bc2c1920442304616e1d88a0"},
+    {"MPI+MPI FAC2+TSS 2n", "724e70b654f166ff.8ae5250f2e4c254ccd7d20842084c9ba2a7165"},
+    {"MPI+MPI FAC2+FAC2 2n", "c6d4f82d717099d8.61e525abef1725172ff9e6c402e42d3e3c4780"},
+    {"MPI+MPI STATIC+STATIC 4n", "dd862bf3be20bc49.7fa525e0b503251925252524cdc5c05b94d22b"},
+    {"MPI+MPI STATIC+SS 4n", "f99316b4d8222ee7.81a52526bd9f253ac1c125a4ecc54dce9ec7dc"},
+    {"MPI+MPI STATIC+GSS 4n", "f996dabfa82d5ec1.cca525afa13525ada1852524cca56324630415"},
+    {"MPI+MPI STATIC+TSS 4n", "d512d3b4032fd3db.08a525b4a896256625a525646c4541b6734965"},
+    {"MPI+MPI STATIC+FAC2 4n", "44ecc1c95e3cad1e.f2a52531071825c8a3a125c46d4580f7a4459d"},
+    {"MPI+MPI GSS+STATIC 4n", "b5cb1ae634582697.97a5251ebd752557876b22c40a047784fe32f9"},
+    {"MPI+MPI GSS+SS 4n", "b0e41879585d7b7a.81a525cb385625891313200484643daef0859f"},
+    {"MPI+MPI GSS+GSS 4n", "2cbf0aa2094b93e7.cca525e053f12597bd20e0a4aba592dd74ba49"},
+    {"MPI+MPI GSS+TSS 4n", "00fcba7ee1bc4eca.08a525e7e67c25a5bba52644c7e4b596a85777"},
+    {"MPI+MPI GSS+FAC2 4n", "85a61f9b17cf1100.f2a525d34a0725daa32586642ec459ae19c2ca"},
+    {"MPI+MPI TSS+STATIC 4n", "a9105d11c6beef58.d0a52528193625332f63a0e48144e0eb054a5c"},
+    {"MPI+MPI TSS+SS 4n", "ab78bbcc76af3b4e.77a525217b032534838366840984a9be9fadaa"},
+    {"MPI+MPI TSS+GSS 4n", "5ce821ce7a1e80f1.7ba5259cf41025d173d782a4a38498df598e74"},
+    {"MPI+MPI TSS+TSS 4n", "ab0bcdffa9f3fe7f.baa525a1e21f25c9972540242ac42cabf86187"},
+    {"MPI+MPI TSS+FAC2 4n", "bd18b13cf558720d.66a5250efc36256441ef2424c42407602626e3"},
+    {"MPI+MPI FAC2+STATIC 4n", "c9a8e70b0fd38a14.c3a5256f6d74250851db05840fe56c33027ae8"},
+    {"MPI+MPI FAC2+SS 4n", "a6059105a8b083a5.bea5251cab6625a6d7d7270464e59d0a6cea84"},
+    {"MPI+MPI FAC2+GSS 4n", "a356a3c1efe9f5dd.47a525073db625b69b01c1c42aa581b6c3533c"},
+    {"MPI+MPI FAC2+TSS 4n", "40b75d062fd6fe0d.a3a52530d13925be2f2107646a857aa94f3601"},
+    {"MPI+MPI FAC2+FAC2 4n", "ac60606287c8265c.03a52568f61425de6385c364282525bef7ed28"},
+    {"MPI+MPI tree FAC2+GSS/centralized+SS",
+     "ad042d36b4d89171.74a565703a26a500b5b50dc4868569422614b1"},
+    {"MPI+MPI tree FAC2+GSS/centralized+SS prefetch",
+     "bca6b604f38d44c8.d0a5650ee848a58d3d3d67a466e5d47ad3e153"},
+    {"MPI+MPI tree FAC2+GSS/sharded+SS", "c55ab3c7da442a5c.a2a56502b2d4a5a1bbbbcf84eee5a53eadf034"},
+    {"MPI+MPI tree FAC2+GSS/sharded+SS prefetch",
+     "6fe573af3c1b63ca.14a56512752ea5f6dbdb17c422056d9fdc18df"},
+    {"MPI+MPI FAC2+GSS 4n prefetch", "7ed51b3e80d884cb.f5a52521198a253b631f8164ea858c9f0f0914"},
+    {"MPI+MPI GSS/sharded+SS 4n", "34788f657f7af595.02a5251e6e382504bfbf250d8625e572fc0c30"},
+    {"MPI+MPI FAC2+SS 2n min_chunk 4", "19da67eb0f817996.02e5259f45ba25372727a3c40725e902c6d4ad"},
+    {"MPI+MPI AWF-B+SS 2n slow node", "c4bd22f094d4ca1c.e2e5257b340d25d8a1a10624a3e4d1de9c7f79"},
+    {"MPI+MPI AWF-B+GSS 2n slow node prefetch",
+     "d41d41a67ea24796.80e525eb26b625c2ffae87a4c44412357d14a9"},
+    {"MPI+OpenMP STATIC+STATIC 2n", "411c00b328257634.d3e5254af325db7565a5a5850505255d01c005"},
+    {"MPI+OpenMP STATIC+SS 2n", "7b17e35cc6d59911.36e525368e57fd15a9a9a505076561663b3cd7"},
+    {"MPI+OpenMP STATIC+GSS 2n", "2d5a0d23c9cc502b.cae5251f6a417575f60da5c5268509267f9cc1"},
+    {"MPI+OpenMP STATIC+TSS 2n", "a0418de515d52e65.fde5259c0e41ddfdfaa7a5c507c5145b764e41"},
+    {"MPI+OpenMP STATIC+FAC2 2n", "08c59043ab8ff9d6.49e525335941405d6a43a545408572493cea01"},
+    {"MPI+OpenMP GSS+STATIC 2n", "10b90ad73bc75449.d3e5251bd925643d654bade525053438165b05"},
+    {"MPI+OpenMP GSS+SS 2n", "a74319eb2601c501.36e525967bb701dd8585ad858645145378c6c5"},
+    {"MPI+OpenMP GSS+GSS 2n", "14b5cb10bec3df2d.cae525ce589330c5666cad8561c4d3b49672e1"},
+    {"MPI+OpenMP GSS+TSS 2n", "67f0183eba4bee5e.fde5256a429330b55207ad45c685499afbb041"},
+    {"MPI+OpenMP GSS+FAC2 2n", "e0acea3d477116ac.49e525187093293592a5adc52145da81e4f881"},
+    {"MPI+OpenMP TSS+STATIC 2n", "a1b536e00d26281e.60e525403425ca75ab652265e12552f2cb1f25"},
+    {"MPI+OpenMP TSS+SS 2n", "dd818dbb0da0859e.aae5256d728e8dbd8f8fa2e524251e8112d31f"},
+    {"MPI+OpenMP TSS+GSS 2n", "998a2bf985d0893b.e7e525d0ddb0e11d3ba22225c1a4f0d30b37bb"},
+    {"MPI+OpenMP TSS+TSS 2n", "0330b0f93bdfc6e1.5ee525548375eb0dfa2322656545bd16187ad9"},
+    {"MPI+OpenMP TSS+FAC2 2n", "cc218620f63b10e3.04e5252faf75e66dad6d22e50725fb6cc48a99"},
+    {"MPI+OpenMP FAC2+STATIC 2n", "51971fec8719becf.0fe525f39b2574d585c5a40501659fab8a6465"},
+    {"MPI+OpenMP FAC2+SS 2n", "b0f38c96489f072d.8de5252fe86eaa2531312c25c54553a82eeada"},
+    {"MPI+OpenMP FAC2+GSS 2n", "35b943e7d28f8116.d2e5253c5ca3371d4d01a46502255be806e268"},
+    {"MPI+OpenMP FAC2+TSS 2n", "b4d88bc07a469fed.cae5256830758fad372dace54585cb1cb73f57"},
+    {"MPI+OpenMP FAC2+FAC2 2n", "b898ac6ce59a774f.78e525184f32c055e1992ce500c58778ae8213"},
+    {"MPI+OpenMP STATIC+STATIC 4n", "b303738ed815b3b8.98a525e0172517d5252525c5c9452059cdb945"},
+    {"MPI+OpenMP STATIC+SS 4n", "8ffd80ffc44f8380.e4a525bcca0da295c3c325450e05905e7fe2e5"},
+    {"MPI+OpenMP STATIC+GSS 4n", "58a39d29aa4398eb.dda52532958d7645bde125858ba576a89417ed"},
+    {"MPI+OpenMP STATIC+TSS 4n", "7bcc295808e7a94d.4ca52573a68d391dc3452585ae85bcc24972ed"},
+    {"MPI+OpenMP STATIC+FAC2 4n", "c9c8295b3ff3e5f0.1aa525820e8d74bd27e325458d252d9fd1faed"},
+    {"MPI+OpenMP GSS+STATIC 4n", "9231fe3625d45fc2.0ca52515f125f62da74b244585a5f13ddbd5a5"},
+    {"MPI+OpenMP GSS+SS 4n", "b3d2eaa9a2fbb9d6.e4a5256a003af925d1d1a465ec858d367768a1"},
+    {"MPI+OpenMP GSS+GSS 4n", "27cd8b432f490703.dda525537b24848d6540a4a5ec44eaf946b537"},
+    {"MPI+OpenMP GSS+TSS 4n", "0ba74ce0331735cd.4ca5255348689ead3fa3a4e50f452136794617"},
+    {"MPI+OpenMP GSS+FAC2 4n", "0fd5bb961841524c.1aa5250b9d46df3d9389a4a5c205c54e2409f7"},
+    {"MPI+OpenMP TSS+STATIC 4n", "a13972ec1375fb72.01a52502262557cdb585208581a52abb4f08a5"},
+    {"MPI+OpenMP TSS+SS 4n", "77cfa024c8ba0cef.cea525c9b896d60da3a3a6e50945ee745eaefd"},
+    {"MPI+OpenMP TSS+GSS 4n", "322958c0e15fe1bc.99a525f038b4d7c5d7bf20a527059ffdcebe05"},
+    {"MPI+OpenMP TSS+TSS 4n", "88d550e7c1ab6315.ffa5251927324a0db1a5a665c1a5835d6b9585"},
+    {"MPI+OpenMP TSS+FAC2 4n", "3a9faa7f70e04fcc.b4a5259d08071fc5a527a6658d05d47a7fe18b"},
+    {"MPI+OpenMP FAC2+STATIC 4n", "a2c1ebffa2d0bc7e.f1a5253a1725953da3e72d452185b8f15ad685"},
+    {"MPI+OpenMP FAC2+SS 4n", "1be574ed8ebdf254.d3a52585070e01dd5151a1058c852caa16f325"},
+    {"MPI+OpenMP FAC2+GSS 4n", "2b8f0570d2f8e66f.6da5256e03d37e7d5d932d0580c54c6286e6cd"},
+    {"MPI+OpenMP FAC2+TSS 4n", "7f89b7d82563d8e7.60a525df48fede755549a1c589c54b590d7951"},
+    {"MPI+OpenMP FAC2+FAC2 4n", "5a2be8dbf48f13fe.f9a52574ee11f8b583452385ace5f0d2bd1feb"},
+    {"MPI+OpenMP tree FAC2+GSS/centralized+SS",
+     "8a9beab1a0790f93.72a565a4f09768786d6d79852225252612ca1d"},
+    {"MPI+OpenMP tree FAC2+GSS/centralized+SS prefetch",
+     "0f0abe080392e95e.77a56556addd45a4bbbbd125e54598f21ddaa4"},
+    {"MPI+OpenMP tree FAC2+GSS/sharded+SS",
+     "8259741ccb369c18.86a565ec228d99640909fe8d6666526263d706"},
+    {"MPI+OpenMP tree FAC2+GSS/sharded+SS prefetch",
+     "99bafdea2466bee3.86a56581ac27c0b5fdfd94ce2bc76b7fbc1830"},
+    {"MPI+OpenMP FAC2+GSS 4n prefetch", "2b8f0570d2f8e66f.6da5256e03d37e7d5d932d0580c54c6286e6cd"},
+    {"MPI+OpenMP GSS/sharded+SS 4n", "fccaf8d2d987fe3d.b6a52535d4d2da9d1515bc4ca3c5043ae1121b"},
+    {"MPI+OpenMP FAC2+SS 2n min_chunk 4",
+     "64c6d669f9aef23f.97e5253df22c7fadbbe5abc543a5053e192c59"},
+    {"MPI+OpenMP AWF-B+SS 2n slow node", "1eed1f84abffb78b.3ee5259076d93c454545a0258605afe2e1a4db"},
+    {"MPI+OpenMP AWF-B+GSS 2n slow node prefetch",
+     "e0cf75839e79c376.0fe525e053551cd58d0fae25e3852cb6e2ce59"},
+    {"MPI+OpenMP-nowait STATIC+STATIC 2n",
+     "5ff8b77bc6fad5bd.4ce5254a6ff9b90665a5a5c263e51473a8bdb9"},
+    {"MPI+OpenMP-nowait STATIC+SS 2n", "0bf0f03ea8ebeb94.eee5253620b712a0a9a9a5c26745652e7f9aea"},
+    {"MPI+OpenMP-nowait STATIC+GSS 2n", "8749481cbc8ac612.4ce5251faaf9061df60da5c2444535f60ef179"},
+    {"MPI+OpenMP-nowait STATIC+TSS 2n", "ce7b9ae09ec4dd92.b2e5259c8f6f1a98faa7a5e4e1452cefd6d937"},
+    {"MPI+OpenMP-nowait STATIC+FAC2 2n", "86401e510be2dff5.91e52533f1f975fe6a43a54426e50669add5d9"},
+    {"MPI+OpenMP-nowait GSS+STATIC 2n", "a8f8aae2a74a97f6.4ce52511be469a0a210bada427c5fff4d5c7f4"},
+    {"MPI+OpenMP-nowait GSS+SS 2n", "4fcf1b89daa5b652.eee525a7d4f90e9d9d9dade54724019208e683"},
+    {"MPI+OpenMP-nowait GSS+GSS 2n", "f21395c10ac8e041.4ce52531d34d0042e8b4ade501a5065985747e"},
+    {"MPI+OpenMP-nowait GSS+TSS 2n", "ef438e60289e9fd9.b2e52598c6601b557283ada284a51cdfc0b228"},
+    {"MPI+OpenMP-nowait GSS+FAC2 2n", "98707474fd2bf303.91e525d8fd62deed2a01ade58224c34c5cece4"},
+    {"MPI+OpenMP-nowait TSS+STATIC 2n", "2cfd9e6427e0edcb.6be52531e423ca9aa96522a3014543a849d102"},
+    {"MPI+OpenMP-nowait TSS+SS 2n", "198707229a44da4d.64e525d939a56d10b5b5a2a2c764a576a23310"},
+    {"MPI+OpenMP-nowait TSS+GSS 2n", "21e7d5cb6d3646fe.e1e525bce4b96953d5a022a4e34553e44e68df"},
+    {"MPI+OpenMP-nowait TSS+TSS 2n", "ffbed112e920acfc.27e52502bc33580b8181a202c2e482b9193d39"},
+    {"MPI+OpenMP-nowait TSS+FAC2 2n", "8a763b1f8cf9b613.90e5252ce78c916f8b0322a484c498fb37339b"},
+    {"MPI+OpenMP-nowait FAC2+STATIC 2n", "2e18e7d07694ea7a.33e525a2c2eb2334fb2b248284449275e1abca"},
+    {"MPI+OpenMP-nowait FAC2+SS 2n", "d08e6a71decf0dfd.2de525dcafa6391f68682c44e4c491e638d37d"},
+    {"MPI+OpenMP-nowait FAC2+GSS 2n", "d3748d65fcc0cabc.69e525261979429a6de524640384a57e58b9b5"},
+    {"MPI+OpenMP-nowait FAC2+TSS 2n", "5964cffb4e48062f.c8e525eff8f60dafe9432ca34005a5d2ce8e29"},
+    {"MPI+OpenMP-nowait FAC2+FAC2 2n", "5601bcdaa93495d5.54e5259c7e3b38adc5732ca4656409da4a49f6"},
+    {"MPI+OpenMP-nowait STATIC+STATIC 4n",
+     "2849b5a7101c3e7d.eda525e055dc862a252525e4e925a8233cae5c"},
+    {"MPI+OpenMP-nowait STATIC+SS 4n", "451b73f43f7c5216.69a525bc46d9a9a2c3c3254287e5d5f23f6f84"},
+    {"MPI+OpenMP-nowait STATIC+GSS 4n", "9a9a176fc12855e1.54a525322bdc5516bde12504ef850b0c6b935c"},
+    {"MPI+OpenMP-nowait STATIC+TSS 4n", "745c90e731cc4cca.c8a52573c5dc3928c3452542e3c565ba40f7dc"},
+    {"MPI+OpenMP-nowait STATIC+FAC2 4n", "93e52670c00f44a0.58a52582cadcf9fc27e325a20005884f7d4edc"},
+    {"MPI+OpenMP-nowait GSS+STATIC 4n", "9da7171138c4cae5.9ca525509b96e59bafcb24224624734cca19ee"},
+    {"MPI+OpenMP-nowait GSS+SS 4n", "692a464a08026576.69a525b3f41b21645757a4020c6499d2741ca5"},
+    {"MPI+OpenMP-nowait GSS+GSS 4n", "89befca5b9a8cc32.54a525d58dee4712811c2425ca645ae1b7544d"},
+    {"MPI+OpenMP-nowait GSS+TSS 4n", "21e304e2de4ae919.c8a5253103e7bd3bf3a124250845fdb2d91822"},
+    {"MPI+OpenMP-nowait GSS+FAC2 4n", "97fb7b33376c44be.58a52538a70bf64bb7e324020644a1a2576869"},
+    {"MPI+OpenMP-nowait TSS+STATIC 4n", "24e85518ec7ee6c6.96a5259b8dc9ced1a36520a4af64d477068fcc"},
+    {"MPI+OpenMP-nowait TSS+SS 4n", "0526b9a48cc19909.89a5253febad9f76a3a3a6e288a4198668a1c1"},
+    {"MPI+OpenMP-nowait TSS+GSS 4n", "21d661e56bb3f401.a7a525dad7aaedba3d9da66368256c275de70d"},
+    {"MPI+OpenMP-nowait TSS+TSS 4n", "cb33552ffee5d6c1.d3a5257728e034f24dc720a200a42877a0863b"},
+    {"MPI+OpenMP-nowait TSS+FAC2 4n", "f8aa704ba933fffd.99a525bf7f8ef3ca292d24e4ce64936c146ebf"},
+    {"MPI+OpenMP-nowait FAC2+STATIC 4n", "7a9f1bfa8730b008.3fa52566e2f656a689c72f058524b457f25e3a"},
+    {"MPI+OpenMP-nowait FAC2+SS 4n", "51941ed535de14bf.29a525f96e4596300505a1c22a05152a6fa217"},
+    {"MPI+OpenMP-nowait FAC2+GSS 4n", "c0681e7676608aab.33a52549a3eb05d597e32f02ad65eddeec8efb"},
+    {"MPI+OpenMP-nowait FAC2+TSS 4n", "059b963fc6d73eec.76a525a5aa7aefee535b23e28a254a2d40d036"},
+    {"MPI+OpenMP-nowait FAC2+FAC2 4n", "9d888320c3dd11e1.bfa5258faadeebedd333a522a64529aa713271"},
+    {"MPI+OpenMP-nowait tree FAC2+GSS/centralized+SS",
+     "be56f0b805204c97.79a565e3e2cecffe4f4f7585c167418e1ae13f"},
+    {"MPI+OpenMP-nowait tree FAC2+GSS/centralized+SS prefetch",
+     "1246e3ce3e33f0f4.6aa565fc03cbec130707b182e1858c36d5cc68"},
+    {"MPI+OpenMP-nowait tree FAC2+GSS/sharded+SS",
+     "8e417b9df6e8a065.87a565c5c09a421a6b6b9f630e6755e22d4033"},
+    {"MPI+OpenMP-nowait tree FAC2+GSS/sharded+SS prefetch",
+     "c055cf8ca7329ca4.bca565f8d91ec782bbbb9d630287cc42709ad3"},
+    {"MPI+OpenMP-nowait FAC2+GSS 4n prefetch",
+     "05b772ddded2695c.6fa5255e7907cee3159f2dc2aee5e0831ce966"},
+    {"MPI+OpenMP-nowait GSS/sharded+SS 4n",
+     "09a9f28f1f6c6f5f.21a5254f7c81297ae7e7bf02ce052dea6f14e2"},
+    {"MPI+OpenMP-nowait FAC2+SS 2n min_chunk 4",
+     "4d4f579d14dc7f69.17e52524e0b40a6feb8b2d234424557205bcc9"},
+    {"MPI+OpenMP-nowait AWF-B+SS 2n slow node",
+     "56450e64e501f7f9.3be525438a7a12b04747a06363e5fdea77f6c5"},
+    {"MPI+OpenMP-nowait AWF-B+GSS 2n slow node prefetch",
+     "9e57232a2047fe85.0fe5258cbc0f9155d50aaf044164c295a7e980"},
+};
+
+TEST(GoldenPricingTest, EveryPricedTimeAndTraceEventMatchesItsDigest) {
+    const std::map<std::string_view, std::string_view> golden(std::begin(kGolden),
+                                                              std::end(kGolden));
+    const WorkloadTrace trace = golden_trace();
+    std::vector<GoldenConfig> configs = golden_configs();
+    EXPECT_EQ(configs.size(), golden.size());
+    for (GoldenConfig& g : configs) {
+        SCOPED_TRACE(g.name);
+        const SimReport plain = simulate(g.model, g.cluster, g.config, trace);
+        g.config.trace = true;
+        const SimReport traced = simulate(g.model, g.cluster, g.config, trace);
+        ASSERT_NE(traced.trace, nullptr);
+        ASSERT_EQ(traced.trace->dropped(), 0);
+        ASSERT_EQ(traced.executed_iterations(), trace.iterations());
+        const FieldDigests untraced_digests = report_digests(plain);
+        const FieldDigests digests = report_digests(traced);
+        for (std::size_t f = 0; f < kReportFields; ++f) {
+            EXPECT_EQ(untraced_digests.field(f), digests.field(f))
+                << "tracing changed " << kGoldenFields[f];
+        }
+        const std::string got = digests.str();
+        const auto it = golden.find(g.name);
+        if (it == golden.end()) {
+            ADD_FAILURE() << "no golden digest; expected line:\n    {\"" << g.name << "\", \""
+                          << got << "\"},";
+            continue;
+        }
+        EXPECT_EQ(got, it->second) << "first field that differs: "
+                                   << first_differing_field(it->second, got);
+    }
 }
 
 }  // namespace

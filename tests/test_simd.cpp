@@ -1,7 +1,7 @@
 /// \file test_simd.cpp
 /// SIMD kernel layer, software prefetch, and topology-aware placement:
 /// backend parity (every backend bit-identical to the scalar reference),
-/// runtime dispatch, the prefetch ring, socket planning, team pinning and
+/// runtime dispatch, socket planning, team pinning and
 /// the cached kernel-rate probe — including the end-to-end checksum grid
 /// over techniques x depths x transports.
 
@@ -10,7 +10,6 @@
 #include <atomic>
 #include <cctype>
 #include <cstring>
-#include <numeric>
 #include <vector>
 
 #include "apps/mandelbrot.hpp"
@@ -21,7 +20,6 @@
 #include "ompsim/team.hpp"
 #include "simd/dispatch.hpp"
 #include "simd/simd.hpp"
-#include "util/prefetch.hpp"
 
 namespace {
 
@@ -292,26 +290,6 @@ TEST(SimdRunnerTest, ReportCarriesSimdAndPinSettings) {
     EXPECT_EQ(report.simd_backend, hdls::simd::Backend::Scalar);
     EXPECT_EQ(report.pin, minimpi::PinPolicy::Compact);
     hdls::simd::set_mode(hdls::simd::SimdMode::Auto);
-}
-
-// -------------------------------------------------------- prefetch ring --
-
-TEST(PrefetchRingTest, DefersPayloadsByDepthAndDrainsInOrder) {
-    hdls::util::PrefetchRing<3, int> ring;
-    std::vector<int> consumed;
-    const auto consume = [&](int v) { consumed.push_back(v); };
-    double data[8] = {};
-    for (int i = 0; i < 8; ++i) {
-        ring.push(&data[i], i, consume);
-        // Nothing pops until the ring holds Depth deferred payloads.
-        EXPECT_EQ(consumed.size(), static_cast<std::size_t>(std::max(0, i + 1 - 3)));
-    }
-    EXPECT_EQ(ring.pending(), 3u);
-    ring.drain(consume);
-    EXPECT_EQ(ring.pending(), 0u);
-    std::vector<int> expected(8);
-    std::iota(expected.begin(), expected.end(), 0);
-    EXPECT_EQ(consumed, expected);  // strict FIFO
 }
 
 // ------------------------------------------------------- host topology --
