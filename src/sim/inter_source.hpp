@@ -366,26 +366,16 @@ public:
         while (head_ < segs_.size() && segs_[head_].taken >= segs_[head_].size) {
             ++head_;  // retire fully-assigned front segments
         }
-        if (!sharded_) {
-            for (std::size_t i = head_; i < segs_.size(); ++i) {
-                Segment& s = segs_[i];
-                if (s.taken < s.size && s.visible_at <= at) {
-                    dls::LoopParams p;
-                    p.total_iterations = s.size;
-                    p.workers = fan_out_;
-                    p.min_chunk = min_chunk_;
-                    return slice(s, dls::chunk_size_for_step(slicer_, p, s.step));
-                }
-            }
-            return std::nullopt;
-        }
-        // Own shard first.
+        // The caller's own segments first: every segment of the shared FIFO.
+        const int own = sharded_ ? child : -1;
         for (std::size_t i = head_; i < segs_.size(); ++i) {
             Segment& s = segs_[i];
-            if (s.child == child && s.taken < s.size && s.visible_at <= at) {
-                return slice(s, dls::shard_chunk_hint(slicer_, s.size, fan_out_, min_chunk_,
-                                                      s.step));
+            if (s.child == own && s.taken < s.size && s.visible_at <= at) {
+                return slice(s);
             }
+        }
+        if (!sharded_) {
+            return std::nullopt;
         }
         // Steal half the front remainder of the most loaded sibling.
         int victim = -1;
@@ -440,9 +430,19 @@ private:
         double visible_at = 0.0;
     };
 
-    /// The next step-indexed sub-chunk of `s`: `hint` iterations, or the
+    /// The next step-indexed sub-chunk of `s`: the slicer's hint, or the
     /// rest of the segment when the formula gives none.
-    [[nodiscard]] Slice slice(Segment& s, std::int64_t hint) {
+    [[nodiscard]] Slice slice(Segment& s) {
+        std::int64_t hint = 0;
+        if (sharded_) {
+            hint = dls::shard_chunk_hint(slicer_, s.size, fan_out_, min_chunk_, s.step);
+        } else {
+            dls::LoopParams p;
+            p.total_iterations = s.size;
+            p.workers = fan_out_;
+            p.min_chunk = min_chunk_;
+            hint = dls::chunk_size_for_step(slicer_, p, s.step);
+        }
         const std::int64_t rest = s.size - s.taken;
         ++s.step;
         return carve(s, hint > 0 ? std::min(hint, rest) : rest, false);

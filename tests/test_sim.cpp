@@ -615,7 +615,8 @@ struct GoldenConfig {
 /// Every execution model over the paper's 4 inter x 5 intra grid on 2 and
 /// 4 nodes, a 3-level tree with a centralized and a sharded relay (with
 /// and without prefetch), prefetch on the classic tree, a sharded root,
-/// min_chunk, and an AWF-B root on a cluster with a slow node.
+/// min_chunk, free scheduling, and an AWF-B root on a cluster with a slow
+/// node.
 std::vector<GoldenConfig> golden_configs() {
     using hdls::dls::InterBackend;
     using hdls::dls::technique_name;
@@ -678,6 +679,14 @@ std::vector<GoldenConfig> golden_configs() {
         min_chunk.intra = Technique::SS;
         min_chunk.min_chunk = 4;
         add("FAC2+SS 2n min_chunk 4", classic(2), min_chunk);
+        // Free scheduling: events of one worker tie in time, so the
+        // merged trace keeps each log's record order.
+        ClusterSpec free = classic(2);
+        free.costs = zero_costs();
+        SimConfig ties;
+        ties.inter = Technique::FAC2;
+        ties.intra = Technique::SS;
+        add("FAC2+SS 2n free scheduling", free, ties);
         ClusterSpec slow = classic(2);
         slow.node_speed = {1.0, 0.5};
         for (const Technique intra : {Technique::SS, Technique::GSS}) {
@@ -759,6 +768,8 @@ constexpr std::pair<std::string_view, std::string_view> kGolden[] = {
     {"MPI+MPI FAC2+GSS 4n prefetch", "7ed51b3e80d884cb.f5a52521198a253b631f8164ea858c9f0f0914"},
     {"MPI+MPI GSS/sharded+SS 4n", "34788f657f7af595.02a5251e6e382504bfbf250d8625e572fc0c30"},
     {"MPI+MPI FAC2+SS 2n min_chunk 4", "19da67eb0f817996.02e5259f45ba25372727a3c40725e902c6d4ad"},
+    {"MPI+MPI FAC2+SS 2n free scheduling",
+     "d29918d643b8b597.24e525aa252525aa6b6bc604a10481c2181805"},
     {"MPI+MPI AWF-B+SS 2n slow node", "c4bd22f094d4ca1c.e2e5257b340d25d8a1a10624a3e4d1de9c7f79"},
     {"MPI+MPI AWF-B+GSS 2n slow node prefetch",
      "d41d41a67ea24796.80e525eb26b625c2ffae87a4c44412357d14a9"},
@@ -814,6 +825,8 @@ constexpr std::pair<std::string_view, std::string_view> kGolden[] = {
     {"MPI+OpenMP GSS/sharded+SS 4n", "fccaf8d2d987fe3d.b6a52535d4d2da9d1515bc4ca3c5043ae1121b"},
     {"MPI+OpenMP FAC2+SS 2n min_chunk 4",
      "64c6d669f9aef23f.97e5253df22c7fadbbe5abc543a5053e192c59"},
+    {"MPI+OpenMP FAC2+SS 2n free scheduling",
+     "3a6f1da9a3c45ea0.b8e5255b2525bf2d2d2dacc5e785e74cbce465"},
     {"MPI+OpenMP AWF-B+SS 2n slow node", "1eed1f84abffb78b.3ee5259076d93c454545a0258605afe2e1a4db"},
     {"MPI+OpenMP AWF-B+GSS 2n slow node prefetch",
      "e0cf75839e79c376.0fe525e053551cd58d0fae25e3852cb6e2ce59"},
@@ -873,6 +886,8 @@ constexpr std::pair<std::string_view, std::string_view> kGolden[] = {
      "09a9f28f1f6c6f5f.21a5254f7c81297ae7e7bf02ce052dea6f14e2"},
     {"MPI+OpenMP-nowait FAC2+SS 2n min_chunk 4",
      "4d4f579d14dc7f69.17e52524e0b40a6feb8b2d234424557205bcc9"},
+    {"MPI+OpenMP-nowait FAC2+SS 2n free scheduling",
+     "51dcc106381f1099.d1e52586252527a5030328458345250afbc865"},
     {"MPI+OpenMP-nowait AWF-B+SS 2n slow node",
      "56450e64e501f7f9.3be525438a7a12b04747a06363e5fdea77f6c5"},
     {"MPI+OpenMP-nowait AWF-B+GSS 2n slow node prefetch",
