@@ -508,13 +508,13 @@ TEST(SimReportTest, PrintsSummary) {
 
 /// The fields a golden digest covers, in the order a mismatch names them.
 constexpr std::array<std::string_view, 19> kGoldenFields = {
-    "parallel_time",     "worker.node",       "worker.worker_in_node",
-    "worker.busy",       "worker.overhead",   "worker.lock_wait",
-    "worker.idle",       "worker.finish",     "worker.iterations",
-    "worker.sub_chunks", "worker.global_refills", "event.kind",
-    "event.worker",      "event.level",       "event.a",
-    "event.b",           "event.t0",          "event.t1",
-    "event.wait"};
+    "parallel_time",     "worker.node",      "worker.worker_in_node",
+    "worker.busy",       "worker.overhead",  "worker.lock_wait",
+    "worker.idle",       "worker.finish",    "worker.iterations",
+    "worker.sub_chunks", "worker.global_refills",
+    "event.kind",        "event.worker",     "event.level",
+    "event.a",           "event.b",          "event.t0",
+    "event.t1",          "event.wait"};
 /// parallel_time and the SimWorker fields: the part tracing must not move.
 constexpr std::size_t kReportFields = 11;
 
