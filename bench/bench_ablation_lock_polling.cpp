@@ -5,12 +5,11 @@
 /// the MPI+MPI : MPI+OpenMP time ratio for X+SS.
 ///
 /// A second, *real* (thread-backed) section measures the runtime's own
-/// lock-acquisition discipline on a contended SS+SS run: naive
-/// yield-polling vs. the exponential pause/yield/sleep backoff ladder vs.
-/// a blocking OS lock (minimpi::LockPolicy), reporting wall time and the
-/// traced lock-grant latency for each. Leaf pops are lock-free, so the
-/// epochs it contends for are the node-queue pushes: under SS+SS every
-/// root chunk is one iteration, and every iteration is one leaf refill.
+/// lock-wait loop (try_lock on the pause/yield/sleep Backoff ladder) on a
+/// contended SS+SS run, reporting wall time and the traced lock-grant
+/// latency. Leaf pops are lock-free, so the epochs it contends for are the
+/// node-queue pushes: under SS+SS every root chunk is one iteration, and
+/// every iteration is one leaf refill.
 
 #include <chrono>
 #include <iostream>
@@ -84,13 +83,11 @@ int main(int argc, char** argv) {
     std::cout << "\nExpected: the SS penalty grows with both knobs; with a free lock\n"
                  "(poll=attempt=0) MPI+MPI matches the OpenMP atomic-dequeue baseline.\n";
 
-    // ---- real-executor section: the lock-polling backoff ladder ---------
+    // ---- real-executor section: the lock-wait loop -----------------------
     // SS+SS on the thread-backed runtime refills the node queue once per
     // iteration, and every refill pushes inside one exclusive window
     // epoch (pops are lock-free compare-and-swaps): the heaviest lock
-    // contention the library can produce. The backoff ladder should cut
-    // wall time (and traced lock-grant latency) against naive
-    // yield-polling under oversubscription.
+    // contention the library can produce.
     constexpr std::int64_t kRealIterations = 4000;
     core::HierConfig real_cfg;
     real_cfg.inter = dls::Technique::SS;
@@ -103,49 +100,28 @@ int main(int argc, char** argv) {
             }
         }
     };
-    const auto policy_name = [](minimpi::LockPolicy p) {
-        switch (p) {
-            case minimpi::LockPolicy::Spin:
-                return "spin (naive poll)";
-            case minimpi::LockPolicy::Backoff:
-                return "exponential backoff";
-            case minimpi::LockPolicy::Block:
-                return "blocking";
+    util::TextTable real_table({"wall (s)", "lock wait (worker-s)", "p99 grant (us)"});
+    double best = 0.0;
+    double lock_wait = 0.0;
+    double p99 = 0.0;
+    auto& point = json.point();
+    point.label("sweep", "real_lock_loop");
+    for (int rep = 0; rep < 3; ++rep) {
+        const auto t0 = std::chrono::steady_clock::now();
+        const auto report = hdls::parallel_for(core::ClusterShape{2, 8}, core::Approach::MpiMpi,
+                                               real_cfg, kRealIterations, body);
+        const double wall =
+            std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
+        point.sample("wall_s", wall);
+        if (rep == 0 || wall < best) {
+            best = wall;
+            const auto analysis = trace::analyze(*report.trace);
+            lock_wait = analysis.total_lock_wait;
+            p99 = analysis.lock_wait_stats.p99;
         }
-        return "?";
-    };
-    const minimpi::LockPolicy original = minimpi::lock_policy();
-    util::TextTable real_table(
-        {"lock policy", "wall (s)", "lock wait (worker-s)", "p99 grant (us)"});
-    for (const minimpi::LockPolicy policy :
-         {minimpi::LockPolicy::Spin, minimpi::LockPolicy::Backoff,
-          minimpi::LockPolicy::Block}) {
-        minimpi::set_lock_policy(policy);
-        double best = 0.0;
-        double lock_wait = 0.0;
-        double p99 = 0.0;
-        auto& point = json.point();
-        point.label("sweep", "real_lock_policy").label("policy", policy_name(policy));
-        for (int rep = 0; rep < 3; ++rep) {
-            const auto t0 = std::chrono::steady_clock::now();
-            const auto report = hdls::parallel_for(core::ClusterShape{2, 8},
-                                                   core::Approach::MpiMpi, real_cfg,
-                                                   kRealIterations, body);
-            const double wall =
-                std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
-            point.sample("wall_s", wall);
-            if (rep == 0 || wall < best) {
-                best = wall;
-                const auto analysis = trace::analyze(*report.trace);
-                lock_wait = analysis.total_lock_wait;
-                p99 = analysis.lock_wait_stats.p99;
-            }
-        }
-        real_table.add_row({policy_name(policy), util::format_double(best, 4),
-                            util::format_double(lock_wait, 4),
-                            util::format_double(p99 * 1e6, 2)});
     }
-    minimpi::set_lock_policy(original);
+    real_table.add_row({util::format_double(best, 4), util::format_double(lock_wait, 4),
+                        util::format_double(p99 * 1e6, 2)});
     std::cout << "\nReal thread-backed run (SS+SS, 2 nodes x 8 ranks, "
               << kRealIterations << " iterations, best of 3):\n";
     if (cli.get_flag("csv")) {
@@ -153,9 +129,6 @@ int main(int argc, char** argv) {
     } else {
         real_table.print(std::cout);
     }
-    std::cout << "\nExpected: backoff at or below naive polling (well below when the\n"
-                 "host is oversubscribed), both within reach of the blocking baseline\n"
-                 "an RMA agent cannot use.\n";
     try {
         bench::maybe_write_json(cli, json);
     } catch (const std::exception& e) {

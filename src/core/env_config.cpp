@@ -242,19 +242,6 @@ HierConfig schedule_from_env(const HierConfig& fallback) {
     return fallback;
 }
 
-Approach approach_from_env(Approach fallback) {
-    const char* value = std::getenv("HDLS_APPROACH");
-    if (value == nullptr) {
-        return fallback;
-    }
-    if (const auto a = parse_approach(value)) {
-        return *a;
-    }
-    util::log_warn("HDLS_APPROACH='", value, "' is malformed; using ",
-                   approach_name(fallback));
-    return fallback;
-}
-
 bool trace_from_env(bool fallback) {
     const char* value = std::getenv("HDLS_TRACE");
     if (value == nullptr) {

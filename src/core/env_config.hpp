@@ -17,7 +17,6 @@
 ///
 /// The environment variables (the schedule(runtime) analogue):
 ///     HDLS_SCHEDULE       — combination string as above
-///     HDLS_APPROACH       — approach string as above
 ///     HDLS_TRACE          — "1"/"on"/"true" enables chunk-event tracing
 ///     HDLS_INTER_BACKEND  — "centralized" | "sharded" inter-level backend
 ///     HDLS_TOPOLOGY       — machine tree as above
@@ -43,8 +42,8 @@
 ///     HDLS_CHAOS          — fault injection: "kill:<rank>@<pct>%" fail-stops
 ///                           a rank at a loop-progress fraction (chaos tests)
 ///
-/// Malformed HDLS_SCHEDULE / HDLS_APPROACH / HDLS_TRACE fall back with a
-/// warning (mirroring how OpenMP runtimes treat bad OMP_SCHEDULE values);
+/// Malformed HDLS_SCHEDULE / HDLS_TRACE fall back with a warning
+/// (mirroring how OpenMP runtimes treat bad OMP_SCHEDULE values);
 /// every other malformed knob — HDLS_TOPOLOGY / HDLS_INTER_BACKEND /
 /// HDLS_PREFETCH / HDLS_METRICS / HDLS_METRICS_PERIOD_MS / HDLS_TRANSPORT /
 /// HDLS_SIMD / HDLS_PIN / HDLS_LEASE / HDLS_LEASE_K /
@@ -92,9 +91,6 @@ namespace hdls::core {
 /// Reads HDLS_SCHEDULE; falls back to `fallback` when unset or malformed
 /// (malformed values are reported via util::log_warn).
 [[nodiscard]] HierConfig schedule_from_env(const HierConfig& fallback = HierConfig{});
-
-/// Reads HDLS_APPROACH; same fallback contract.
-[[nodiscard]] Approach approach_from_env(Approach fallback = Approach::MpiMpi);
 
 /// Reads HDLS_TRACE ("1"/"on"/"true"/"yes" enable, "0"/"off"/"false"/"no"
 /// disable, case-insensitive); same fallback contract.

@@ -73,17 +73,6 @@ public:
                                                  minimpi::AccumulateOp::Sum);
     }
 
-    /// Nonblocking begin_refill(): posts the in-flight announcement as a
-    /// request-based window op (Window::start_atomic_update) and returns
-    /// the handle. The caller must complete it — wait() — before touching
-    /// the parent level (the announcement-precedes-parent ordering of the
-    /// termination protocol), but may overlap anything else first; that is
-    /// the prefetcher's issue path.
-    [[nodiscard]] minimpi::AtomicUpdateRequest<std::int64_t> begin_refill_async() {
-        return window_.start_atomic_update<std::int64_t>(
-            kHost, inflight_, [](std::int64_t v) { return v + 1; });
-    }
-
     /// Withdraw the announcement (the parent turned out to be empty).
     void end_refill() {
         (void)window_.fetch_and_op<std::int64_t>(-1, kHost, inflight_,

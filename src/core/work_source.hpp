@@ -187,7 +187,7 @@ private:
                 return as_chunk(*sub);
             }
             // Queue drained: this rank happens to be the fastest — refill.
-            const Refill r = refill(/*async=*/false);
+            const Refill r = refill();
             if (r.sub) {
                 return as_chunk(*r.sub);
             }
@@ -206,8 +206,8 @@ private:
 
     /// Starts the next acquisition while the caller executes the chunk
     /// just returned (the double buffer's back side). One non-spinning
-    /// pass: pop the level queue; on empty, refill from the parent with a
-    /// nonblocking announcement. Never blocks on peers: an empty parent
+    /// pass: pop the level queue; on empty, run the synchronous path's
+    /// refill transaction. Never blocks on peers: an empty parent
     /// simply leaves the slot empty (the next try_acquire falls back to
     /// the synchronous path, which owns the termination protocol). When
     /// the root is adaptive (wants_feedback) the refill boundary is NOT
@@ -228,7 +228,7 @@ private:
         if (parent_.wants_feedback()) {
             return;  // adaptive root: the refill must follow the flush
         }
-        const Refill r = refill(/*async=*/true);
+        const Refill r = refill();
         slot_fill_seconds_ = probe_.now() - fill_t0;
         if (r.sub) {
             slot_ = as_chunk(*r.sub);
@@ -248,22 +248,13 @@ private:
     /// push it and pop this rank's sub-chunk — or withdraw the
     /// announcement when the parent is exhausted. The announcement always
     /// lands before the parent is touched (the termination protocol's
-    /// ordering). `async` posts it as a nonblocking window op
-    /// (begin_refill_async) that flies while the trace marker and the
-    /// callback run (the prefetch path); otherwise it is the blocking
-    /// begin_refill().
-    [[nodiscard]] Refill refill(bool async) {
-        minimpi::AtomicUpdateRequest<std::int64_t> announce;
-        if (async) {
-            announce = local_.begin_refill_async();
-        } else {
-            local_.begin_refill();
-        }
+    /// ordering).
+    [[nodiscard]] Refill refill() {
+        local_.begin_refill();
         probe_.refill_begin();
         if (before_refill_) {
             before_refill_();
         }
-        (void)announce.wait();
         const double acq_t0 = probe_.now();
         const auto par_t0 = clock_.now();
         const auto chunk = parent_.try_acquire();

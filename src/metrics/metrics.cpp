@@ -4,16 +4,6 @@
 
 namespace hdls::metrics {
 
-namespace {
-
-std::atomic<bool> g_enabled{true};
-
-}  // namespace
-
-void set_enabled(bool on) noexcept { g_enabled.store(on, std::memory_order_relaxed); }
-
-bool enabled() noexcept { return g_enabled.load(std::memory_order_relaxed); }
-
 namespace detail {
 
 unsigned shard_index() noexcept {
@@ -22,8 +12,6 @@ unsigned shard_index() noexcept {
         next.fetch_add(1, std::memory_order_relaxed) & (kShards - 1);
     return idx;
 }
-
-bool metrics_on() noexcept { return g_enabled.load(std::memory_order_relaxed); }
 
 }  // namespace detail
 
@@ -229,9 +217,6 @@ RuntimeMetrics make_runtime_metrics() {
                                            "Scheduler yields taken by the backoff ladder");
     m.window_backoff_sleeps = &reg.counter("hdls_window_backoff_sleeps_total",
                                            "Timed sleeps taken by the backoff ladder");
-    m.window_requests_completed =
-        &reg.counter("hdls_window_requests_completed_total",
-                     "Nonblocking atomic-update requests completed");
 
     // Family-major: all levels of one family before the next, so the
     // snapshot (and hence the exposition file) keeps each family's label

@@ -42,12 +42,6 @@ inline constexpr unsigned kShards = 16;
 /// levels fold into the last label — see RuntimeMetrics::level_index).
 inline constexpr int kMaxLevels = 8;
 
-/// Process-wide kill switch for A/B overhead measurements (benches flip it
-/// to quantify the cost of the always-on instrumentation; production code
-/// never touches it). Checked with one relaxed load on every increment.
-void set_enabled(bool on) noexcept;
-[[nodiscard]] bool enabled() noexcept;
-
 namespace detail {
 
 struct alignas(64) PaddedCell {
@@ -56,8 +50,6 @@ struct alignas(64) PaddedCell {
 
 /// This thread's shard slot, assigned round-robin on first use.
 [[nodiscard]] unsigned shard_index() noexcept;
-
-[[nodiscard]] bool metrics_on() noexcept;
 
 }  // namespace detail
 
@@ -69,9 +61,6 @@ public:
     Counter& operator=(const Counter&) = delete;
 
     void inc(std::uint64_t n = 1) noexcept {
-        if (!detail::metrics_on()) {
-            return;
-        }
         shards_[detail::shard_index()].v.fetch_add(n, std::memory_order_relaxed);
     }
 
@@ -134,9 +123,6 @@ public:
     }
 
     void observe(std::uint64_t v) noexcept {
-        if (!detail::metrics_on()) {
-            return;
-        }
         Shard& s = shards_[detail::shard_index()];
         s.buckets[static_cast<std::size_t>(bucket_of(v))].fetch_add(
             1, std::memory_order_relaxed);
@@ -279,12 +265,11 @@ private:
 /// ("Observability") for the full name/label schema.
 struct RuntimeMetrics {
     // minimpi::Window — passive-target RMA synchronization.
-    Counter* window_locks;               ///< lock epochs opened
-    Counter* window_lock_retries;        ///< failed lock-attempt polls
-    Counter* window_cas_retries;         ///< failed compare-and-swap attempts
-    Counter* window_backoff_yields;      ///< Backoff ladder scheduler yields
-    Counter* window_backoff_sleeps;      ///< Backoff ladder timed sleeps
-    Counter* window_requests_completed;  ///< nonblocking request completions
+    Counter* window_locks;           ///< lock epochs opened
+    Counter* window_lock_retries;    ///< failed lock-attempt polls
+    Counter* window_cas_retries;     ///< failed compare-and-swap attempts
+    Counter* window_backoff_yields;  ///< Backoff ladder scheduler yields
+    Counter* window_backoff_sleeps;  ///< Backoff ladder timed sleeps
 
     // core — the WorkSource hierarchy, one family entry per level.
     std::array<Counter*, kMaxLevels> acquires;   ///< parent chunks pulled (owned)

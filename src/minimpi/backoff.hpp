@@ -1,48 +1,25 @@
 #pragma once
 /// \file backoff.hpp
-/// Lock-polling policy of the passive-target windows.
+/// The wait ladder of the passive-target windows and the shm mailbox.
 ///
 /// MPI_Win_lock on a contended target is a polling protocol: a blocked
 /// origin re-sends lock-attempt messages until the target grants the
 /// epoch (Zhao, Balaji & Gropp, ISPDC'16 — the cost the paper's intra-node
 /// SS discussion revolves around). The thread-backed runtime mirrors that
-/// with a try_lock polling loop, whose retry cadence is selectable:
-///
-///  * Spin    — naive polling: retry immediately after a yield, the
-///              closest analogue of a fixed-period lock-attempt storm;
-///  * Backoff — exponential pause/yield/sleep ladder (the default): a few
-///              cache-polite pause spins for short holds, then scheduler
-///              yields, then exponentially growing sleeps capped in the
-///              hundreds of microseconds — contended handoffs stop
-///              hammering the lock line and the waiters' attempt traffic
-///              collapses (bench_ablation_lock_polling measures the
-///              difference);
-///  * Block   — hand the wait to the OS primitive entirely (no polling;
-///              not what an MPI RMA agent can do, kept for comparison).
-///
-/// The policy is process-global and meant to be set once at startup (or
-/// flipped between runs by benches); reads are a relaxed atomic load on
-/// the uncontended fast path.
+/// with one try_lock polling loop (Window::lock) that calls
+/// Backoff::pause() after every failed attempt: a few cache-polite pause
+/// spins for short holds, then scheduler yields, then exponentially
+/// growing sleeps capped in the hundreds of microseconds, so contended
+/// handoffs stop hammering the lock line (bench_ablation_lock_polling
+/// measures the loop). The shm mailbox waits on the same ladder; the
+/// lease drain spins on cpu_relax().
 
-#include <atomic>
 #include <chrono>
 #include <thread>
 
 #include "metrics/metrics.hpp"
 
 namespace minimpi {
-
-enum class LockPolicy {
-    Spin,     ///< yield-and-retry every iteration
-    Backoff,  ///< exponential pause/yield/sleep ladder (default)
-    Block,    ///< blocking OS lock, no polling
-};
-
-/// Current window lock-acquisition policy (default LockPolicy::Backoff).
-[[nodiscard]] LockPolicy lock_policy() noexcept;
-
-/// Replaces the policy for subsequent Window::lock calls.
-void set_lock_policy(LockPolicy policy) noexcept;
 
 /// One spin-wait hint to the core (x86 pause, AArch64 yield): a polling
 /// loop calls it between reads of the word it waits on.

@@ -15,10 +15,8 @@
 /// Not part of the public API.
 
 #include <atomic>
-#include <chrono>
 #include <cstdint>
 
-#include "minimpi/backoff.hpp"
 #include "minimpi/types.hpp"
 
 namespace minimpi::detail {
@@ -42,21 +40,6 @@ inline constexpr std::uint32_t kEpochWriterBit = 0x8000'0000U;
         }
     }
     return false;
-}
-
-/// A bounded "blocking" slice: no OS primitive backs the word, so block
-/// means try on the Backoff ladder until the deadline.
-[[nodiscard]] inline bool epoch_try_lock_bounded(std::atomic<std::uint32_t>& word, LockType type,
-                                                 std::chrono::milliseconds timeout) noexcept {
-    const auto deadline = std::chrono::steady_clock::now() + timeout;
-    Backoff backoff;
-    while (!epoch_try_lock(word, type)) {
-        if (std::chrono::steady_clock::now() >= deadline) {
-            return false;
-        }
-        backoff.pause();
-    }
-    return true;
 }
 
 inline void epoch_unlock(std::atomic<std::uint32_t>& word, LockType type) noexcept {

@@ -23,14 +23,14 @@
 ///  * collective messages matched exactly on (communicator, source,
 ///    phase, sequence number); a push returns once enqueued, or blocks
 ///    while a bounded mailbox is full (Mailbox),
-///  * passive-target epochs + element-wise atomics + request-based
-///    nonblocking CAS (WindowStorage and the Window built on it),
+///  * passive-target epochs + element-wise integral atomics (WindowStorage
+///    and the Window built on it); a storage offers only a non-blocking
+///    try_lock, and Window::lock is the one wait loop over it,
 ///  * abort propagation: every blocking primitive observes a peer failure
 ///    in bounded time and throws ErrorCode::Aborted (mailbox waits poll
-///    the runtime flag, window lock acquisition polls it between attempts,
-///    and LockPolicy::Block waits are bounded try-lock slices).
+///    the runtime flag; window lock acquisition polls it between
+///    try_lock attempts).
 
-#include <chrono>
 #include <cstddef>
 #include <cstdint>
 #include <memory>
@@ -77,12 +77,6 @@ public:
 
     /// One non-blocking epoch-acquisition attempt on `rank`'s lock.
     [[nodiscard]] virtual bool try_lock(int rank, LockType type) noexcept = 0;
-
-    /// One *bounded* blocking attempt (LockPolicy::Block): may park the
-    /// caller in the OS, but must return within roughly `timeout` either
-    /// way, so the acquire loop can poll abort between slices.
-    [[nodiscard]] virtual bool try_lock_bounded(int rank, LockType type,
-                                                std::chrono::milliseconds timeout) noexcept = 0;
 
     virtual void unlock(int rank, LockType type) noexcept = 0;
 };

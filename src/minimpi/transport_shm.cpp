@@ -331,11 +331,6 @@ bool ShmWindowStorage::try_lock(int rank, LockType type) noexcept {
     return epoch_try_lock(lock_word(words_, rank), type);
 }
 
-bool ShmWindowStorage::try_lock_bounded(int rank, LockType type,
-                                        std::chrono::milliseconds timeout) noexcept {
-    return epoch_try_lock_bounded(lock_word(words_, rank), type, timeout);
-}
-
 void ShmWindowStorage::unlock(int rank, LockType type) noexcept {
     epoch_unlock(lock_word(words_, rank), type);
 }

@@ -64,11 +64,6 @@ bool ThreadWindowStorage::try_lock(int rank, LockType type) noexcept {
     return epoch_try_lock(locks_[static_cast<std::size_t>(rank)].word, type);
 }
 
-bool ThreadWindowStorage::try_lock_bounded(int rank, LockType type,
-                                           std::chrono::milliseconds timeout) noexcept {
-    return epoch_try_lock_bounded(locks_[static_cast<std::size_t>(rank)].word, type, timeout);
-}
-
 void ThreadWindowStorage::unlock(int rank, LockType type) noexcept {
     epoch_unlock(locks_[static_cast<std::size_t>(rank)].word, type);
 }

@@ -53,12 +53,11 @@ enum class SplitType {
 /// Passive-target lock type (MPI_LOCK_EXCLUSIVE / MPI_LOCK_SHARED).
 enum class LockType { Exclusive, Shared };
 
-/// Element-wise atomic op for Window::fetch_and_op (subset of MPI_Op).
+/// Element-wise atomic op for Window::fetch_and_op (the subset of MPI_Op
+/// the scheduling protocols use).
 enum class AccumulateOp {
     Sum,      ///< MPI_SUM
     Replace,  ///< MPI_REPLACE
-    Min,      ///< MPI_MIN
-    Max,      ///< MPI_MAX
     NoOp,     ///< MPI_NO_OP — atomic read
 };
 

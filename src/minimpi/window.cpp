@@ -4,7 +4,6 @@
 #include "minimpi/window.hpp"
 
 #include <algorithm>
-#include <chrono>
 
 #include "minimpi/backoff.hpp"
 
@@ -17,56 +16,23 @@ constexpr std::size_t kSegmentAlign = 64;  // cache-line align each rank's segme
     return (v + kSegmentAlign - 1) / kSegmentAlign * kSegmentAlign;
 }
 
-std::atomic<LockPolicy> g_lock_policy{LockPolicy::Backoff};
-
-/// How long one LockPolicy::Block slice may park in the OS before the
-/// acquire loop looks at the abort flag again.
-constexpr std::chrono::milliseconds kBlockSlice{50};
-
-/// Acquires an epoch on `storage` via the configured polling discipline.
-/// Every discipline — including Block, whose waits are bounded try-lock
-/// slices — polls the runtime abort flag between attempts, so a rank
-/// contending for a lock a failed peer still holds throws Aborted in
-/// bounded time instead of hanging. Every epoch counts one
-/// hdls_window_locks_total; each failed attempt (or expired Block slice)
-/// is a hdls_window_lock_retries_total.
+/// Acquires an epoch on `storage`: one try_lock per attempt, the Backoff
+/// ladder between attempts, and the runtime abort flag polled before each
+/// retry, so a rank contending for a lock a failed peer still holds throws
+/// Aborted in bounded time instead of hanging. Every epoch counts one
+/// hdls_window_locks_total; each failed attempt is a
+/// hdls_window_lock_retries_total.
 void acquire_polled(const detail::RuntimeState& state, detail::WindowStorage& storage,
                     int target_rank, LockType type) {
     hdls::metrics::rt().window_locks->inc();
-    switch (g_lock_policy.load(std::memory_order_relaxed)) {
-        case LockPolicy::Block:
-            while (!storage.try_lock_bounded(target_rank, type, kBlockSlice)) {
-                state.check_abort();
-                hdls::metrics::rt().window_lock_retries->inc();
-            }
-            return;
-        case LockPolicy::Spin:
-            while (!storage.try_lock(target_rank, type)) {
-                state.check_abort();
-                hdls::metrics::rt().window_lock_retries->inc();
-                std::this_thread::yield();
-            }
-            return;
-        case LockPolicy::Backoff: {
-            Backoff backoff;
-            while (!storage.try_lock(target_rank, type)) {
-                state.check_abort();
-                hdls::metrics::rt().window_lock_retries->inc();
-                backoff.pause();
-            }
-            return;
-        }
+    Backoff backoff;
+    while (!storage.try_lock(target_rank, type)) {
+        state.check_abort();
+        hdls::metrics::rt().window_lock_retries->inc();
+        backoff.pause();
     }
 }
 }  // namespace
-
-LockPolicy lock_policy() noexcept {
-    return g_lock_policy.load(std::memory_order_relaxed);
-}
-
-void set_lock_policy(LockPolicy policy) noexcept {
-    g_lock_policy.store(policy, std::memory_order_relaxed);
-}
 
 Window Window::allocate_shared(const Comm& comm, std::size_t local_bytes) {
     if (!comm.valid()) {

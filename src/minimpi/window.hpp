@@ -14,7 +14,10 @@
 ///  * fetch_and_op / compare_and_swap are element-wise atomic with respect
 ///    to every other accumulate access to the same location, regardless of
 ///    locks — exactly the property the distributed chunk-calculation
-///    protocol relies on.
+///    protocol relies on. Every accumulate is on an integral element and
+///    blocking: the paper's scheduling needs only MPI_SUM, MPI_REPLACE,
+///    MPI_NO_OP and MPI_Compare_and_swap, and a thread-backed runtime has
+///    no flight time for a request form to hide.
 ///  * sync orders memory accesses (mapped to a seq-cst fence here).
 ///
 /// The backing store and the lock table live behind the transport seam
@@ -25,83 +28,15 @@
 /// only computes offsets and enforces epoch/abort semantics.
 
 #include <atomic>
-#include <functional>
 #include <memory>
-#include <optional>
 #include <span>
 #include <unordered_map>
 
-#include "minimpi/backoff.hpp"
+#include "metrics/metrics.hpp"
 #include "minimpi/comm.hpp"
 #include "minimpi/transport.hpp"
 
 namespace minimpi {
-
-/// Request handle of a nonblocking CAS-retry transform (the request-based
-/// RMA shape of MPI_Rget_accumulate + MPI_Test/MPI_Wait): the origin
-/// issues the update with Window::start_atomic_update, overlaps whatever
-/// it likes, and completes through test()/wait(). Each test() makes
-/// exactly one compare-and-swap attempt — a failed attempt refreshes the
-/// expected value and advances the Backoff ladder, so a polling origin
-/// degrades as gracefully as a blocked Window::lock origin does.
-///
-/// A default-constructed request is already complete (the empty request,
-/// MPI_REQUEST_NULL): test() is true, wait() returns T{}.
-template <typename T>
-class AtomicUpdateRequest {
-public:
-    AtomicUpdateRequest() = default;
-
-    /// True once the update has been applied (the empty request counts as
-    /// complete).
-    [[nodiscard]] bool done() const noexcept { return done_; }
-
-    /// One completion attempt: applies f to the freshest observed value
-    /// via compare-and-swap. Returns true when the update landed; on
-    /// contention records the new observed value, backs off once and
-    /// returns false. `f` may thus be evaluated several times and must be
-    /// side-effect free (the atomic_update contract). Throws
-    /// ErrorCode::Aborted if the runtime is unwinding — a pending request
-    /// never spins past a peer failure.
-    bool test() {
-        if (done_) {
-            return true;
-        }
-        if (const auto applied = attempt_()) {
-            result_ = *applied;
-            done_ = true;
-            hdls::metrics::rt().window_requests_completed->inc();
-            return true;
-        }
-        hdls::metrics::rt().window_cas_retries->inc();
-        backoff_.pause();
-        return false;
-    }
-
-    /// Drives test() to completion and returns the value the update was
-    /// applied to (the fetch result, as Window::atomic_update returns).
-    T wait() {
-        while (!test()) {
-        }
-        return result_;
-    }
-
-    /// The fetch result; only meaningful once done().
-    [[nodiscard]] T result() const noexcept { return result_; }
-
-private:
-    friend class Window;
-    /// `attempt` performs one CAS try, owning the in-progress state (the
-    /// last observed value) in its closure; an engaged return is the value
-    /// the transform was applied to.
-    explicit AtomicUpdateRequest(std::function<std::optional<T>()> attempt)
-        : attempt_(std::move(attempt)), done_(false) {}
-
-    std::function<std::optional<T>()> attempt_;
-    bool done_ = true;
-    T result_{};
-    Backoff backoff_;
-};
 
 namespace detail {
 
@@ -215,9 +150,9 @@ public:
 
     /// Opens an access epoch on `target_rank` (MPI_Win_lock). Exclusive
     /// epochs are mutually exclusive per target; Shared epochs admit
-    /// concurrent holders. Acquisition polls the runtime abort flag
-    /// between attempts (under every LockPolicy, including Block), so a
-    /// rank contending for an epoch a failed peer still holds unwinds
+    /// concurrent holders. Acquisition is one try_lock polling loop on the
+    /// Backoff ladder that checks the runtime abort flag between attempts,
+    /// so a rank contending for an epoch a failed peer still holds unwinds
     /// with ErrorCode::Aborted instead of hanging.
     void lock(LockType type, int target_rank) const;
 
@@ -227,42 +162,20 @@ public:
 
     // ------------------------------------------------------ accumulate ----
 
-    /// Atomically applies `op` to the element at `elem_offset` (in units of
-    /// T) of `target_rank`'s segment and returns the *previous* value
-    /// (MPI_Fetch_and_op).
+    /// Atomically applies `op` to the integral element at `elem_offset` (in
+    /// units of T) of `target_rank`'s segment and returns the *previous*
+    /// value (MPI_Fetch_and_op).
     template <Pod T>
     T fetch_and_op(T operand, int target_rank, std::size_t elem_offset, AccumulateOp op) const
-        requires std::is_arithmetic_v<T>
+        requires std::is_integral_v<T>
     {
         T* addr = checked_address<T>(target_rank, elem_offset);
         std::atomic_ref<T> cell(*addr);
         switch (op) {
             case AccumulateOp::Sum:
-                if constexpr (std::is_integral_v<T>) {
-                    return cell.fetch_add(operand, std::memory_order_acq_rel);
-                } else {
-                    T old = cell.load(std::memory_order_acquire);
-                    while (!cell.compare_exchange_weak(old, static_cast<T>(old + operand),
-                                                       std::memory_order_acq_rel)) {
-                    }
-                    return old;
-                }
+                return cell.fetch_add(operand, std::memory_order_acq_rel);
             case AccumulateOp::Replace:
                 return cell.exchange(operand, std::memory_order_acq_rel);
-            case AccumulateOp::Min: {
-                T old = cell.load(std::memory_order_acquire);
-                while (operand < old && !cell.compare_exchange_weak(old, operand,
-                                                                    std::memory_order_acq_rel)) {
-                }
-                return old;
-            }
-            case AccumulateOp::Max: {
-                T old = cell.load(std::memory_order_acquire);
-                while (operand > old && !cell.compare_exchange_weak(old, operand,
-                                                                    std::memory_order_acq_rel)) {
-                }
-                return old;
-            }
             case AccumulateOp::NoOp:
                 return cell.load(std::memory_order_acquire);
         }
@@ -272,7 +185,7 @@ public:
     /// Atomic read (MPI_Fetch_and_op with MPI_NO_OP).
     template <Pod T>
     [[nodiscard]] T atomic_read(int target_rank, std::size_t elem_offset) const
-        requires std::is_arithmetic_v<T>
+        requires std::is_integral_v<T>
     {
         return fetch_and_op<T>(T{}, target_rank, elem_offset, AccumulateOp::NoOp);
     }
@@ -280,7 +193,7 @@ public:
     /// Atomic write (MPI_Accumulate with MPI_REPLACE).
     template <Pod T>
     void atomic_write(T value, int target_rank, std::size_t elem_offset) const
-        requires std::is_arithmetic_v<T>
+        requires std::is_integral_v<T>
     {
         (void)fetch_and_op<T>(value, target_rank, elem_offset, AccumulateOp::Replace);
     }
@@ -322,42 +235,6 @@ public:
             hdls::metrics::rt().window_cas_retries->inc();
             old = prev;
         }
-    }
-
-    /// Nonblocking atomic_update (the request form: MPI_Rget_accumulate +
-    /// MPI_Test/MPI_Wait): issues the CAS-retry transform and returns its
-    /// request handle instead of spinning to completion. The origin may
-    /// overlap computation or other communication and complete the update
-    /// later via the handle's test()/wait(); contended completions retry
-    /// one CAS per test() under the same Backoff ladder as a blocked
-    /// Window::lock, and every attempt observes the runtime abort flag.
-    /// The returned handle keeps the window alive; `f` must be side-effect
-    /// free (it may run once per completion attempt).
-    template <Pod T, typename F>
-    [[nodiscard]] AtomicUpdateRequest<T> start_atomic_update(int target_rank,
-                                                             std::size_t elem_offset,
-                                                             F f) const
-        requires std::is_integral_v<T>
-    {
-        // Validate the access eagerly: a bad target/offset must throw at
-        // issue time, not at first test().
-        (void)checked_address<T>(target_rank, elem_offset);
-        return AtomicUpdateRequest<T>(
-            [win = *this, target_rank, elem_offset, f = std::move(f),
-             observed = std::optional<T>{}]() mutable -> std::optional<T> {
-                win.comm_.state_->check_abort();
-                if (!observed) {
-                    observed = win.template atomic_read<T>(target_rank, elem_offset);
-                }
-                const T desired = static_cast<T>(f(*observed));
-                const T prev = win.template compare_and_swap<T>(*observed, desired,
-                                                                target_rank, elem_offset);
-                if (prev == *observed) {
-                    return *observed;
-                }
-                observed = prev;  // refreshed for the next attempt
-                return std::nullopt;
-            });
     }
 
     // ------------------------------------------------------ completion ----

@@ -20,51 +20,26 @@
 
 namespace hdls::util {
 
-/// Locality hints mirroring __builtin_prefetch's third argument.
-enum class PrefetchLocality : int {
-    None = 0,  ///< streamed once, evict early (NTA)
-    Low = 1,
-    Moderate = 2,
-    High = 3,  ///< keep in all cache levels
-};
-
-/// Prefetches the line containing `p` for a future read. `p` may point
-/// anywhere (including past the end of an allocation): the address is
-/// never dereferenced.
+/// Prefetches the line containing `p` for a future read, keeping it in
+/// every cache level (locality hint 3). `p` may point anywhere (including
+/// past the end of an allocation): the address is never dereferenced.
 template <typename T>
-inline void prefetch_read(const T* p,
-                          PrefetchLocality locality = PrefetchLocality::High) noexcept {
+inline void prefetch_read(const T* p) noexcept {
 #if defined(__GNUC__) || defined(__clang__)
-    switch (locality) {
-        case PrefetchLocality::None:
-            __builtin_prefetch(static_cast<const void*>(p), 0, 0);
-            break;
-        case PrefetchLocality::Low:
-            __builtin_prefetch(static_cast<const void*>(p), 0, 1);
-            break;
-        case PrefetchLocality::Moderate:
-            __builtin_prefetch(static_cast<const void*>(p), 0, 2);
-            break;
-        case PrefetchLocality::High:
-            __builtin_prefetch(static_cast<const void*>(p), 0, 3);
-            break;
-    }
+    __builtin_prefetch(static_cast<const void*>(p), 0, 3);
 #else
     (void)p;
-    (void)locality;
 #endif
 }
 
 /// Prefetches the line containing `p` for a future write (read-for-
-/// ownership on coherent systems).
+/// ownership on coherent systems), locality hint 3 as prefetch_read.
 template <typename T>
-inline void prefetch_write(T* p,
-                           PrefetchLocality locality = PrefetchLocality::High) noexcept {
+inline void prefetch_write(T* p) noexcept {
 #if defined(__GNUC__) || defined(__clang__)
-    __builtin_prefetch(static_cast<const void*>(p), 1, static_cast<int>(locality));
+    __builtin_prefetch(static_cast<const void*>(p), 1, 3);
 #else
     (void)p;
-    (void)locality;
 #endif
 }
 

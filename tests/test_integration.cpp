@@ -194,13 +194,6 @@ TEST(EnvConfigTest, EnvironmentOverridesAndFallbacks) {
     ::unsetenv("HDLS_SCHEDULE");
     const auto unset = hdls::core::schedule_from_env(fallback);
     EXPECT_EQ(unset.intra, Technique::Static);
-
-    ::setenv("HDLS_APPROACH", "MPI+OpenMP", 1);
-    EXPECT_EQ(hdls::core::approach_from_env(), hdls::core::Approach::MpiOpenMp);
-    ::setenv("HDLS_APPROACH", "bogus", 1);
-    EXPECT_EQ(hdls::core::approach_from_env(hdls::core::Approach::MpiMpi),
-              hdls::core::Approach::MpiMpi);
-    ::unsetenv("HDLS_APPROACH");
 }
 
 TEST(EnvConfigTest, EnvSelectedScheduleRunsEndToEnd) {
@@ -208,7 +201,7 @@ TEST(EnvConfigTest, EnvSelectedScheduleRunsEndToEnd) {
     const auto cfg = hdls::core::schedule_from_env();
     std::atomic<std::int64_t> count{0};
     const auto report = hdls::parallel_for(
-        hdls::core::ClusterShape{2, 2}, hdls::core::approach_from_env(), cfg, 500,
+        hdls::core::ClusterShape{2, 2}, hdls::core::Approach::MpiMpi, cfg, 500,
         [&](std::int64_t b, std::int64_t e) { count.fetch_add(e - b); });
     EXPECT_EQ(count.load(), 500);
     EXPECT_EQ(report.inter, Technique::FAC2);

@@ -181,20 +181,6 @@ TEST(MetricsTest, SnapshotDeltaSubtractsCountersAndKeepsGauges) {
     EXPECT_EQ(delta.histogram_sum("t_ns"), 300u);
 }
 
-TEST(MetricsTest, DisableSwitchTurnsIncrementsOff) {
-    MetricsRegistry reg;
-    Counter& c = reg.counter("t_total", "t");
-    Histogram& h = reg.histogram("t_ns", "h");
-    metrics::set_enabled(false);
-    c.inc();
-    h.observe(5);
-    metrics::set_enabled(true);
-    EXPECT_EQ(c.value(), 0u);
-    EXPECT_EQ(h.count(), 0u);
-    c.inc();
-    EXPECT_EQ(c.value(), 1u);
-}
-
 // ---------------------------------------------------------------- exposition
 
 TEST(MetricsTest, PrometheusExpositionMatchesGoldenFormat) {

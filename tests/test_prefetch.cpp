@@ -1,10 +1,10 @@
 /// \file test_prefetch.cpp
-/// Asynchronous chunk prefetching: the nonblocking window request
-/// primitive, exact-tiling/replay-parity across the technique x depth x
-/// backend grid (prefetch on vs off), termination with a prefetched chunk
-/// outstanding, the HDLS_PREFETCH knob, trace hit/miss accounting, and the
-/// simulators' overlap-aware pricing (deterministic, never slower, chunk
-/// sequences unchanged). Plus the bench JSON report schema.
+/// Asynchronous chunk prefetching: exact-tiling/replay-parity across the
+/// technique x depth x backend grid (prefetch on vs off), termination with
+/// a prefetched chunk outstanding, the HDLS_PREFETCH knob, trace hit/miss
+/// accounting, and the simulators' overlap-aware pricing (deterministic,
+/// never slower, chunk sequences unchanged). Plus the bench JSON report
+/// schema.
 
 #include <gtest/gtest.h>
 
@@ -32,80 +32,6 @@ using hdls::core::LevelConfig;
 using hdls::dls::InterBackend;
 using hdls::dls::Technique;
 using minimpi::TopologyLevel;
-
-// ---------------------------------------------------------------- minimpi --
-
-TEST(AtomicUpdateRequestTest, EmptyRequestIsComplete) {
-    minimpi::AtomicUpdateRequest<std::int64_t> req;
-    EXPECT_TRUE(req.done());
-    EXPECT_TRUE(req.test());
-    EXPECT_EQ(req.wait(), 0);
-}
-
-TEST(AtomicUpdateRequestTest, StartTestWaitAppliesTheTransform) {
-    minimpi::Runtime::run(2, [](minimpi::Context& ctx) {
-        const minimpi::Comm& w = ctx.world();
-        minimpi::Window win = minimpi::Window::allocate_shared(
-            w, ctx.rank() == 0 ? sizeof(std::int64_t) : 0);
-        if (ctx.rank() == 0) {
-            win.shared_span<std::int64_t>(0)[0] = 40;
-        }
-        w.barrier();
-        if (ctx.rank() == 1) {
-            auto req = win.start_atomic_update<std::int64_t>(
-                0, 0, [](std::int64_t v) { return v + 2; });
-            EXPECT_FALSE(req.done());
-            const std::int64_t applied_to = req.wait();
-            EXPECT_TRUE(req.done());
-            EXPECT_EQ(applied_to, 40);
-            EXPECT_EQ(req.result(), 40);
-            EXPECT_EQ(win.atomic_read<std::int64_t>(0, 0), 42);
-            // Completing an already-complete request is a no-op.
-            EXPECT_TRUE(req.test());
-            EXPECT_EQ(req.wait(), 40);
-        }
-        w.barrier();
-        win.free();
-    });
-}
-
-TEST(AtomicUpdateRequestTest, OutOfRangeAccessThrowsAtIssueTime) {
-    minimpi::Runtime::run(1, [](minimpi::Context& ctx) {
-        const minimpi::Comm& w = ctx.world();
-        minimpi::Window win = minimpi::Window::allocate_shared(w, sizeof(std::int64_t));
-        EXPECT_THROW((void)win.start_atomic_update<std::int64_t>(
-                         0, 99, [](std::int64_t v) { return v; }),
-                     minimpi::Error);
-        w.barrier();
-        win.free();
-    });
-}
-
-TEST(AtomicUpdateRequestTest, ConcurrentRequestsLoseNoUpdate) {
-    constexpr int kRanks = 8;
-    constexpr int kUpdates = 500;
-    minimpi::Runtime::run(kRanks, [](minimpi::Context& ctx) {
-        const minimpi::Comm& w = ctx.world();
-        minimpi::Window win = minimpi::Window::allocate_shared(
-            w, ctx.rank() == 0 ? sizeof(std::int64_t) : 0);
-        if (ctx.rank() == 0) {
-            win.shared_span<std::int64_t>(0)[0] = 0;
-        }
-        w.barrier();
-        for (int i = 0; i < kUpdates; ++i) {
-            auto req = win.start_atomic_update<std::int64_t>(
-                0, 0, [](std::int64_t v) { return v + 1; });
-            (void)req.wait();
-        }
-        w.barrier();
-        if (ctx.rank() == 0) {
-            EXPECT_EQ(win.atomic_read<std::int64_t>(0, 0),
-                      static_cast<std::int64_t>(kRanks) * kUpdates);
-        }
-        w.barrier();
-        win.free();
-    });
-}
 
 // ------------------------------------------------------- real executors ----
 

@@ -3,8 +3,8 @@
 /// techniques x (N, cluster shape, weights), concurrent steal storms with
 /// a deliberately slow node, termination with all-but-one node idle, the
 /// shard-partition arithmetic, backend selection (factory fallback, env
-/// knob, report plumbing), sim/real mirroring (Steal events, determinism,
-/// per-acquire latency) and the window lock-polling policies.
+/// knob, report plumbing) and sim/real mirroring (Steal events, determinism,
+/// per-acquire latency).
 
 #include <gtest/gtest.h>
 
@@ -381,37 +381,6 @@ TEST(ShardedSimTest, ShardedAcquiresBeatTheCentralizedQueueAt16Nodes) {
     ASSERT_NE(central.trace, nullptr);
     ASSERT_NE(sharded.trace, nullptr);
     EXPECT_LT(mean_acquire(sharded), mean_acquire(central));
-}
-
-// ------------------------------------------------- lock polling policies
-
-TEST(LockPolicyTest, AllPoliciesScheduleCorrectly) {
-    const minimpi::LockPolicy original = minimpi::lock_policy();
-    for (const minimpi::LockPolicy policy :
-         {minimpi::LockPolicy::Spin, minimpi::LockPolicy::Backoff,
-          minimpi::LockPolicy::Block}) {
-        minimpi::set_lock_policy(policy);
-        EXPECT_EQ(minimpi::lock_policy(), policy);
-        constexpr std::int64_t kN = 2000;
-        std::vector<std::atomic<int>> hits(kN);
-        HierConfig cfg;
-        cfg.inter = Technique::GSS;
-        cfg.intra = Technique::SS;  // one lock epoch per sub-chunk: contended
-        const auto report = hdls::parallel_for(
-            ClusterShape{2, 4}, Approach::MpiMpi, cfg, kN,
-            [&](std::int64_t b, std::int64_t e) {
-                for (std::int64_t i = b; i < e; ++i) {
-                    hits[static_cast<std::size_t>(i)].fetch_add(1,
-                                                                std::memory_order_relaxed);
-                }
-            });
-        EXPECT_EQ(report.executed_iterations(), kN);
-        for (std::int64_t i = 0; i < kN; ++i) {
-            ASSERT_EQ(hits[static_cast<std::size_t>(i)].load(), 1)
-                << "policy " << static_cast<int>(policy) << " iteration " << i;
-        }
-    }
-    minimpi::set_lock_policy(original);
 }
 
 }  // namespace

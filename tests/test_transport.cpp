@@ -5,8 +5,8 @@
 /// atomics, the absolute 64-byte segment-alignment guarantee on both
 /// transports, replay parity of the hierarchical scheduler across
 /// transports, and the peer-failure regressions: abort-polled epoch
-/// acquisition (every LockPolicy), epoch release on local unwind, and
-/// abort-safe Window::free.
+/// acquisition, epoch release on local unwind, and abort-safe
+/// Window::free.
 
 #include <gtest/gtest.h>
 
@@ -40,7 +40,6 @@ using minimpi::Comm;
 using minimpi::Context;
 using minimpi::Error;
 using minimpi::ErrorCode;
-using minimpi::LockPolicy;
 using minimpi::LockType;
 using minimpi::Runtime;
 using minimpi::Topology;
@@ -49,20 +48,6 @@ using minimpi::TransportKind;
 using minimpi::Window;
 
 constexpr TransportKind kBothTransports[] = {TransportKind::Threads, TransportKind::Shm};
-
-/// Restores the previous lock policy even when a test assertion throws.
-class ScopedLockPolicy {
-public:
-    explicit ScopedLockPolicy(LockPolicy policy) : previous_(minimpi::lock_policy()) {
-        minimpi::set_lock_policy(policy);
-    }
-    ~ScopedLockPolicy() { minimpi::set_lock_policy(previous_); }
-    ScopedLockPolicy(const ScopedLockPolicy&) = delete;
-    ScopedLockPolicy& operator=(const ScopedLockPolicy&) = delete;
-
-private:
-    LockPolicy previous_;
-};
 
 // ------------------------------------------------------------ selection ----
 
@@ -230,10 +215,9 @@ TEST(WindowAlignmentTest, EverySegmentIs64ByteAlignedOnBothTransports) {
 /// Rank 1 fails while *keeping* an exclusive epoch open (the handle that
 /// owns the epoch outlives the unwind, as when a handle is stored outside
 /// the failing scope). Every other rank is contending for that epoch and
-/// must unwind with ErrorCode::Aborted in bounded time — under spinning
-/// and blocking lock policies alike — while the primary error surfaces.
-void peer_failure_while_holding_epoch(TransportKind kind, LockPolicy policy) {
-    const ScopedLockPolicy scoped(policy);
+/// must unwind with ErrorCode::Aborted in bounded time while the primary
+/// error surfaces.
+void peer_failure_while_holding_epoch(TransportKind kind) {
     // Keeps rank 1's locked handle alive past its unwind; reset after the
     // run releases the epoch against still-valid storage.
     std::optional<Window> survivor;
@@ -281,48 +265,7 @@ void peer_failure_while_holding_epoch(TransportKind kind, LockPolicy policy) {
 TEST(PeerFailureTest, ContendedExclusiveEpochUnwindsWithAborted) {
     for (const TransportKind kind : kBothTransports) {
         SCOPED_TRACE(minimpi::transport_name(kind));
-        peer_failure_while_holding_epoch(kind, LockPolicy::Backoff);
-    }
-}
-
-TEST(PeerFailureTest, BlockPolicyWaitsAreBoundedByAbort) {
-    // The regression that motivated bounded waits: under LockPolicy::Block
-    // the waiter used to park in the OS with nothing to wake it.
-    for (const TransportKind kind : kBothTransports) {
-        SCOPED_TRACE(minimpi::transport_name(kind));
-        peer_failure_while_holding_epoch(kind, LockPolicy::Block);
-    }
-}
-
-TEST(PeerFailureTest, SpinPolicyObservesAbort) {
-    peer_failure_while_holding_epoch(TransportKind::Threads, LockPolicy::Spin);
-}
-
-TEST(PeerFailureTest, PendingAtomicUpdateRequestObservesAbort) {
-    try {
-        Runtime::run(2, TransportKind::Threads, [](Context& ctx) {
-            const Comm& w = ctx.world();
-            Window win = Window::allocate_shared(w, sizeof(std::int64_t));
-            w.barrier();
-            if (ctx.rank() == 1) {
-                throw std::runtime_error("boom");
-            }
-            // Wait for the failure, then drive a fresh request: its next
-            // completion attempt must observe the abort, not spin.
-            int dummy = 0;
-            EXPECT_THROW(w.bcast(dummy, 1), Error);
-            auto req = win.start_atomic_update<std::int64_t>(
-                0, 0, [](std::int64_t v) { return v + 1; });
-            try {
-                (void)req.wait();
-                ADD_FAILURE() << "request completed past a peer failure";
-            } catch (const Error& e) {
-                EXPECT_EQ(e.code(), ErrorCode::Aborted);
-            }
-        });
-        FAIL() << "the primary exception must propagate";
-    } catch (const std::runtime_error& e) {
-        EXPECT_STREQ(e.what(), "boom");
+        peer_failure_while_holding_epoch(kind);
     }
 }
 
