@@ -14,6 +14,7 @@
 #include <cstdio>
 #include <iterator>
 #include <map>
+#include <span>
 #include <string>
 #include <string_view>
 #include <type_traits>
@@ -24,6 +25,7 @@
 #include "apps/synthetic.hpp"
 #include "sim/resources.hpp"
 #include "sim/simulator.hpp"
+#include "trace/analysis.hpp"
 
 namespace {
 
@@ -31,6 +33,7 @@ using namespace hdls::sim;
 using hdls::apps::WorkloadKind;
 using hdls::apps::WorkloadSpec;
 using hdls::dls::Technique;
+using hdls::trace::EventKind;
 
 WorkloadTrace make_trace(WorkloadKind kind, std::size_t n, double mean, double cov,
                          std::uint64_t seed = 0xFEEDULL) {
@@ -518,8 +521,9 @@ constexpr std::array<std::string_view, 19> kGoldenFields = {
 /// parallel_time and the SimWorker fields: the part tracing must not move.
 constexpr std::size_t kReportFields = 11;
 
-/// One FNV-1a stream per field. Doubles enter by their bit pattern, so a
-/// digest pins a priced time bit for bit.
+/// One FNV-1a stream per field, for N fields. Doubles enter by their bit
+/// pattern, so a digest pins a priced time bit for bit.
+template <std::size_t N>
 class FieldDigests {
 public:
     FieldDigests() { hashes_.fill(kOffset); }
@@ -544,7 +548,7 @@ public:
         for (const std::uint64_t h : hashes_) {
             all = mix(all, h);
         }
-        char buf[16 + 1 + 2 * kGoldenFields.size() + 1];
+        char buf[16 + 1 + 2 * N + 1];
         int at = std::snprintf(buf, sizeof buf, "%016llx.", static_cast<unsigned long long>(all));
         for (const std::uint64_t h : hashes_) {
             at += std::snprintf(buf + at, sizeof buf - static_cast<std::size_t>(at), "%02x",
@@ -561,11 +565,13 @@ private:
         }
         return h;
     }
-    std::array<std::uint64_t, kGoldenFields.size()> hashes_{};
+    std::array<std::uint64_t, N> hashes_{};
 };
 
-FieldDigests report_digests(const SimReport& r) {
-    FieldDigests d;
+using ReportDigests = FieldDigests<kGoldenFields.size()>;
+
+ReportDigests report_digests(const SimReport& r) {
+    ReportDigests d;
     d.add(0, r.parallel_time);
     for (const SimWorker& w : r.workers) {
         d.add(1, w.node);
@@ -595,11 +601,15 @@ FieldDigests report_digests(const SimReport& r) {
 }
 
 /// Names the first field whose byte differs between two digest strings.
-std::string first_differing_field(std::string_view expected, std::string_view got) {
-    for (std::size_t f = 0; f < kGoldenFields.size(); ++f) {
+std::string first_differing_field(std::span<const std::string_view> fields,
+                                  std::string_view expected, std::string_view got) {
+    if (expected.size() != got.size()) {
+        return "the digest's format (the lengths differ)";
+    }
+    for (std::size_t f = 0; f < fields.size(); ++f) {
         const std::size_t at = 17 + 2 * f;
         if (expected.substr(at, 2) != got.substr(at, 2)) {
-            return std::string(kGoldenFields[f]);
+            return std::string(fields[f]);
         }
     }
     return "a field whose byte collides (the full digest differs)";
@@ -908,8 +918,8 @@ TEST(GoldenPricingTest, EveryPricedTimeAndTraceEventMatchesItsDigest) {
         ASSERT_NE(traced.trace, nullptr);
         ASSERT_EQ(traced.trace->dropped(), 0);
         ASSERT_EQ(traced.executed_iterations(), trace.iterations());
-        const FieldDigests untraced_digests = report_digests(plain);
-        const FieldDigests digests = report_digests(traced);
+        const ReportDigests untraced_digests = report_digests(plain);
+        const ReportDigests digests = report_digests(traced);
         for (std::size_t f = 0; f < kReportFields; ++f) {
             EXPECT_EQ(untraced_digests.field(f), digests.field(f))
                 << "tracing changed " << kGoldenFields[f];
@@ -922,8 +932,135 @@ TEST(GoldenPricingTest, EveryPricedTimeAndTraceEventMatchesItsDigest) {
             continue;
         }
         EXPECT_EQ(got, it->second) << "first field that differs: "
-                                   << first_differing_field(it->second, got);
+                                   << first_differing_field(kGoldenFields, it->second, got);
     }
+}
+
+// ---------------------------------------------------------- golden analysis
+
+/// The TraceAnalysis fields an analysis digest covers. The run-level
+/// scalars are grouped: "finish" holds makespan, mean_finish, max_finish,
+/// percent_imbalance, finish_cov and max_over_mean; "totals" the four
+/// total_* sums; "lock_wait_stats" every Summary field.
+constexpr std::array<std::string_view, 22> kAnalysisFields = {
+    "worker.worker",        "worker.node",         "worker.compute",
+    "worker.sched_overhead", "worker.lock_wait",   "worker.barrier_wait",
+    "worker.finish",        "worker.chunks",       "worker.iterations",
+    "worker.global_chunks", "level.level",         "level.acquire_seconds",
+    "level.acquires",       "level.steals",        "level.pop_seconds",
+    "level.pops",           "level.lock_wait_seconds", "finish",
+    "totals",               "prefetch",            "reclaimed",
+    "lock_wait_stats"};
+
+using AnalysisDigests = FieldDigests<kAnalysisFields.size()>;
+
+AnalysisDigests analysis_digests(const hdls::trace::TraceAnalysis& a) {
+    AnalysisDigests d;
+    d.add(0, a.workers.size());
+    for (const hdls::trace::WorkerBreakdown& w : a.workers) {
+        d.add(0, w.worker);
+        d.add(1, w.node);
+        d.add(2, w.compute);
+        d.add(3, w.sched_overhead);
+        d.add(4, w.lock_wait);
+        d.add(5, w.barrier_wait);
+        d.add(6, w.finish);
+        d.add(7, w.chunks);
+        d.add(8, w.iterations);
+        d.add(9, w.global_chunks);
+    }
+    d.add(10, a.levels.size());
+    for (const hdls::trace::LevelOverhead& lo : a.levels) {
+        d.add(10, lo.level);
+        d.add(11, lo.acquire_seconds);
+        d.add(12, lo.acquires);
+        d.add(13, lo.steals);
+        d.add(14, lo.pop_seconds);
+        d.add(15, lo.pops);
+        d.add(16, lo.lock_wait_seconds);
+    }
+    for (const double v : {a.makespan, a.mean_finish, a.max_finish, a.percent_imbalance,
+                           a.finish_cov, a.max_over_mean}) {
+        d.add(17, v);
+    }
+    for (const double v :
+         {a.total_compute, a.total_sched_overhead, a.total_lock_wait, a.total_barrier_wait}) {
+        d.add(18, v);
+    }
+    d.add(19, a.prefetch_hits);
+    d.add(19, a.prefetch_misses);
+    d.add(19, a.prefetch_hidden_seconds);
+    d.add(20, a.reclaimed.size());
+    for (const auto& [start, size] : a.reclaimed) {
+        d.add(20, start);
+        d.add(20, size);
+    }
+    d.add(20, a.reclaimed_iterations);
+    const hdls::util::Summary& s = a.lock_wait_stats;
+    d.add(21, s.count);
+    for (const double v :
+         {s.mean, s.stddev, s.cov, s.min, s.p25, s.median, s.p75, s.p99, s.max, s.sum}) {
+        d.add(21, v);
+    }
+    return d;
+}
+
+/// Digests of trace::analyze over golden configurations' traces, recorded
+/// from the std::map-based analysis that the flat single pass replaced.
+/// Both models; sharded relays and roots (Steal events); AWF-B roots on a
+/// slow node; prefetch (Prefetch events); a 3-level tree; and free
+/// scheduling, whose events tie in time. The simulator records no
+/// FeedbackReport; test_trace's hand-built traces cover that marker.
+constexpr std::pair<std::string_view, std::string_view> kAnalysisGolden[] = {
+    {"MPI+MPI FAC2+SS 4n", "6e6d15e2ea78dd4a.d5a51c6f6625a6d7d727a610fb65c8ca09509905658e"},
+    {"MPI+OpenMP FAC2+SS 4n", "87d7d24d7d0dd3a2.d5a585000e4add5151a1a6c3fb6543ca594f9405653d"},
+    {"MPI+OpenMP-nowait GSS+SS 2n",
+     "1c2b4d5ecbec8c50.cde5472ccb8e9d9d9dada629ef6597ca5de9a505650d"},
+    {"MPI+MPI tree FAC2+GSS/centralized+SS prefetch",
+     "b8f25629ede0fff0.c9a50ece48a58d3d3d6725f65705b16ad9a33c9665f2"},
+    {"MPI+MPI tree FAC2+GSS/sharded+SS",
+     "5d3047a8a29d9722.c9a502d9d4a5a1bbbbcf259681098e6a67a72e0565cc"},
+    {"MPI+OpenMP tree FAC2+GSS/sharded+SS prefetch",
+     "dc4b930c5c5608f1.c9a5585c2774b5fdfd94258cc60dbf6a4c733893654d"},
+    {"MPI+MPI GSS/sharded+SS 4n", "ef752b7ab234d569.d5a54ace382504bfbf25a688d32071ca6083350565c8"},
+    {"MPI+MPI AWF-B+SS 2n slow node",
+     "38c6b033190b34b4.cde5e5fb0d25d8a1a106a6a0b265eccaa9c6bb0565de"},
+    {"MPI+OpenMP AWF-B+GSS 2n slow node prefetch",
+     "93e401bccbba7781.cde5e09e557dd50f8daea68eb66561a3f6d6e605653a"},
+    {"MPI+MPI FAC2+GSS 4n prefetch",
+     "6e885de660406524.d5a521cf8a253b1f6381a645fb654d3170920976651e"},
+    {"MPI+MPI FAC2+SS 2n free scheduling",
+     "b5050a8ffa5fa1b3.cde5aa252525aa6b6bc6a665346565ca654e6d0565d7"},
+};
+
+TEST(AnalysisGoldenTest, EveryAnalysisFieldMatchesItsDigest) {
+    const WorkloadTrace trace = golden_trace();
+    std::map<std::string_view, const GoldenConfig*> by_name;
+    const std::vector<GoldenConfig> configs = golden_configs();
+    for (const GoldenConfig& g : configs) {
+        by_name.emplace(g.name, &g);
+    }
+    std::map<EventKind, std::int64_t> covered;
+    for (const auto& [name, digest] : kAnalysisGolden) {
+        SCOPED_TRACE(name);
+        const auto it = by_name.find(name);
+        ASSERT_NE(it, by_name.end()) << "not a golden configuration";
+        SimConfig cfg = it->second->config;
+        cfg.trace = true;
+        const SimReport r = simulate(it->second->model, it->second->cluster, cfg, trace);
+        ASSERT_NE(r.trace, nullptr);
+        ASSERT_EQ(r.trace->dropped(), 0);
+        for (const EventKind k : {EventKind::Steal, EventKind::Prefetch}) {
+            covered[k] += r.trace->count(k);
+        }
+        const std::string got = analysis_digests(hdls::trace::analyze(*r.trace)).str();
+        EXPECT_EQ(got, digest) << "first field that differs: "
+                               << first_differing_field(kAnalysisFields, digest, got)
+                               << "; got line:\n    {\"" << name << "\", \"" << got << "\"},";
+    }
+    // The chosen traces carry the kinds only some configurations record.
+    EXPECT_GT(covered[EventKind::Steal], 0);
+    EXPECT_GT(covered[EventKind::Prefetch], 0);
 }
 
 }  // namespace

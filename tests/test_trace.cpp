@@ -374,6 +374,15 @@ Prefetch,1,0,1,0.0001234565,0.0001234565,6.25e-06,0,80
 LocalPop,2,1,1,-1e+09,0,-100000000,-1,-1
 )golden";
 
+/// ascii_gantt's exact bytes for golden_gantt_trace() at width 24.
+constexpr std::string_view kGoldenGantt = R"golden(w0   |........    +++++       |
+w3   |++#############         |
+w7   |                        |
+w12  |++++##################..|
+      0                       t=1000.000ms
+      '#' compute  '+' scheduling overhead  '.' wait  ' ' idle
+)golden";
+
 TEST(ExportGoldenTest, SingleTenantChromeJsonBytes) {
     std::ostringstream oss;
     trace::export_chrome_json(golden_single_tenant_trace(), oss);
@@ -384,6 +393,37 @@ TEST(ExportGoldenTest, SingleTenantCsvBytes) {
     std::ostringstream oss;
     trace::export_csv(golden_single_tenant_trace(), oss);
     EXPECT_EQ(oss.str(), kGoldenSingleTenantCsv);
+}
+
+/// Workers 12, 3, 0 and 7, first seen in that order and past the trace's
+/// worker count: overlapping spans that exercise the painting priority,
+/// exec pairs across columns, an unmatched ChunkExecEnd, and a worker (7)
+/// seen only through a marker.
+trace::Trace golden_gantt_trace() {
+    trace::Trace tr;
+    tr.dropped_per_worker = {0, 0, 0, 0};
+    tr.events = {
+        make_event(EventKind::LocalPop, 12, 2, 0.0, 0.15, 0, 4, 0.05, 1),
+        make_event(EventKind::GlobalAcquire, 3, 1, 0.0, 0.1, 0, 64),
+        make_event(EventKind::BarrierWait, 0, 0, 0.0, 0.3),
+        make_event(EventKind::ChunkExecBegin, 3, 1, 0.1, 0.1, 0, 16),
+        make_event(EventKind::ChunkExecBegin, 12, 2, 0.2, 0.2, 16, 20),
+        make_event(EventKind::LocalPop, 3, 1, 0.3, 0.4, 20, 24, 0.0, 1),
+        make_event(EventKind::ChunkExecEnd, 0, 0, 0.35, 0.35, 0, 8),
+        make_event(EventKind::Steal, 0, 0, 0.5, 0.7, 24, 8, 0.0, 1),
+        make_event(EventKind::ChunkExecEnd, 3, 1, 0.6, 0.6, 0, 16),
+        make_event(EventKind::RefillBegin, 7, 1, 0.65, 0.65),
+        make_event(EventKind::ChunkExecEnd, 12, 2, 0.9, 0.9, 16, 20),
+        make_event(EventKind::BarrierWait, 12, 2, 0.9, 1.0),
+        make_event(EventKind::Terminate, 3, 1, 1.0, 1.0),
+    };
+    return tr;
+}
+
+TEST(ExportGoldenTest, AsciiGanttBytes) {
+    std::ostringstream oss;
+    trace::ascii_gantt(golden_gantt_trace(), oss, 24);
+    EXPECT_EQ(oss.str(), kGoldenGantt);
 }
 
 TEST(ExportGoldenTest, TracedSimulationExportsAreReproducible) {
@@ -493,6 +533,162 @@ TEST(AnalysisTest, BreakdownMatchesHandConstructedTrace) {
     std::ostringstream oss;
     a.print(oss);
     EXPECT_NE(oss.str().find("makespan"), std::string::npos);
+}
+
+/// Expects every field of a breakdown, exactly (the values are dyadic).
+void expect_worker(const trace::WorkerBreakdown& w, int worker, int node, double compute,
+                   double sched_overhead, double lock_wait, double barrier_wait, double finish,
+                   std::int64_t chunks, std::int64_t iterations, std::int64_t global_chunks) {
+    SCOPED_TRACE("worker " + std::to_string(worker));
+    EXPECT_EQ(w.worker, worker);
+    EXPECT_EQ(w.node, node);
+    EXPECT_EQ(w.compute, compute);
+    EXPECT_EQ(w.sched_overhead, sched_overhead);
+    EXPECT_EQ(w.lock_wait, lock_wait);
+    EXPECT_EQ(w.barrier_wait, barrier_wait);
+    EXPECT_EQ(w.finish, finish);
+    EXPECT_EQ(w.chunks, chunks);
+    EXPECT_EQ(w.iterations, iterations);
+    EXPECT_EQ(w.global_chunks, global_chunks);
+}
+
+TEST(AnalysisTest, SparseWorkerIdsWithoutDropCounts) {
+    // Worker ids far past the trace's (empty) worker count; a breakdown's
+    // node is the one its worker's first event names.
+    trace::Trace tr;
+    tr.events = {
+        make_event(EventKind::GlobalAcquire, 7, 3, 0.0, 0.25, 0, 64),
+        make_event(EventKind::LocalPop, 1000, 9, 0.0, 0.5, 0, 8, 0.125, 1),
+        make_event(EventKind::BarrierWait, 0, 0, 0.0, 1.0),
+        make_event(EventKind::ChunkExecBegin, 7, 5, 0.25, 0.25, 0, 16),
+        make_event(EventKind::ChunkExecEnd, 7, 5, 0.75, 0.75, 0, 16),
+        make_event(EventKind::Terminate, 1000, 9, 2.0, 2.0),
+    };
+    ASSERT_EQ(tr.workers(), 0);
+    const trace::TraceAnalysis a = trace::analyze(tr);
+    ASSERT_EQ(a.workers.size(), 3u);
+    expect_worker(a.workers[0], 0, 0, 0.0, 0.0, 0.0, 1.0, 1.0, 0, 0, 0);
+    expect_worker(a.workers[1], 7, 3, 0.5, 0.25, 0.0, 0.0, 0.75, 1, 16, 1);
+    expect_worker(a.workers[2], 1000, 9, 0.0, 0.5, 0.125, 0.0, 2.0, 0, 0, 0);
+    EXPECT_EQ(a.makespan, 2.0);
+    EXPECT_EQ(a.max_finish, 2.0);
+    EXPECT_EQ(a.mean_finish, 1.25);
+    EXPECT_DOUBLE_EQ(a.max_over_mean, 1.6);
+    EXPECT_DOUBLE_EQ(a.percent_imbalance, 60.0);
+    EXPECT_EQ(a.total_compute, 0.5);
+    EXPECT_EQ(a.total_sched_overhead, 0.75);
+    EXPECT_EQ(a.total_lock_wait, 0.125);
+    EXPECT_EQ(a.total_barrier_wait, 1.0);
+    EXPECT_EQ(a.lock_wait_stats.count, 1u);
+    EXPECT_EQ(a.lock_wait_stats.mean, 0.125);
+    EXPECT_EQ(a.lock_wait_stats.p99, 0.125);
+}
+
+TEST(AnalysisTest, LevelsComeOutInAscendingOrder) {
+    // Deeper levels first, a negative level last; markers (Refill*) open
+    // no level.
+    trace::Trace tr;
+    tr.dropped_per_worker = {0, 0};
+    tr.events = {
+        make_event(EventKind::LocalPop, 0, 0, 0.0, 0.25, 0, 4, 0.0625, 2),
+        make_event(EventKind::LocalPop, 0, 0, 0.25, 0.5, -1, -1, 0.0, 2),
+        make_event(EventKind::RefillBegin, 1, 0, 0.5, 0.5, 0, 0, 0.0, 3),
+        make_event(EventKind::Steal, 1, 0, 0.5, 1.0, 100, 10, 0.0, 1),
+        make_event(EventKind::GlobalAcquire, 0, 0, 1.0, 1.25, 0, 32, 0.0, 0),
+        make_event(EventKind::GlobalAcquire, 1, 0, 1.0, 1.5, 0, 0, 0.0, 0),
+        make_event(EventKind::LocalPop, 1, 0, 1.5, 1.75, 0, 1, 0.25, -1),
+    };
+    const trace::TraceAnalysis a = trace::analyze(tr);
+    ASSERT_EQ(a.levels.size(), 4u);
+    const auto expect_level = [](const trace::LevelOverhead& lo, int level, double acquire_s,
+                                 std::int64_t acquires, std::int64_t steals, double pop_s,
+                                 std::int64_t pops, double lock_wait_s) {
+        SCOPED_TRACE("level " + std::to_string(level));
+        EXPECT_EQ(lo.level, level);
+        EXPECT_EQ(lo.acquire_seconds, acquire_s);
+        EXPECT_EQ(lo.acquires, acquires);
+        EXPECT_EQ(lo.steals, steals);
+        EXPECT_EQ(lo.pop_seconds, pop_s);
+        EXPECT_EQ(lo.pops, pops);
+        EXPECT_EQ(lo.lock_wait_seconds, lock_wait_s);
+    };
+    expect_level(a.levels[0], -1, 0.0, 0, 0, 0.25, 1, 0.25);
+    expect_level(a.levels[1], 0, 0.75, 1, 0, 0.0, 0, 0.0);
+    expect_level(a.levels[2], 1, 0.5, 1, 1, 0.0, 0, 0.0);
+    expect_level(a.levels[3], 2, 0.0, 0, 0, 0.5, 1, 0.0625);
+    ASSERT_EQ(a.workers.size(), 2u);
+    expect_worker(a.workers[0], 0, 0, 0.0, 0.75, 0.0625, 0.0, 1.25, 0, 0, 1);
+    expect_worker(a.workers[1], 1, 0, 0.0, 1.25, 0.25, 0.0, 1.75, 0, 0, 1);
+    // Lock waits in pop order are {1/16, 0, 1/4}; the summary sorts them.
+    EXPECT_EQ(a.lock_wait_stats.count, 3u);
+    EXPECT_EQ(a.lock_wait_stats.min, 0.0);
+    EXPECT_EQ(a.lock_wait_stats.median, 0.0625);
+    EXPECT_EQ(a.lock_wait_stats.max, 0.25);
+    EXPECT_EQ(a.lock_wait_stats.sum, 0.3125);
+}
+
+TEST(AnalysisTest, UnmatchedChunkExecEndCountsTheChunkButNoCompute) {
+    trace::Trace tr;
+    tr.dropped_per_worker = {1};
+    tr.events = {
+        make_event(EventKind::ChunkExecEnd, 0, 0, 1.0, 1.0, 10, 20),  // its Begin was dropped
+        make_event(EventKind::ChunkExecBegin, 0, 0, 2.0, 2.0, 20, 30),
+        make_event(EventKind::ChunkExecEnd, 0, 0, 3.0, 3.0, 20, 30),
+        make_event(EventKind::ChunkExecEnd, 0, 0, 4.0, 4.0, 30, 40),  // the pair is closed
+    };
+    const trace::TraceAnalysis a = trace::analyze(tr);
+    ASSERT_EQ(a.workers.size(), 1u);
+    expect_worker(a.workers[0], 0, 0, 1.0, 0.0, 0.0, 0.0, 4.0, 3, 30, 0);
+    EXPECT_EQ(a.total_compute, 1.0);
+}
+
+TEST(AnalysisTest, MarkersAttributeNoTimeButExtendTheFinish) {
+    trace::Trace tr;
+    tr.dropped_per_worker = {0, 0};
+    tr.events = {
+        make_event(EventKind::Prefetch, 0, 0, 0.5, 0.5, 1, 48, 0.25),
+        make_event(EventKind::Prefetch, 1, 0, 0.5, 0.5, 0, 64, 0.0),
+        make_event(EventKind::Reclaim, 1, 0, 0.75, 0.75, 100, 28),
+        make_event(EventKind::FeedbackReport, 0, 0, 1.0, 1.0, 16, 4096),
+        make_event(EventKind::RefillBegin, 1, 0, 1.0, 1.0),
+        make_event(EventKind::RefillEnd, 1, 0, 1.5, 1.5, 64, 32),
+        make_event(EventKind::Reclaim, 0, 0, 2.0, 2.0, 200, 4),
+        make_event(EventKind::Terminate, 0, 0, 2.5, 2.5),
+    };
+    const trace::TraceAnalysis a = trace::analyze(tr);
+    ASSERT_EQ(a.workers.size(), 2u);
+    expect_worker(a.workers[0], 0, 0, 0.0, 0.0, 0.0, 0.0, 2.5, 0, 0, 0);
+    expect_worker(a.workers[1], 1, 0, 0.0, 0.0, 0.0, 0.0, 1.5, 0, 0, 0);
+    EXPECT_TRUE(a.levels.empty());
+    EXPECT_EQ(a.prefetch_hits, 1);
+    EXPECT_EQ(a.prefetch_misses, 1);
+    EXPECT_EQ(a.prefetch_hidden_seconds, 0.25);
+    using Range = std::pair<std::int64_t, std::int64_t>;
+    EXPECT_EQ(a.reclaimed, (std::vector<Range>{{100, 28}, {200, 4}}));
+    EXPECT_EQ(a.reclaimed_iterations, 32);
+    EXPECT_EQ(a.lock_wait_stats.count, 0u);
+}
+
+TEST(AnalysisTest, EmptyTraceGivesAnEmptyAnalysis) {
+    // Workers that recorded nothing get no breakdown, whatever the trace's
+    // worker count.
+    for (const std::size_t workers : {std::size_t{0}, std::size_t{4}}) {
+        trace::Trace tr;
+        tr.dropped_per_worker.assign(workers, 0);
+        const trace::TraceAnalysis a = trace::analyze(tr);
+        EXPECT_TRUE(a.workers.empty());
+        EXPECT_TRUE(a.levels.empty());
+        EXPECT_TRUE(a.reclaimed.empty());
+        EXPECT_EQ(a.makespan, 0.0);
+        EXPECT_EQ(a.mean_finish, 0.0);
+        EXPECT_EQ(a.percent_imbalance, 0.0);
+        EXPECT_EQ(a.finish_cov, 0.0);
+        EXPECT_EQ(a.max_over_mean, 0.0);
+        EXPECT_EQ(a.total_compute + a.total_sched_overhead + a.total_barrier_wait, 0.0);
+        EXPECT_EQ(a.overhead_fraction(), 0.0);
+        EXPECT_EQ(a.lock_wait_stats.count, 0u);
+        EXPECT_EQ(a.lock_wait_stats.max, 0.0);
+    }
 }
 
 // ------------------------------------------------- executor integration
