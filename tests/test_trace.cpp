@@ -375,7 +375,8 @@ LocalPop,2,1,1,-1e+09,0,-100000000,-1,-1
 )golden";
 
 /// ascii_gantt's exact bytes for golden_gantt_trace() at width 24.
-constexpr std::string_view kGoldenGantt = R"golden(w0   |........    +++++       |
+constexpr std::string_view kGoldenGantt = R"golden(w-1  |                ....    |
+w0   |........    +++++       |
 w3   |++#############         |
 w7   |                        |
 w12  |++++##################..|
@@ -395,10 +396,10 @@ TEST(ExportGoldenTest, SingleTenantCsvBytes) {
     EXPECT_EQ(oss.str(), kGoldenSingleTenantCsv);
 }
 
-/// Workers 12, 3, 0 and 7, first seen in that order and past the trace's
-/// worker count: overlapping spans that exercise the painting priority,
-/// exec pairs across columns, an unmatched ChunkExecEnd, and a worker (7)
-/// seen only through a marker.
+/// Workers 12, 3, 0, 7 and -1, first seen in that order, some outside the
+/// trace's worker count: overlapping spans that exercise the painting
+/// priority, exec pairs across columns, an unmatched ChunkExecEnd, and a
+/// worker (7) seen only through a marker.
 trace::Trace golden_gantt_trace() {
     trace::Trace tr;
     tr.dropped_per_worker = {0, 0, 0, 0};
@@ -413,6 +414,7 @@ trace::Trace golden_gantt_trace() {
         make_event(EventKind::Steal, 0, 0, 0.5, 0.7, 24, 8, 0.0, 1),
         make_event(EventKind::ChunkExecEnd, 3, 1, 0.6, 0.6, 0, 16),
         make_event(EventKind::RefillBegin, 7, 1, 0.65, 0.65),
+        make_event(EventKind::BarrierWait, -1, 0, 0.7, 0.8),
         make_event(EventKind::ChunkExecEnd, 12, 2, 0.9, 0.9, 16, 20),
         make_event(EventKind::BarrierWait, 12, 2, 0.9, 1.0),
         make_event(EventKind::Terminate, 3, 1, 1.0, 1.0),
@@ -553,11 +555,12 @@ void expect_worker(const trace::WorkerBreakdown& w, int worker, int node, double
 }
 
 TEST(AnalysisTest, SparseWorkerIdsWithoutDropCounts) {
-    // Worker ids far past the trace's (empty) worker count; a breakdown's
-    // node is the one its worker's first event names.
+    // Worker ids far past the trace's (empty) worker count, and a negative
+    // one; a breakdown's node is the one its worker's first event names.
     trace::Trace tr;
     tr.events = {
         make_event(EventKind::GlobalAcquire, 7, 3, 0.0, 0.25, 0, 64),
+        make_event(EventKind::BarrierWait, -2, 0, 0.5, 0.75),
         make_event(EventKind::LocalPop, 1000, 9, 0.0, 0.5, 0, 8, 0.125, 1),
         make_event(EventKind::BarrierWait, 0, 0, 0.0, 1.0),
         make_event(EventKind::ChunkExecBegin, 7, 5, 0.25, 0.25, 0, 16),
@@ -566,19 +569,20 @@ TEST(AnalysisTest, SparseWorkerIdsWithoutDropCounts) {
     };
     ASSERT_EQ(tr.workers(), 0);
     const trace::TraceAnalysis a = trace::analyze(tr);
-    ASSERT_EQ(a.workers.size(), 3u);
-    expect_worker(a.workers[0], 0, 0, 0.0, 0.0, 0.0, 1.0, 1.0, 0, 0, 0);
-    expect_worker(a.workers[1], 7, 3, 0.5, 0.25, 0.0, 0.0, 0.75, 1, 16, 1);
-    expect_worker(a.workers[2], 1000, 9, 0.0, 0.5, 0.125, 0.0, 2.0, 0, 0, 0);
+    ASSERT_EQ(a.workers.size(), 4u);
+    expect_worker(a.workers[0], -2, 0, 0.0, 0.0, 0.0, 0.25, 0.75, 0, 0, 0);
+    expect_worker(a.workers[1], 0, 0, 0.0, 0.0, 0.0, 1.0, 1.0, 0, 0, 0);
+    expect_worker(a.workers[2], 7, 3, 0.5, 0.25, 0.0, 0.0, 0.75, 1, 16, 1);
+    expect_worker(a.workers[3], 1000, 9, 0.0, 0.5, 0.125, 0.0, 2.0, 0, 0, 0);
     EXPECT_EQ(a.makespan, 2.0);
     EXPECT_EQ(a.max_finish, 2.0);
-    EXPECT_EQ(a.mean_finish, 1.25);
-    EXPECT_DOUBLE_EQ(a.max_over_mean, 1.6);
-    EXPECT_DOUBLE_EQ(a.percent_imbalance, 60.0);
+    EXPECT_EQ(a.mean_finish, 1.125);
+    EXPECT_DOUBLE_EQ(a.max_over_mean, 2.0 / 1.125);
+    EXPECT_DOUBLE_EQ(a.percent_imbalance, (2.0 / 1.125 - 1.0) * 100.0);
     EXPECT_EQ(a.total_compute, 0.5);
     EXPECT_EQ(a.total_sched_overhead, 0.75);
     EXPECT_EQ(a.total_lock_wait, 0.125);
-    EXPECT_EQ(a.total_barrier_wait, 1.0);
+    EXPECT_EQ(a.total_barrier_wait, 1.25);
     EXPECT_EQ(a.lock_wait_stats.count, 1u);
     EXPECT_EQ(a.lock_wait_stats.mean, 0.125);
     EXPECT_EQ(a.lock_wait_stats.p99, 0.125);
