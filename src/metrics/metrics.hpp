@@ -291,7 +291,7 @@ struct RuntimeMetrics {
     Counter* team_chunks;
     Counter* team_idle_ns;
 
-    // trace — events dropped past a worker's cap (previously only visible via analyze()).
+    // trace — events dropped past a worker's cap.
     Counter* trace_ring_dropped;
 
     // watchdog.

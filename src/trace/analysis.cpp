@@ -1,53 +1,52 @@
 #include "trace/analysis.hpp"
 
 #include <algorithm>
-#include <cmath>
-#include <map>
-#include <utility>
+#include <array>
+#include <cstddef>
 
+#include "trace/sort.hpp"
+#include "trace/worker_table.hpp"
 #include "util/table.hpp"
 
 namespace hdls::trace {
 
 namespace {
 
-/// Pairs ChunkExecBegin/ChunkExecEnd per worker. Executors emit them
-/// strictly nested and in order, so the last unmatched Begin matches the
-/// next End of the same worker.
-struct ExecPairing {
-    double begin_time = 0.0;
-    bool open = false;
+/// One worker's running breakdown and its open ChunkExecBegin. Executors
+/// emit Begin/End strictly nested and in order, so the open Begin matches
+/// the worker's next End.
+struct WorkerState {
+    WorkerBreakdown totals;
+    double exec_begin = 0.0;
+    bool exec_open = false;
 };
 
 }  // namespace
 
 TraceAnalysis analyze(const Trace& trace) {
     TraceAnalysis out;
-    std::map<int, std::size_t> index_of;  // worker id -> index in out.workers
-    std::map<int, ExecPairing> pending;  // worker id -> its open ChunkExecBegin
+    detail::WorkerTable<WorkerState> workers(trace.workers());
     std::vector<double> lock_waits;
 
-    std::map<int, LevelOverhead> levels;
+    // Per-level overhead, indexed by the signed 8-bit level tag + 128.
+    std::array<LevelOverhead, 256> levels{};
+    std::array<bool, 256> level_used{};
     const auto level_slot = [&](const Event& e) -> LevelOverhead& {
-        LevelOverhead& lo = levels[e.level];
-        lo.level = e.level;
-        return lo;
-    };
-
-    const auto slot = [&](const Event& e) -> WorkerBreakdown& {
-        const auto [it, inserted] = index_of.try_emplace(e.worker, out.workers.size());
-        if (inserted) {
-            WorkerBreakdown wb;
-            wb.worker = e.worker;
-            wb.node = e.node;
-            out.workers.push_back(wb);
+        const auto i = static_cast<std::size_t>(e.level + 128);
+        if (!level_used[i]) {
+            level_used[i] = true;
+            levels[i].level = e.level;
         }
-        return out.workers[it->second];
+        return levels[i];
     };
 
     for (const Event& e : trace.events) {
-        WorkerBreakdown& w = slot(e);
-        ExecPairing& pair = pending[e.worker];
+        auto [state, first] = workers.at(e.worker);
+        WorkerBreakdown& w = state.totals;
+        if (first) {
+            w.worker = e.worker;
+            w.node = e.node;
+        }
         w.finish = std::max(w.finish, e.t1);
         switch (e.kind) {
             case EventKind::GlobalAcquire:
@@ -77,13 +76,13 @@ TraceAnalysis analyze(const Trace& trace) {
                 break;
             }
             case EventKind::ChunkExecBegin:
-                pair.begin_time = e.t0;
-                pair.open = true;
+                state.exec_begin = e.t0;
+                state.exec_open = true;
                 break;
             case EventKind::ChunkExecEnd:
-                if (pair.open) {
-                    w.compute += e.t1 - pair.begin_time;
-                    pair.open = false;
+                if (state.exec_open) {
+                    w.compute += e.t1 - state.exec_begin;
+                    state.exec_open = false;
                 } // an unmatched End (Begin dropped on overflow) adds nothing
                 ++w.chunks;
                 w.iterations += e.b - e.a;
@@ -111,19 +110,16 @@ TraceAnalysis analyze(const Trace& trace) {
         }
     }
 
-    std::sort(out.workers.begin(), out.workers.end(),
-              [](const WorkerBreakdown& x, const WorkerBreakdown& y) {
-                  return x.worker < y.worker;
-              });
-
     util::OnlineStats finish;
-    for (const WorkerBreakdown& w : out.workers) {
+    workers.for_each([&](int, const WorkerState& state) {
+        const WorkerBreakdown& w = state.totals;
+        out.workers.push_back(w);
         finish.add(w.finish);
         out.total_compute += w.compute;
         out.total_sched_overhead += w.sched_overhead;
         out.total_lock_wait += w.lock_wait;
         out.total_barrier_wait += w.barrier_wait;
-    }
+    });
     out.max_finish = finish.max();
     out.mean_finish = finish.mean();
     out.makespan = finish.max();
@@ -132,10 +128,12 @@ TraceAnalysis analyze(const Trace& trace) {
         out.max_over_mean = out.max_finish / out.mean_finish;
         out.percent_imbalance = (out.max_over_mean - 1.0) * 100.0;
     }
-    out.lock_wait_stats = util::summarize(lock_waits);
-    out.levels.reserve(levels.size());
-    for (const auto& [level, lo] : levels) {
-        out.levels.push_back(lo);  // std::map iterates in level order
+    detail::radix_sort(lock_waits, [](double t) { return detail::order_key(t); });
+    out.lock_wait_stats = util::summarize_sorted(lock_waits);
+    for (std::size_t i = 0; i < levels.size(); ++i) {
+        if (level_used[i]) {
+            out.levels.push_back(levels[i]);
+        }
     }
     return out;
 }

@@ -5,6 +5,10 @@
 /// load-imbalance metrics of the DLS literature, and the lock-contention
 /// distribution (time between lock request and grant) that explains the
 /// intra-node SS behaviour under MPI+MPI.
+///
+/// The analysis is one pass over the events into flat per-worker and
+/// per-level tables, O(events + workers); only the lock-wait sample is
+/// sorted afterwards (a linear radix sort).
 
 #include <cstdint>
 #include <ostream>

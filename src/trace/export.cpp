@@ -14,6 +14,8 @@
 #include <utility>
 #include <vector>
 
+#include "trace/worker_table.hpp"
+
 namespace hdls::trace {
 
 namespace {
@@ -332,15 +334,6 @@ void ascii_gantt(const Trace& trace, std::ostream& os, int width) {
         return;
     }
 
-    // Collect worker ids in order.
-    std::vector<int> workers;
-    for (const Event& e : trace.events) {
-        if (std::find(workers.begin(), workers.end(), e.worker) == workers.end()) {
-            workers.push_back(e.worker);
-        }
-    }
-    std::sort(workers.begin(), workers.end());
-
     const double col_w = span / width;
     const auto col_of = [&](double t) {
         return std::clamp(static_cast<int>(t / col_w), 0, width - 1);
@@ -366,39 +359,44 @@ void ascii_gantt(const Trace& trace, std::ostream& os, int width) {
         }
     };
 
-    for (const int worker : workers) {
-        std::string row(static_cast<std::size_t>(width), ' ');
-        double exec_begin = -1.0;
-        for (const Event& e : trace.events) {
-            if (e.worker != worker) {
-                continue;
-            }
-            switch (e.kind) {
-                case EventKind::GlobalAcquire:
-                case EventKind::Steal:
-                case EventKind::LocalPop:
-                    paint(row, e.t0, e.t1, '+');
-                    break;
-                case EventKind::BarrierWait:
-                    paint(row, e.t0, e.t1, '.');
-                    break;
-                case EventKind::ChunkExecBegin:
-                    exec_begin = e.t0;
-                    break;
-                case EventKind::ChunkExecEnd:
-                    if (exec_begin >= 0.0) {
-                        paint(row, exec_begin, e.t1, '#');
-                        exec_begin = -1.0;
-                    }
-                    break;
-                default:
-                    break;
-            }
+    // One pass paints every worker's row.
+    struct Row {
+        std::string cells;
+        double exec_begin = -1.0;  ///< t0 of the open ChunkExecBegin, or -1
+    };
+    detail::WorkerTable<Row> rows(trace.workers());
+    for (const Event& e : trace.events) {
+        auto [row, first] = rows.at(e.worker);
+        if (first) {
+            row.cells.assign(static_cast<std::size_t>(width), ' ');
         }
+        switch (e.kind) {
+            case EventKind::GlobalAcquire:
+            case EventKind::Steal:
+            case EventKind::LocalPop:
+                paint(row.cells, e.t0, e.t1, '+');
+                break;
+            case EventKind::BarrierWait:
+                paint(row.cells, e.t0, e.t1, '.');
+                break;
+            case EventKind::ChunkExecBegin:
+                row.exec_begin = e.t0;
+                break;
+            case EventKind::ChunkExecEnd:
+                if (row.exec_begin >= 0.0) {
+                    paint(row.cells, row.exec_begin, e.t1, '#');
+                    row.exec_begin = -1.0;
+                }
+                break;
+            default:
+                break;
+        }
+    }
+    rows.for_each([&](int worker, const Row& row) {
         char label[16];
         std::snprintf(label, sizeof(label), "w%-3d |", worker);
-        os << label << row << "|\n";
-    }
+        os << label << row.cells << "|\n";
+    });
     Writer w(os);
     w.put("      0", std::string(static_cast<std::size_t>(std::max(0, width - 1)), ' '), "t=",
           Fixed3{span * 1e3}, "ms\n",

@@ -1,60 +1,22 @@
 #include "trace/recorder.hpp"
 
-#include <array>
-#include <bit>
 #include <cstdint>
 #include <stdexcept>
 #include <utility>
 
 #include "metrics/metrics.hpp"
+#include "trace/sort.hpp"
 #include "util/log.hpp"
 
 namespace hdls::trace {
 
 namespace {
 
-/// Maps a timestamp to an unsigned key with the same order (-0.0 and 0.0
-/// share a key, as they compare equal).
-[[nodiscard]] std::uint64_t order_key(double t) noexcept {
-    const auto bits = std::bit_cast<std::uint64_t>(t + 0.0);
-    constexpr std::uint64_t kSign = std::uint64_t{1} << 63;
-    return (bits & kSign) != 0 ? ~bits : bits | kSign;
-}
-
 /// One event to place: its sort key and where it sits in its log.
 struct Slot {
     std::uint64_t key;
     const Event* event;
 };
-
-/// Stable sort by key: an LSD radix sort over the 16-byte slots, linear
-/// in the event count; byte positions on which every key agrees are
-/// skipped.
-void radix_sort(std::vector<Slot>& slots) {
-    const std::size_t n = slots.size();
-    std::array<std::array<std::size_t, 256>, 8> counts{};
-    for (const Slot& s : slots) {
-        for (std::size_t byte = 0; byte < 8; ++byte) {
-            ++counts[byte][(s.key >> (8 * byte)) & 0xff];
-        }
-    }
-    std::vector<Slot> scratch(n);
-    for (std::size_t byte = 0; byte < 8; ++byte) {
-        auto& count = counts[byte];
-        const unsigned shift = static_cast<unsigned>(8 * byte);
-        if (n == 0 || count[(slots[0].key >> shift) & 0xff] == n) {
-            continue;
-        }
-        std::size_t offset = 0;
-        for (std::size_t& c : count) {
-            offset += std::exchange(c, offset);
-        }
-        for (const Slot& s : slots) {
-            scratch[count[(s.key >> shift) & 0xff]++] = s;
-        }
-        slots.swap(scratch);
-    }
-}
 
 }  // namespace
 
@@ -91,19 +53,20 @@ Trace TraceSession::merge() {
     slots.reserve(total_events);
     std::int64_t total_dropped = 0;
     for (std::size_t w = 0; w < logs_.size(); ++w) {
-        logs_[w]->for_each([&](const Event& e) { slots.push_back({order_key(e.t0), &e}); });
+        logs_[w]->for_each(
+            [&](const Event& e) { slots.push_back({detail::order_key(e.t0), &e}); });
         trace.dropped_per_worker[w] = static_cast<std::int64_t>(logs_[w]->dropped());
         total_dropped += trace.dropped_per_worker[w];
     }
     if (total_dropped > 0) {
-        // The drop counts used to be visible only to callers who went on to
-        // run trace::analyze — surface the loss where it happens.
+        // Surface the loss where it happens, not only to callers that go
+        // on to analyze the trace.
         metrics::rt().trace_ring_dropped->inc(static_cast<std::uint64_t>(total_dropped));
         util::log_warn("trace: per-worker event logs dropped ", total_dropped,
                        " event(s); the merged trace is incomplete (raise "
                        "HierConfig::trace_capacity or SimConfig::trace_capacity to keep them)");
     }
-    radix_sort(slots);
+    detail::radix_sort(slots, [](const Slot& s) { return s.key; });
     // Normalize to the trace origin: t=0 is the earliest recorded event.
     const double origin = slots.empty() ? 0.0 : slots.front().event->t0;
     trace.events.reserve(slots.size());

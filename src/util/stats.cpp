@@ -67,13 +67,17 @@ double percentile_sorted(std::span<const double> sorted, double q) noexcept {
 }
 
 Summary summarize(std::span<const double> values) {
-    Summary s;
-    s.count = values.size();
-    if (values.empty()) {
-        return s;
-    }
     std::vector<double> sorted(values.begin(), values.end());
     std::sort(sorted.begin(), sorted.end());
+    return summarize_sorted(sorted);
+}
+
+Summary summarize_sorted(std::span<const double> sorted) {
+    Summary s;
+    s.count = sorted.size();
+    if (sorted.empty()) {
+        return s;
+    }
     OnlineStats acc;
     for (const double v : sorted) {
         acc.add(v);

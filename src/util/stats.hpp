@@ -55,6 +55,10 @@ struct Summary {
 /// Computes a Summary of `values` (copies and sorts internally).
 [[nodiscard]] Summary summarize(std::span<const double> values);
 
+/// Computes the Summary of a sample already sorted in ascending order,
+/// without a copy; summarize() of the same values gives the same result.
+[[nodiscard]] Summary summarize_sorted(std::span<const double> sorted);
+
 /// Linear-interpolated percentile of a *sorted* sample, q in [0,1].
 [[nodiscard]] double percentile_sorted(std::span<const double> sorted, double q) noexcept;
 

@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <chrono>
 #include <cmath>
 #include <sstream>
@@ -203,6 +204,21 @@ TEST(SummaryTest, EmptyInput) {
     const Summary s = summarize(std::span<const double>{});
     EXPECT_EQ(s.count, 0u);
     EXPECT_EQ(s.mean, 0.0);
+    EXPECT_EQ(summarize_sorted(std::span<const double>{}).count, 0u);
+}
+
+TEST(SummaryTest, SortedEntryPointMatchesSummarize) {
+    const std::vector<double> v = {0.3, -2.5, 7.0, 0.1, 0.3, 1e-9, 4.25};
+    std::vector<double> sorted = v;
+    std::sort(sorted.begin(), sorted.end());
+    const Summary a = summarize(v);
+    const Summary b = summarize_sorted(sorted);
+    EXPECT_EQ(a.count, b.count);
+    for (const auto field : {&Summary::mean, &Summary::stddev, &Summary::cov, &Summary::min,
+                             &Summary::p25, &Summary::median, &Summary::p75, &Summary::p99,
+                             &Summary::max, &Summary::sum}) {
+        EXPECT_EQ(a.*field, b.*field);
+    }
 }
 
 TEST(SummaryTest, PercentileSortedEdges) {
