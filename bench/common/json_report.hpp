@@ -5,7 +5,7 @@
 ///
 /// A run serializes to one JSON document:
 ///
-///   {"name": "bench_ablation_prefetch",
+///   {"name": "bench_ablation_shard_contention",
 ///    "meta": {"git_sha": "...", "hostname": "...",
 ///             "timestamp_utc": "2026-08-08T12:00:00Z", "compiler": "..."},
 ///    "params": {"scale": "0.02", "rpn": "16"},

@@ -96,33 +96,14 @@ AcquireStats acquire_stats(const trace::Trace& trace) {
     AcquireStats out;
     util::OnlineStats latency;
     for (const auto& e : trace.events) {
-        switch (e.kind) {
-            case trace::EventKind::GlobalAcquire:
-            case trace::EventKind::Steal:
-                if (e.b > 0) {
-                    latency.add(e.duration());
-                    ++out.acquires;
-                    out.steals += e.kind == trace::EventKind::Steal ? 1 : 0;
-                }
-                break;
-            case trace::EventKind::Prefetch:
-                out.hidden_seconds += e.wait;
-                if (e.a != 0) {
-                    ++out.prefetch_hits;
-                } else {
-                    ++out.prefetch_misses;
-                }
-                break;
-            default:
-                break;
+        const bool steal = e.kind == trace::EventKind::Steal;
+        if ((steal || e.kind == trace::EventKind::GlobalAcquire) && e.b > 0) {
+            latency.add(e.duration());
+            ++out.acquires;
+            out.steals += steal ? 1 : 0;
         }
     }
     out.mean_latency = latency.mean();
-    if (out.acquires > 0) {
-        out.effective_mean_latency =
-            std::max(0.0, latency.sum() - out.hidden_seconds) /
-            static_cast<double>(out.acquires);
-    }
     return out;
 }
 

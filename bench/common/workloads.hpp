@@ -49,22 +49,13 @@ void add_common_options(util::ArgParser& cli);
 [[nodiscard]] std::int64_t scaled_psia_points(const util::ArgParser& cli);
 
 /// Acquisition-latency aggregation over a recorded trace: the successful
-/// upper-level GlobalAcquire/Steal epochs (b > 0) and, when prefetching
-/// was on, the acquisition seconds their Prefetch events prefetched ahead
-/// of demand. `effective_mean_latency` subtracts that time — meaningful
-/// for *simulator* traces, whose overlap pricing genuinely takes it off
-/// the critical path (a thread-backed real-executor trace repositions the
-/// work instead; see trace::TraceAnalysis::prefetch_hidden_seconds).
-/// Shared by the ablation benches (each used to hand-roll this mean); the
-/// math lives on util::OnlineStats.
+/// upper-level GlobalAcquire/Steal epochs (b > 0). Shared by the ablation
+/// benches (each used to hand-roll this mean); the math lives on
+/// util::OnlineStats.
 struct AcquireStats {
-    double mean_latency = 0.0;            ///< mean successful acquire epoch (s)
-    double effective_mean_latency = 0.0;  ///< mean after prefetch-hidden time (s)
-    double hidden_seconds = 0.0;          ///< total acquisition time prefetch absorbed
+    double mean_latency = 0.0;  ///< mean successful acquire epoch (s)
     std::int64_t acquires = 0;
     std::int64_t steals = 0;
-    std::int64_t prefetch_hits = 0;
-    std::int64_t prefetch_misses = 0;
 };
 [[nodiscard]] AcquireStats acquire_stats(const trace::Trace& trace);
 

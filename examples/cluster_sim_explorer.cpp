@@ -20,7 +20,7 @@ int main(int argc, char** argv) {
     using namespace hdls;
     util::ArgParser cli("cluster_sim_explorer",
                         "Explore the hierarchical-DLS cluster simulator interactively");
-    cli.add_string("model", "MPI+MPI", "MPI+MPI | MPI+OpenMP | nowait");
+    cli.add_string("model", "MPI+MPI", "MPI+MPI | MPI+OpenMP");
     cli.add_string("inter", "GSS", "inter-node DLS technique");
     cli.add_string("intra", "GSS", "intra-node DLS technique");
     cli.add_int("nodes", 4, "compute nodes");

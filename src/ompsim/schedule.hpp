@@ -14,8 +14,7 @@
 /// plus, as the extension the paper cites from LaPeSD-libGOMP (Ciorba,
 /// Iwainsky & Buder, iWomp'18) and plans as future work, the TSS and FAC2
 /// schedules. Every construct ends with the implicit barrier; the paper's
-/// other future-work item, `nowait`, is modelled only by the simulator
-/// (sim::ExecModel::MpiOpenMpNowait).
+/// other future-work item, `nowait`, is neither executed nor simulated.
 
 #include <cstdint>
 #include <optional>

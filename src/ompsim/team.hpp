@@ -7,9 +7,8 @@
 /// and the call returns after an implicit join barrier. Inside the parallel
 /// region, `for_chunks` corresponds to `#pragma omp for schedule(...)` with
 /// the implicit end-of-loop barrier the paper's Figure 2 identifies as the
-/// MPI+OpenMP bottleneck. The team has no `nowait`: the paper's Section 6
-/// future work is modelled only by the simulator
-/// (sim::ExecModel::MpiOpenMpNowait).
+/// MPI+OpenMP bottleneck. The team has no `nowait` (the paper's Section 6
+/// future work), and neither has the simulator's MPI+OpenMP model.
 ///
 /// The team keeps no metrics: barrier() and for_chunks() return how long
 /// the calling thread waited, and the caller reports it.

@@ -56,13 +56,6 @@ struct CostModel {
     double omp_barrier_per_thread_us = 0.08;
     /// Chunk bookkeeping common to both models (loop setup, index math).
     double chunk_overhead_us = 0.5;
-    /// Issue + completion cost of one *nonblocking* acquisition under
-    /// asynchronous prefetching (SimConfig::prefetch): posting the request
-    /// and the later test/wait are on the critical path, but the RMA
-    /// flight time itself overlaps chunk execution — a prefetched acquire
-    /// charges prefetch_issue_us + max(0, acquire_latency -
-    /// compute_remaining) instead of the full latency.
-    double prefetch_issue_us = 0.2;
     /// Per-level one-way RMA latency of a deep topology tree's scheduling
     /// windows, outermost level first (level 0 = the root queue, level 1
     /// the relay inside a level-0 group, ...). Lets a rack-level window
@@ -91,14 +84,13 @@ struct CostModel {
         return (omp_barrier_base_us + omp_barrier_per_thread_us * threads) * 1e-6;
     }
     [[nodiscard]] double chunk_overhead_s() const noexcept { return chunk_overhead_us * 1e-6; }
-    [[nodiscard]] double prefetch_issue_s() const noexcept { return prefetch_issue_us * 1e-6; }
 
     void validate() const {
         if (internode_rma_us < 0 || intranode_rma_us < 0 || global_queue_service_us < 0 ||
             shmem_lock_hold_us < 0 ||
             shmem_lock_poll_us < 0 || shmem_lock_attempt_us < 0 || omp_dequeue_us < 0 ||
             omp_barrier_base_us < 0 || omp_barrier_per_thread_us < 0 ||
-            chunk_overhead_us < 0 || prefetch_issue_us < 0) {
+            chunk_overhead_us < 0) {
             throw std::invalid_argument("CostModel: all costs must be >= 0");
         }
         for (const double v : level_rma_us) {

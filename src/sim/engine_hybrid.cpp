@@ -139,18 +139,6 @@ void simulate_hybrid_barrier(EngineRun& run, const ClusterSpec& cluster,
         }
     };
 
-    // Asynchronous prefetching (SimConfig::prefetch): the master's next
-    // fetch is issued when the team starts on the current chunk, so its
-    // latency hides under the chunk's team-execution window. Adaptive
-    // roots are never discounted — the fetch must follow the feedback the
-    // master posts after the join barrier. Depth-2 trees are not
-    // discounted either, mirroring the real executor: the funneled
-    // master workshares alongside its team and has no relay chain to
-    // prefetch through (build_hierarchy leaves its chain root-only).
-    const bool prefetch =
-        config.prefetch && !source.wants_feedback() && plan.depth() > 2;
-    std::vector<double> overlap_credit(static_cast<std::size_t>(cluster.nodes), 0.0);
-
     ReadyQueue events;
     for (int node = 0; node < cluster.nodes; ++node) {
         events.push({0.0, node});
@@ -167,19 +155,11 @@ void simulate_hybrid_barrier(EngineRun& run, const ClusterSpec& cluster,
         auto& master_tracer = run.tracer(node * team);
         std::optional<std::pair<std::int64_t, std::int64_t>> chunk;
         double fetch_overhead = 0.0;
-        double& credit_slot = overlap_credit[static_cast<std::size_t>(node)];
-        const double my_credit = prefetch ? credit_slot : -1.0;
-        credit_slot = 0.0;
         if (!source.exhausted(node)) {
             double done = t0;
             double retry_at = 0.0;
-            PrefetchCharge pf;
-            const auto take = source.acquire(node, t0, &done, &retry_at, my_credit, &pf);
+            const auto take = source.acquire(node, t0, &done, &retry_at);
             master.overhead += done - t0;
-            if (take && my_credit >= 0.0 && master_tracer.enabled()) {
-                master_tracer.record(trace::EventKind::Prefetch, done, done, pf.hit ? 1 : 0,
-                                     take->start, pf.hidden, take->level);
-            }
             clock[0] = done;
             if (!take && std::isfinite(retry_at)) {
                 // Work is in flight up the branch but not yet visible: the
@@ -200,13 +180,9 @@ void simulate_hybrid_barrier(EngineRun& run, const ClusterSpec& cluster,
                 fetch_overhead = done - t0;
                 ++master.global_refills;
                 if (master_tracer.enabled()) {
-                    // Prefetched fetches keep the physical flight time in
-                    // the epoch (the hidden share rides the Prefetch
-                    // event); `done` is the discounted completion.
-                    const double epoch_end = my_credit >= 0.0 ? t0 + pf.raw : done;
                     master_tracer.record(take->stolen ? trace::EventKind::Steal
                                                       : trace::EventKind::GlobalAcquire,
-                                         t0, epoch_end, chunk->first, chunk->second, 0.0,
+                                         t0, done, chunk->first, chunk->second, 0.0,
                                          take->level);
                 }
             }
@@ -230,8 +206,6 @@ void simulate_hybrid_barrier(EngineRun& run, const ClusterSpec& cluster,
 
         workshare(node, chunk->first, chunk->second);
         double joined = barrier(node);  // the implicit barrier
-        // The team-execution window the *next* fetch can hide under.
-        credit_slot = std::max(0.0, joined - published);
         if (source.wants_feedback()) {
             // The master posts the chunk's feedback before the next fetch:
             // the node's wall time for the chunk is its rate denominator.

@@ -1,14 +1,14 @@
 /// \file engine_shared_queue.cpp
-/// Worker-level simulation engine (MPI+MPI and OpenMP-nowait models).
+/// Worker-level simulation engine (the MPI+MPI model).
 ///
 /// Discrete-event scheme: every worker is a process; the event queue holds
 /// (ready-time, worker) pairs and always advances the globally earliest
 /// worker, so shared-state mutations happen in virtual-time order. Each
 /// event processes one *transaction*: a queue access, optionally followed
 /// by a global refill and the execution of the obtained sub-chunk.
-/// Serialization points (the node queue lock/counter, the global queue
-/// target) are modelled as resources whose busy-until times chain
-/// transactions in processing order.
+/// Serialization points (the node queue lock, the global queue target)
+/// are modelled as resources whose busy-until times chain transactions in
+/// processing order.
 
 #include <algorithm>
 #include <cmath>
@@ -22,36 +22,23 @@ namespace hdls::sim::detail {
 
 namespace {
 
-/// A node's leaf queue: the sliced chunks behind the model's access
-/// primitive, MPI_Win_lock (PollingLock) or an atomic counter.
+/// A node's leaf queue: the sliced chunks behind MPI_Win_lock
+/// (PollingLock). The queue state is inspected as of a lock grant.
 struct NodeState {
     NodeState(const CostModel& costs, dls::Technique leaf, int workers, std::int64_t min_chunk)
         : queue(leaf, workers, min_chunk),
-          lock(costs.lock_hold_s(), costs.lock_poll_s(), costs.lock_attempt_s()),
-          counter(costs.omp_dequeue_s()) {}
+          lock(costs.lock_hold_s(), costs.lock_poll_s(), costs.lock_attempt_s()) {}
 
     SlicedChunkQueue queue;
-    PollingLock lock;      // MPI_Win_lock model
-    FcfsResource counter;  // atomic-counter model
-};
-
-struct QueueAccess {
-    double granted = 0.0;   ///< inspection time (queue state as of here)
-    double released = 0.0;  ///< worker may proceed from here
-    double wait = 0.0;      ///< contention wait
+    PollingLock lock;
 };
 
 }  // namespace
 
-void simulate_shared_queue(EngineRun& run, ExecModel model, const ClusterSpec& cluster,
-                           const SimConfig& config, const dls::LevelPlan& plan,
-                           const WorkloadTrace& workload) {
+void simulate_shared_queue(EngineRun& run, const ClusterSpec& cluster, const SimConfig& config,
+                           const dls::LevelPlan& plan, const WorkloadTrace& workload) {
     const CostModel& costs = cluster.costs;
     const int total_workers = cluster.total_workers();
-    // MPI+MPI guards the queue with MPI_Win_lock and lets any rank refill;
-    // nowait dequeues through an atomic counter and only the master
-    // refills.
-    const bool mpi_mpi = model == ExecModel::MpiMpi;
 
     // The whole hierarchy above the leaf queues (root backend + any relay
     // levels of a deep tree), priced per level in one shared place.
@@ -63,38 +50,15 @@ void simulate_shared_queue(EngineRun& run, ExecModel model, const ClusterSpec& c
         NodeState(costs, plan.levels.back().technique, cluster.workers_per_node,
                   config.min_chunk));
 
-    // Retry period of a worker that must wait for work to appear without a
-    // known wake-up time (nowait non-masters): the natural software poll.
-    const double poll_quantum = std::max(costs.lock_poll_s(), 1e-6);
-
     ReadyQueue events;
     for (int w = 0; w < total_workers; ++w) {
         events.push({0.0, w});
     }
 
-    // One access to the node queue under the model's primitive; the queue
-    // state is inspected as of the grant.
-    const auto access_queue = [&](NodeState& node, double t) -> QueueAccess {
-        if (mpi_mpi) {
-            const PollingLock::Grant g = node.lock.acquire(t);
-            return {g.acquired, g.released, g.wait};
-        }
-        const double before = node.counter.busy_until();
-        const double done = node.counter.acquire(t);
-        return {done, done, std::max(0.0, before - t)};
-    };
-
     // Waiting spans are coalesced per worker: one BarrierWait event from
     // the first empty-handed wake-up to the wake-up that found work (or
     // terminated), mirroring the real executor's recording.
     std::vector<double> wait_from(static_cast<std::size_t>(total_workers), -1.0);
-    // Asynchronous prefetching (SimConfig::prefetch): the compute time of
-    // the sub-chunk a worker just executed is the window its next
-    // upper-level acquisition can hide under. Adaptive roots are never
-    // discounted — the real prefetcher does not cross a refill whose flush
-    // must see the in-flight chunk's feedback.
-    const bool prefetch = config.prefetch && !source.wants_feedback();
-    std::vector<double> overlap_credit(static_cast<std::size_t>(total_workers), 0.0);
     // Per-worker "accumulated feedback not yet flushed" flag, mirroring
     // the real executor's flush-before-refill cadence.
     std::vector<char> feedback_pending(static_cast<std::size_t>(total_workers), 0);
@@ -108,11 +72,6 @@ void simulate_shared_queue(EngineRun& run, ExecModel model, const ClusterSpec& c
         const double t = ev.time;
         trace::WorkerTracer& tracer = run.tracer(ev.id);
         const bool tracing = tracer.enabled();
-        // The overlap window earned by the previous transaction's compute;
-        // consumed (and reset) by this transaction's refill, if any.
-        double& credit_slot = overlap_credit[static_cast<std::size_t>(ev.id)];
-        const double my_credit = prefetch ? credit_slot : -1.0;
-        credit_slot = 0.0;
         double& waiting_since = wait_from[static_cast<std::size_t>(ev.id)];
         const bool record_probe = tracing && waiting_since < 0.0;
         const auto close_wait = [&](double end) {
@@ -134,15 +93,14 @@ void simulate_shared_queue(EngineRun& run, ExecModel model, const ClusterSpec& c
                               released - from + costs.chunk_overhead_s());
                 feedback_pending[static_cast<std::size_t>(ev.id)] = 1;
             }
-            credit_slot = compute;
             events.push({released + costs.chunk_overhead_s() + compute, ev.id});
         };
 
         // ---- stage 2: try to pop a sub-chunk from the node queue --------
-        const QueueAccess acc = access_queue(node, t);
+        const PollingLock::Grant acc = node.lock.acquire(t);
         w.lock_wait += acc.wait;
         w.overhead += acc.released - t;
-        if (const auto sub = node.queue.pop(0, acc.granted)) {
+        if (const auto sub = node.queue.pop(0, acc.acquired)) {
             close_wait(t);
             if (tracing) {
                 tracer.record(trace::EventKind::LocalPop, t, acc.released, sub->begin, sub->end,
@@ -159,8 +117,7 @@ void simulate_shared_queue(EngineRun& run, ExecModel model, const ClusterSpec& c
         double now = acc.released;
 
         // ---- stage 1: queue drained; refill from the level above --------
-        const bool may_refill = mpi_mpi || w.worker_in_node == 0;
-        if (may_refill && !source.exhausted(w.node)) {
+        if (!source.exhausted(w.node)) {
             if (feedback_pending[static_cast<std::size_t>(ev.id)] != 0) {
                 // Pre-acquire feedback flush: three accumulator RMA updates
                 // (the AWF weight-refresh reads ride the priced global
@@ -175,13 +132,8 @@ void simulate_shared_queue(EngineRun& run, ExecModel model, const ClusterSpec& c
             }
             double done = now;
             double retry_at = 0.0;
-            PrefetchCharge pf;
-            const auto take = source.acquire(w.node, now, &done, &retry_at, my_credit, &pf);
+            const auto take = source.acquire(w.node, now, &done, &retry_at);
             w.overhead += done - now;
-            if (take && my_credit >= 0.0 && tracing) {
-                tracer.record(trace::EventKind::Prefetch, done, done, pf.hit ? 1 : 0,
-                              take->start, pf.hidden, take->level);
-            }
             if (!take && std::isfinite(retry_at)) {
                 // Work is in flight somewhere up the branch (pushed but not
                 // yet visible at our inspection time): wake when it lands.
@@ -206,21 +158,15 @@ void simulate_shared_queue(EngineRun& run, ExecModel model, const ClusterSpec& c
                 ++w.global_refills;
                 close_wait(now);
                 if (tracing) {
-                    // Under prefetch pricing `done` is the discounted
-                    // completion; the recorded epoch keeps the physical
-                    // flight time (mirroring the real executor, whose
-                    // prefetched acquire epoch is raw but off the critical
-                    // path) — the hidden share rides the Prefetch event.
-                    const double epoch_end = my_credit >= 0.0 ? now + pf.raw : done;
                     tracer.record(take->stolen ? trace::EventKind::Steal
                                                : trace::EventKind::GlobalAcquire,
-                                  now, epoch_end, take->start, take->size, 0.0, take->level);
+                                  now, done, take->start, take->size, 0.0, take->level);
                 }
                 now = done;
                 // Push + pop own first sub-chunk in one queue access. The
                 // fresh, non-empty chunk is visible to us inside the epoch,
                 // so the pop always finds work.
-                const QueueAccess push = access_queue(node, now);
+                const PollingLock::Grant push = node.lock.acquire(now);
                 w.lock_wait += push.wait;
                 w.overhead += push.released - now;
                 node.queue.push(take->start, take->size, push.released);
@@ -236,7 +182,7 @@ void simulate_shared_queue(EngineRun& run, ExecModel model, const ClusterSpec& c
             }
         }
 
-        // ---- wait for in-flight work, keep polling, or terminate --------
+        // ---- wait for in-flight work or terminate -----------------------
         if (node.queue.unfinished()) {
             // Work exists but was not yet visible at our inspection time;
             // wake when the earliest pending push completes.
@@ -246,16 +192,6 @@ void simulate_shared_queue(EngineRun& run, ExecModel model, const ClusterSpec& c
                 waiting_since = now;
             }
             events.push({next, ev.id});
-            continue;
-        }
-        if (!source.exhausted(w.node)) {
-            // Only reachable for nowait non-masters: the pool is empty and
-            // the master has not refilled yet — poll again later.
-            w.idle += poll_quantum;
-            if (tracing && waiting_since < 0.0) {
-                waiting_since = now;
-            }
-            events.push({now + poll_quantum, ev.id});
             continue;
         }
         close_wait(now);

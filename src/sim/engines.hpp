@@ -10,16 +10,12 @@
 
 namespace hdls::sim::detail {
 
-/// Worker-level engine: every worker independently pops sub-chunks from its
-/// node's shared queue and refills it from the global queue.
-///  * MpiMpi -> queue access via MPI_Win_lock (PollingLock), and any rank
-///    refills: the paper's MPI+MPI model.
-///  * MpiOpenMpNowait -> queue access via an atomic counter (FcfsResource),
-///    and only worker 0 of each node refills (MPI_THREAD_FUNNELED): the
-///    OpenMP-nowait future-work model.
-void simulate_shared_queue(EngineRun& run, ExecModel model, const ClusterSpec& cluster,
-                           const SimConfig& config, const dls::LevelPlan& plan,
-                           const WorkloadTrace& workload);
+/// Worker-level engine, the paper's MPI+MPI model: every worker pops
+/// sub-chunks from its node's shared queue under MPI_Win_lock
+/// (PollingLock), and any rank whose pop finds the queue drained refills
+/// it from the level above.
+void simulate_shared_queue(EngineRun& run, const ClusterSpec& cluster, const SimConfig& config,
+                           const dls::LevelPlan& plan, const WorkloadTrace& workload);
 
 /// Node-level engine: per node, a master fetches level-1 chunks and a
 /// thread team executes each under the intra schedule with an implicit

@@ -304,24 +304,11 @@ private:
     return 3.0 * costs.level_rma_s(0);
 }
 
-/// What one *prefetched* (asynchronously issued) acquisition cost the
-/// critical path: under SimConfig::prefetch the request flies while the
-/// previous chunk computes, so the caller is charged the nonblocking
-/// issue/completion cost plus only the part of the raw latency that
-/// outlived the overlap window — max(compute_remaining, acquire_latency)
-/// in place of their sum.
-struct PrefetchCharge {
-    double raw = 0.0;      ///< physical flight time of the acquisition
-    double charged = 0.0;  ///< critical-path seconds (issue + residual latency)
-    double hidden = 0.0;   ///< latency absorbed behind the overlap window
-    bool hit = false;      ///< the acquisition completed within the window
-};
-
 /// One level queue in virtual time: the chunks pushed into it from the
 /// level above, each sliced into sub-chunks for the level's `fan_out`
 /// children and visible to pops from its push's completion time on. It
 /// prices nothing: a relay wraps it with its FCFS server and latency, the
-/// shared-queue engine's node with its PollingLock or dequeue counter.
+/// shared-queue engine's node with its PollingLock.
 ///
 /// The centralized form is one FIFO sliced by the level's step-indexed
 /// technique: the sub-chunks NodeWorkQueue carves (dls::StepStarts). The
@@ -466,7 +453,7 @@ private:
 
 /// The whole upper scheduling hierarchy of a deep tree, priced per level —
 /// the one place both engines take acquire costs from (the leaf queue's
-/// pricing stays engine-side: PollingLock / dequeue counter / thread team).
+/// pricing stays engine-side: PollingLock / thread team).
 ///
 /// One acquire() emulates the real ComposedWorkSource chain above the
 /// leaf: pop the level-(L-2) relay of the caller's group; on empty, refill
@@ -491,7 +478,7 @@ public:
 
     HierarchicalSource(const ClusterSpec& cluster, const SimConfig& config,
                        const dls::LevelPlan& plan, std::int64_t n)
-        : depth_(plan.depth()), prefetch_issue_s_(cluster.costs.prefetch_issue_s()) {
+        : depth_(plan.depth()) {
         fan_.reserve(plan.tree.size());
         for (const auto& lv : plan.tree) {
             fan_.push_back(lv.fan_out);
@@ -537,34 +524,11 @@ public:
     /// holds the completion time. On failure *retry_at is the virtual time
     /// at which currently in-flight (pushed but not yet visible) work
     /// becomes poppable, or +infinity when the caller's branch is
-    /// permanently dry.
-    ///
-    /// `overlap_s >= 0` prices the acquisition as asynchronously
-    /// prefetched (SimConfig::prefetch): the request was issued behind a
-    /// chunk whose compute time was overlap_s, so the successful caller is
-    /// charged prefetch_issue_us + max(0, raw_latency - overlap_s) — i.e.
-    /// max(compute, latency) across the chunk boundary instead of their
-    /// sum. A negative overlap (the default) keeps the synchronous
-    /// pricing; a dry-probe failure is never discounted (learning the
-    /// branch is empty gains nothing from overlap). When `charge` is
-    /// non-null it receives the hit/hidden decomposition for tracing.
+    /// permanently dry (then exhausted(leaf) holds).
     [[nodiscard]] std::optional<Take> acquire(int leaf, double t, double* done,
-                                              double* retry_at, double overlap_s = -1.0,
-                                              PrefetchCharge* charge = nullptr) {
+                                              double* retry_at) {
         *retry_at = std::numeric_limits<double>::infinity();
-        const auto take = walk(depth_ - 2, leaf, t, done, retry_at);
-        if (take && overlap_s >= 0.0) {
-            PrefetchCharge c;
-            c.raw = std::max(0.0, *done - t);
-            c.hidden = std::min(c.raw, overlap_s);
-            c.charged = prefetch_issue_s_ + (c.raw - c.hidden);
-            c.hit = c.raw <= overlap_s;
-            *done = t + c.charged;
-            if (charge != nullptr) {
-                *charge = c;
-            }
-        }
-        return take;
+        return walk(depth_ - 2, leaf, t, done, retry_at);
     }
 
     /// True once nothing can ever reach `leaf` again: the root is dry and
@@ -672,7 +636,6 @@ private:
     }
 
     int depth_ = 2;
-    double prefetch_issue_s_ = 0.0;  ///< nonblocking issue+completion cost
     std::vector<int> fan_;
     std::vector<std::int64_t> leaf_div_;  ///< leaf groups per depth-d group
     std::unique_ptr<InterSource> root_;

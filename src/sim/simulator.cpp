@@ -53,8 +53,6 @@ std::string_view exec_model_name(ExecModel m) noexcept {
             return "MPI+MPI";
         case ExecModel::MpiOpenMp:
             return "MPI+OpenMP";
-        case ExecModel::MpiOpenMpNowait:
-            return "MPI+OpenMP-nowait";
     }
     return "?";
 }
@@ -68,9 +66,6 @@ std::optional<ExecModel> exec_model_from_string(std::string_view name) noexcept 
     }
     if (lower == "mpi+openmp" || lower == "mpiopenmp") {
         return ExecModel::MpiOpenMp;
-    }
-    if (lower == "mpi+openmp-nowait" || lower == "nowait") {
-        return ExecModel::MpiOpenMpNowait;
     }
     return std::nullopt;
 }
@@ -118,8 +113,7 @@ SimReport simulate(ExecModel model, const ClusterSpec& cluster, const SimConfig&
     if (trace.iterations() > 0) {
         switch (model) {
             case ExecModel::MpiMpi:
-            case ExecModel::MpiOpenMpNowait:
-                detail::simulate_shared_queue(run, model, cluster, config, plan, trace);
+                detail::simulate_shared_queue(run, cluster, config, plan, trace);
                 break;
             case ExecModel::MpiOpenMp:
                 detail::simulate_hybrid_barrier(run, cluster, config, plan, trace);

@@ -14,18 +14,19 @@
 ///  * MpiOpenMp — the baseline: one master per node fetches chunks; a
 ///    thread team executes each chunk under the intra schedule with an
 ///    implicit barrier per chunk (Figure 2).
-///  * MpiOpenMpNowait — the paper's Section-6 future work: worksharing
-///    without the implicit barrier, modelled as a node-local chunk pool
-///    with cheap atomic dequeues; only the master thread may refill
-///    (MPI_THREAD_FUNNELED), unlike MPI+MPI's any-rank refill.
+///
+/// Both models have an executor (core/), and the simulator prices only
+/// what those executors run. Every acquisition is priced synchronously:
+/// the executor's prefetch slot moves an acquisition earlier but hides no
+/// flight time, which neither transport has.
 ///
 /// simulate() resolves the level plan, sets up the run's report and trace
 /// (sim/engine_trace.hpp) and hands them to one of two engines: the
-/// worker-level shared-queue engine (MpiMpi, MpiOpenMpNowait) or the
-/// node-level team engine (MpiOpenMp). Both take every acquisition above
-/// the leaf from one HierarchicalSource (sim/inter_source.hpp). The
-/// simulated cluster never fails: fail-stop is exercised on the real
-/// executor (lease mode and its chaos drill, docs/fault-tolerance.md).
+/// worker-level shared-queue engine (MpiMpi) or the node-level team
+/// engine (MpiOpenMp). Both take every acquisition above the leaf from
+/// one HierarchicalSource (sim/inter_source.hpp). The simulated cluster
+/// never fails: fail-stop is exercised on the real executor (lease mode
+/// and its chaos drill, docs/fault-tolerance.md).
 
 #include <cstddef>
 #include <cstdint>
@@ -43,7 +44,6 @@ namespace hdls::sim {
 enum class ExecModel {
     MpiMpi,
     MpiOpenMp,
-    MpiOpenMpNowait,
 };
 
 [[nodiscard]] std::string_view exec_model_name(ExecModel m) noexcept;
@@ -69,16 +69,10 @@ struct SimConfig {
     /// one per tree level, resolved by dls::resolve_level_plan exactly as
     /// HierConfig::levels is.
     std::vector<dls::LevelScheme> levels;
-    /// Asynchronous chunk prefetching (mirrors HierConfig::prefetch): an
-    /// upper-level acquisition that follows a computed chunk is priced as
-    /// overlapped — CostModel::prefetch_issue_us plus only the part of the
-    /// acquire latency that exceeds the chunk's compute time — instead of
-    /// the full synchronous latency. Chunk sequences are unchanged; only
-    /// the pricing (and the recorded Prefetch hit/miss events) differ.
-    bool prefetch = false;
     /// Record virtual-time chunk-lifecycle events into SimReport::trace
-    /// (same schema as the real executors' traces, so every exporter and
-    /// analysis in src/trace/ applies).
+    /// (the real executors' schema, so every exporter and analysis in
+    /// src/trace/ applies; docs/observability.md names the kinds only the
+    /// executors record).
     bool trace = false;
     /// Per-worker cap on recorded trace events (exact). A worker's log
     /// grows on demand up to it; overflow drops events and counts the

@@ -42,11 +42,10 @@ enum class EventKind : std::uint8_t {
     Prefetch,        ///< prefetch-slot outcome at acquire time: a=1 hit (the chunk was
                      ///< already in the slot, acquired ahead of demand; `wait` holds the
                      ///< acquisition seconds spent filling it, b the chunk start) or a=0
-                     ///< miss (the slot was empty; the acquisition ran on demand). Under
-                     ///< the simulators' overlap pricing the hit's `wait` is latency
-                     ///< hidden behind chunk execution — genuinely off the critical
-                     ///< path; the thread-backed real executor repositions that work
-                     ///< rather than removing it (its RMA has no flight time to hide)
+                     ///< miss (the slot was empty; the acquisition ran on demand). The
+                     ///< real executor repositions that work rather than removing it
+                     ///< (its RMA has no flight time to hide), so the simulator, which
+                     ///< prices acquisitions synchronously, records no Prefetch events
     Reclaim,         ///< lease reclaimed from a dead owner and re-executed by the
                      ///< recording worker (a=start, b=size of the reclaimed chunk;
                      ///< docs/fault-tolerance.md)

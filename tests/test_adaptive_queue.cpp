@@ -4,7 +4,7 @@
 /// including a deliberately slow rank), adaptive-rate edge cases
 /// (zero-time chunks, silent nodes, single-node clusters, min_chunk
 /// clamping), and end-to-end selectability of FAC/WF/AWF-B/C/D/E as
-/// HierConfig::inter in both real executors and all three sim engines.
+/// HierConfig::inter in both real executors and both sim models.
 
 #include <gtest/gtest.h>
 
@@ -351,8 +351,7 @@ TEST(AdaptiveSimTest, EveryFeedbackTechniqueRunsInAllThreeEngines) {
     const WorkloadTrace trace(std::vector<double>(3000, 1e-5));
     for (const Technique inter : {Technique::FAC, Technique::WF, Technique::AWFB,
                                   Technique::AWFC, Technique::AWFD, Technique::AWFE}) {
-        for (const ExecModel model :
-             {ExecModel::MpiMpi, ExecModel::MpiOpenMp, ExecModel::MpiOpenMpNowait}) {
+        for (const ExecModel model : {ExecModel::MpiMpi, ExecModel::MpiOpenMp}) {
             SimConfig cfg;
             cfg.inter = inter;
             cfg.intra = Technique::Static;

@@ -400,8 +400,7 @@ TEST(HierarchySimTest, ExplicitDepthTwoMatchesTheClassicSimExactly) {
     SimConfig levels = config;
     levels.levels = {{Technique::GSS, std::nullopt}, {Technique::SS, std::nullopt}};
 
-    for (const ExecModel model :
-         {ExecModel::MpiMpi, ExecModel::MpiOpenMp, ExecModel::MpiOpenMpNowait}) {
+    for (const ExecModel model : {ExecModel::MpiMpi, ExecModel::MpiOpenMp}) {
         const SimReport a = simulate(model, classic, config, load);
         const SimReport b = simulate(model, tree, levels, load);
         EXPECT_DOUBLE_EQ(a.parallel_time, b.parallel_time) << exec_model_name(model);

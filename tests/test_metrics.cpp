@@ -532,8 +532,7 @@ TEST(MetricsTest, SimulationsLeaveTheExecutedWorkFamiliesUntouched) {
     cfg.intra = dls::Technique::GSS;
     cfg.trace = true;
     const Snapshot before = metrics::registry().snapshot();
-    for (const sim::ExecModel model :
-         {sim::ExecModel::MpiMpi, sim::ExecModel::MpiOpenMp, sim::ExecModel::MpiOpenMpNowait}) {
+    for (const sim::ExecModel model : {sim::ExecModel::MpiMpi, sim::ExecModel::MpiOpenMp}) {
         const auto report = sim::simulate(model, cluster, cfg, trace);
         EXPECT_EQ(report.metrics.counter_total("hdls_exec_iterations_total"), 1000u);
     }

@@ -1,8 +1,7 @@
 /// \file test_ompsim.cpp
 /// Tests for the OpenMP-like shim: schedule coverage/layout semantics,
 /// Table-1 equivalences against the DLS library and the implicit barrier
-/// (the team has no nowait; only the simulator's MpiOpenMpNowait models
-/// it).
+/// (the team has no nowait).
 
 #include <gtest/gtest.h>
 

@@ -2,8 +2,7 @@
 /// Asynchronous chunk prefetching: exact-tiling/replay-parity across the
 /// technique x depth x backend grid (prefetch on vs off), termination with
 /// a prefetched chunk outstanding, the HDLS_PREFETCH knob, trace hit/miss
-/// accounting, and the simulators' overlap-aware pricing (deterministic,
-/// never slower, chunk sequences unchanged). Plus the bench JSON report
+/// accounting and the refill counters. Plus the bench JSON report
 /// schema.
 
 #include <gtest/gtest.h>
@@ -20,8 +19,6 @@
 
 #include "common/json_report.hpp"
 #include "core/hdls.hpp"
-#include "sim/simulator.hpp"
-#include "sim/workload.hpp"
 
 namespace {
 
@@ -336,113 +333,6 @@ TEST(RefillAccountingTest, TraceEventsMatchTheRefillCountersPerLevel) {
                 }
             }
         }
-    }
-}
-
-// ------------------------------------------------------------- simulator ---
-
-TEST(PrefetchSimTest, PricesAreDeterministicAndSequencesUnchanged) {
-    using namespace hdls::sim;
-    const WorkloadTrace load(std::vector<double>(6000, 2e-5));
-    ClusterSpec cluster;
-    cluster.nodes = 8;
-    cluster.workers_per_node = 4;
-    for (const ExecModel model : {ExecModel::MpiMpi, ExecModel::MpiOpenMp}) {
-        SimConfig off;
-        off.inter = Technique::SS;
-        off.intra = model == ExecModel::MpiOpenMp ? Technique::Static : Technique::GSS;
-        off.min_chunk = 8;
-        SimConfig on = off;
-        on.prefetch = true;
-        const SimReport a = simulate(model, cluster, on, load);
-        const SimReport b = simulate(model, cluster, on, load);
-        const SimReport sync = simulate(model, cluster, off, load);
-        SCOPED_TRACE(exec_model_name(model));
-        // Deterministic prices.
-        EXPECT_DOUBLE_EQ(a.parallel_time, b.parallel_time);
-        EXPECT_EQ(a.global_chunks(), b.global_chunks());
-        // Overlap changes pricing, not scheduling: same chunk totals.
-        EXPECT_EQ(a.executed_iterations(), sync.executed_iterations());
-        EXPECT_EQ(a.global_chunks(), sync.global_chunks());
-        EXPECT_EQ(a.sub_chunks(), sync.sub_chunks());
-        if (model == ExecModel::MpiOpenMp) {
-            // Depth-2 hybrid: the funneled master has no relay chain to
-            // prefetch through — the engine mirrors the real executor's
-            // no-op gating exactly.
-            EXPECT_DOUBLE_EQ(a.parallel_time, sync.parallel_time);
-        } else {
-            // Hiding latency behind compute can only help an
-            // acquisition-heavy run whose chunks out-compute the RMA
-            // latency.
-            EXPECT_LT(a.parallel_time, sync.parallel_time);
-        }
-    }
-}
-
-TEST(PrefetchSimTest, TracesCarryHitsAndHiddenTime) {
-    using namespace hdls::sim;
-    const WorkloadTrace load(std::vector<double>(4000, 5e-5));
-    ClusterSpec cluster;
-    cluster.nodes = 4;
-    cluster.workers_per_node = 4;
-    SimConfig cfg;
-    cfg.inter = Technique::SS;
-    cfg.intra = Technique::GSS;
-    cfg.min_chunk = 8;
-    cfg.prefetch = true;
-    cfg.trace = true;
-    const SimReport r = simulate(ExecModel::MpiMpi, cluster, cfg, load);
-    ASSERT_NE(r.trace, nullptr);
-    const auto analysis = hdls::trace::analyze(*r.trace);
-    EXPECT_GT(analysis.prefetch_hits, 0);
-    EXPECT_GT(analysis.prefetch_hidden_seconds, 0.0);
-    EXPECT_GT(analysis.prefetch_hit_rate(), 0.5);  // 400us chunks vs us-scale RMA
-}
-
-TEST(PrefetchSimTest, AdaptiveRootsAreNeverDiscounted) {
-    using namespace hdls::sim;
-    const WorkloadTrace load(std::vector<double>(3000, 1e-5));
-    ClusterSpec cluster;
-    cluster.nodes = 4;
-    cluster.workers_per_node = 4;
-    SimConfig cfg;
-    cfg.inter = Technique::AWFB;
-    cfg.intra = Technique::GSS;
-    cfg.prefetch = true;
-    cfg.trace = true;
-    const SimReport on = simulate(ExecModel::MpiMpi, cluster, cfg, load);
-    SimConfig off = cfg;
-    off.prefetch = false;
-    const SimReport sync = simulate(ExecModel::MpiMpi, cluster, off, load);
-    // The feedback-ordering gate: identical prices and no Prefetch events.
-    EXPECT_DOUBLE_EQ(on.parallel_time, sync.parallel_time);
-    ASSERT_NE(on.trace, nullptr);
-    for (const auto& e : on.trace->events) {
-        EXPECT_NE(e.kind, hdls::trace::EventKind::Prefetch);
-    }
-}
-
-TEST(PrefetchSimTest, DeepTreesBenefitInBothEngines) {
-    using namespace hdls::sim;
-    const WorkloadTrace load(std::vector<double>(8000, 4e-5));
-    ClusterSpec cluster;
-    cluster.nodes = 8;
-    cluster.workers_per_node = 4;
-    cluster.tree = {{"racks", 2}, {"nodes", 4}, {"cores", 4}};
-    for (const ExecModel model : {ExecModel::MpiMpi, ExecModel::MpiOpenMp}) {
-        SimConfig cfg;
-        cfg.levels = {{Technique::FAC2, std::nullopt},
-                      {Technique::SS, std::nullopt},
-                      {model == ExecModel::MpiOpenMp ? Technique::Static : Technique::GSS,
-                       std::nullopt}};
-        cfg.min_chunk = 8;
-        SimConfig on = cfg;
-        on.prefetch = true;
-        const SimReport sync = simulate(model, cluster, cfg, load);
-        const SimReport pre = simulate(model, cluster, on, load);
-        SCOPED_TRACE(exec_model_name(model));
-        EXPECT_EQ(pre.executed_iterations(), 8000);
-        EXPECT_LE(pre.parallel_time, sync.parallel_time);
     }
 }
 

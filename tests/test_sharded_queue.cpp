@@ -312,8 +312,7 @@ TEST(ShardedSimTest, AllEnginesTileAndStayDeterministic) {
     cluster.workers_per_node = 4;
     const WorkloadTrace trace(std::vector<double>(6000, 1e-5));
     for (const Technique inter : {Technique::GSS, Technique::FAC2, Technique::WF}) {
-        for (const ExecModel model :
-             {ExecModel::MpiMpi, ExecModel::MpiOpenMp, ExecModel::MpiOpenMpNowait}) {
+        for (const ExecModel model : {ExecModel::MpiMpi, ExecModel::MpiOpenMp}) {
             SimConfig cfg;
             cfg.inter = inter;
             cfg.intra = Technique::Static;

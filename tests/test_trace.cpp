@@ -821,9 +821,7 @@ TEST(TraceIntegrationTest, SimulatorTracesMatchSimReport) {
     cfg.inter = Technique::GSS;
     cfg.intra = Technique::Static;
     cfg.trace = true;
-    for (const sim::ExecModel model :
-         {sim::ExecModel::MpiMpi, sim::ExecModel::MpiOpenMp,
-          sim::ExecModel::MpiOpenMpNowait}) {
+    for (const sim::ExecModel model : {sim::ExecModel::MpiMpi, sim::ExecModel::MpiOpenMp}) {
         const auto r = simulate(model, cluster, cfg, workload);
         ASSERT_TRUE(r.trace) << exec_model_name(model);
         EXPECT_EQ(r.trace->dropped(), 0) << exec_model_name(model);
